@@ -1,9 +1,11 @@
 """Thin wrappers around scipy's adaptive quadrature with strict failure semantics.
 
 All one-dimensional integrals go through :func:`quad_strict` (Gauss-Kronrod
-refinement, QUADPACK); multi-dimensional region integrals through
-:func:`nquad_strict`. Tolerances follow the package-wide quadrature policy:
-relative 1e-10 with an absolute floor of 1e-14.
+refinement, QUADPACK). :func:`nquad_strict` nests it for the angular integrals
+of product-exponential norm shells over the positive orthant of S^(d-1), a
+(d-1)-dimensional box of angles; the radial part of those shells is exact.
+Tolerances follow the package-wide quadrature policy: relative 1e-10 with an
+absolute floor of 1e-14 (1e-12 for the nested rule).
 """
 
 import warnings

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +41,6 @@ _INPUT_ERRORS = (SchemaError, DimensionMismatch, InvalidConfig,
                  PreconditionViolated, json.JSONDecodeError, OSError, ValueError)
 _NUMERIC_ERRORS = (QuadratureFailure, StepSizeUnderflow, OverflowError,
                    InfiniteMass, EmptyRegion, BudgetExceeded)
-
-
-@dataclass
-class RunSpec:
-    """Parsed command plus its options, ready for dispatch."""
-
-    command: str
-    options: argparse.Namespace
 
 
 def _vector(text: str) -> np.ndarray:
@@ -256,10 +247,11 @@ _HANDLERS = {
 }
 
 
-def run(spec: RunSpec) -> int:
-    """Dispatch a parsed command; exceptions map to documented exit codes."""
+def main(argv=None) -> int:
+    """Parse and dispatch one command; exceptions map to documented exit codes."""
+    opts = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[spec.command](spec.options)
+        return _HANDLERS[opts.command](opts)
     except _Inadmissible as exc:
         print(f"admissibility failure: {exc}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
@@ -269,11 +261,6 @@ def run(spec: RunSpec) -> int:
     except _INPUT_ERRORS as exc:
         print(f"schema error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
-
-def main(argv=None) -> int:
-    opts = build_parser().parse_args(argv)
-    return run(RunSpec(command=opts.command, options=opts))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ Three parametric families are supported, plus finite mixtures of them:
   an exact finite sum.
 * :class:`ProductExponential` -- total mass r spread as a product of
   exponential densities; separable integrals are closed-form, norm-restricted
-  ones fall back to nested adaptive quadrature for d >= 2.
+  ones are taken in hyperspherical coordinates: the radial part is an exact
+  incomplete-gamma difference, leaving one (d-1)-dimensional angular
+  quadrature for d >= 2.
 * :class:`TemperedPowerLawAxis` -- density C z^(-1-alpha) e^(-theta z) on a
   single coordinate axis; infinite activity at the origin is allowed and every
   integral reduces to one-dimensional adaptive quadrature with exact
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.special import gammainc, gammaincc
 
 from ._quadrature import quad_strict, nquad_strict
 from .errors import EmptyRegion, InfiniteMass
@@ -236,8 +239,28 @@ class DiscreteAtoms(JumpMeasure):
 # product exponential
 # --------------------------------------------------------------------------
 
+def _orthant_direction(phis):
+    """Unit vector omega in the closed positive orthant at hyperspherical angles
+    phis in [0, pi/2]^(d-1), and the surface element of S^(d-1) there."""
+    d = len(phis) + 1
+    omega = np.empty(d)
+    jacobian = 1.0
+    sin_prod = 1.0
+    for k, phi in enumerate(phis):
+        sin_phi = math.sin(phi)
+        omega[k] = sin_prod * math.cos(phi)
+        jacobian *= sin_phi ** (d - 2 - k)
+        sin_prod *= sin_phi
+    omega[d - 1] = sin_prod
+    return omega, jacobian
+
+
 class ProductExponential(JumpMeasure):
-    """Total mass r with density r * prod_k theta_k exp(-theta_k z_k)."""
+    """Total mass r with density r * prod_k theta_k exp(-theta_k z_k).
+
+    Integrals over the whole orthant are closed-form; norm shells go through
+    :meth:`_shell_integral`.
+    """
 
     is_finite_activity = True
 
@@ -251,89 +274,57 @@ class ProductExponential(JumpMeasure):
         self.r = float(mass)
         self.theta = rates
 
-    # truncated exponential moments on [a, b) for a unit-mean-normalised
-    # coordinate: integrals of z^k theta e^(-theta z)
-    @staticmethod
-    def _m0(theta, a, b):
-        ea = math.exp(-theta * a)
-        eb = 0.0 if b == INF else math.exp(-theta * b)
-        return ea - eb
+    def _shell_integral(self, region, k, i=None):
+        """Integral of rho^k (times omega_i when i is given) against the density
+        over the norm shell, in hyperspherical coordinates z = rho * omega.
 
-    @staticmethod
-    def _m1(theta, a, b):
-        ea = (a + 1.0 / theta) * math.exp(-theta * a)
-        eb = 0.0 if b == INF else (b + 1.0 / theta) * math.exp(-theta * b)
-        return ea - eb
-
-    @staticmethod
-    def _m2(theta, a, b):
-        def anti(x):
-            return (x * x + 2.0 * x / theta + 2.0 / theta ** 2) * math.exp(-theta * x)
-
-        return anti(a) - (0.0 if b == INF else anti(b))
-
-    def _density(self, z):
-        return self.r * float(np.prod(self.theta * np.exp(-self.theta * z)))
-
-    def _ball_integral(self, g, b):
-        """Integral of g(z)*density over {||z|| < b} in the open orthant."""
-        if b <= 0.0:
-            return 0.0
+        With a = <theta, omega> and s = d + k the radial factor
+        int_lo^hi rho^(s-1) e^(-a rho) drho is exactly Gamma(s) / a^s times a
+        difference of regularised incomplete gammas; the remaining angular
+        integral over the positive orthant of S^(d-1) is one (d-1)-dimensional
+        quadrature (none for d == 1).
+        """
         d = self.dim
+        s = d + k
+        lo, hi = region.lo, region.hi
+        theta = self.theta
 
-        def fn(*zs):
-            z = np.array(zs)
-            return g(z) * self._density(z)
+        def integrand(*phis):
+            omega, jacobian = _orthant_direction(phis)
+            a = float(theta @ omega)
+            if hi == INF:
+                radial = gammaincc(s, a * lo)
+            elif a * hi <= s:
+                # lower tail: P values stay small, no 1 - Q cancellation
+                radial = gammainc(s, a * hi) - gammainc(s, a * lo)
+            else:
+                radial = gammaincc(s, a * lo) - gammaincc(s, a * hi)
+            weight = jacobian if i is None else jacobian * omega[i]
+            return scale * weight * radial / a ** s
 
-        ranges = []
-        for i in range(d - 1):
-            def bound(*outer, _b=b):
-                rem = _b * _b - sum(v * v for v in outer)
-                return (0.0, math.sqrt(rem) if rem > 0 else 0.0)
-
-            ranges.append(bound)
-        ranges.append((0.0, b))
-        return nquad_strict(fn, ranges)
-
-    def _orthant_integral(self, g):
-        def fn(*zs):
-            z = np.array(zs)
-            return g(z) * self._density(z)
-
-        return nquad_strict(fn, [(0.0, INF)] * self.dim)
-
-    def _shell_integral(self, g, region, orthant_value=None):
-        if region.hi == INF:
-            upper = self._orthant_integral(g) if orthant_value is None else orthant_value
-        else:
-            upper = self._ball_integral(g, region.hi)
-        return upper - self._ball_integral(g, region.lo)
+        # inside the integrand, so the absolute tolerance applies to the result
+        scale = self.r * float(np.prod(theta)) * math.gamma(s)
+        if d == 1:
+            return integrand()
+        return nquad_strict(integrand, [(0.0, 0.5 * math.pi)] * (d - 1))
 
     def mass(self, region):
         if region.lo == 0.0 and region.hi == INF:
             return self.r
-        if self.dim == 1:
-            return self.r * self._m0(self.theta[0], region.lo, region.hi)
-        return self._shell_integral(lambda z: 1.0, region, orthant_value=self.r)
+        return self._shell_integral(region, 0)
 
     def coord(self, i, region):
         if region.lo == 0.0 and region.hi == INF:
             return self.r / self.theta[i]
-        if self.dim == 1:
-            return self.r * self._m1(self.theta[0], region.lo, region.hi)
-        return self._shell_integral(lambda z: z[i], region,
-                                    orthant_value=self.r / self.theta[i])
+        return self._shell_integral(region, 1, i)
 
     def norm_moment(self, region):
-        if self.dim == 1:
-            return self.r * self._m1(self.theta[0], region.lo, region.hi)
-        return self._shell_integral(lambda z: float(np.linalg.norm(z)), region)
+        return self._shell_integral(region, 1)
 
     def norm_sq_moment(self, region):
-        if self.dim == 1:
-            return self.r * self._m2(self.theta[0], region.lo, region.hi)
-        orthant = self.r * float(np.sum(2.0 / self.theta ** 2))
-        return self._shell_integral(lambda z: float(z @ z), region, orthant_value=orthant)
+        if region.lo == 0.0 and region.hi == INF:
+            return self.r * float(np.sum(2.0 / self.theta ** 2))
+        return self._shell_integral(region, 2)
 
     def one_wedge_coord(self, i):
         th = self.theta[i]

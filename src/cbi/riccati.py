@@ -119,7 +119,6 @@ class RiccatiSolution:
         t = min(t, self.T)
         k = int(np.searchsorted(self.grid, t, side="right") - 1)
         if k >= len(self.grid) - 1:  # t == T
-            d = self.v.shape[1]
             return np.concatenate([self.v[-1], [self.psi_accum[-1]]])
         h = self.grid[k + 1] - self.grid[k]
         theta = (t - self.grid[k]) / h

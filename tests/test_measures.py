@@ -4,15 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbi import measures
 from cbi.errors import EmptyRegion, InfiniteMass
 from cbi.measures import (
     ALL, LARGE_JUMPS, SMALL_JUMPS, DiscreteAtoms, MeasureSum, MomentKind,
-    ProductExponential, TemperedPowerLawAxis, above,
+    ProductExponential, TemperedPowerLawAxis, above, below,
 )
+from cbi.params import derive, validate
+from cbi.scenarios import load_scenario
 
 from helpers import product_exp_shell_oracle_2d, tpl_radial_oracle
+
+# a few integrals at the package's quadrature policy (relative 1e-10,
+# absolute 1e-12 per nested quadrature) are summed in each identity
+SHELL_REL, SHELL_ABS = 1e-9, 1e-11
+SHELL_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+@st.composite
+def product_exponentials(draw, dim):
+    r = draw(st.floats(0.1, 5.0))
+    theta = draw(st.lists(st.floats(0.2, 20.0), min_size=dim, max_size=dim))
+    return ProductExponential(r, theta)
 
 
 def atom1(z, w, dim=1):
@@ -133,6 +148,97 @@ class TestQuadratureAgainstSimpson:
         want = product_exp_shell_oracle_2d(
             r, theta, lambda a, b: np.hypot(a, b), 1.0, np.inf)
         assert got == pytest.approx(want, rel=1e-6)
+        got = m.mass(SMALL_JUMPS)
+        want = product_exp_shell_oracle_2d(
+            r, theta, lambda a, b: np.ones_like(a), 0.0, 1.0)
+        assert got == pytest.approx(want, rel=1e-6)
+        for region in (SMALL_JUMPS, ALL):
+            got = m.norm_moment(region)
+            want = product_exp_shell_oracle_2d(
+                r, theta, lambda a, b: np.hypot(a, b), region.lo, region.hi)
+            assert got == pytest.approx(want, rel=1e-6), region
+        for i in range(2):
+            got = measures.moment_integral(m, MomentKind.COORD_SMALL, i)
+            want = product_exp_shell_oracle_2d(
+                r, theta, lambda a, b, _i=i: (a, b)[_i], 0.0, 1.0)
+            assert got == pytest.approx(want, rel=1e-6), i
+
+
+class TestProductExponentialShells:
+    """Norm-shell integrals of the product-exponential family."""
+
+    def test_s3_large_jump_norm_moment_reference(self):
+        # 30-digit mpmath polar quadrature of int ||z|| 1{||z||>=1} nu(dz)
+        m = ProductExponential(0.5, [10.0, 10.0])
+        assert m.norm_moment(LARGE_JUMPS) == pytest.approx(
+            5.7514292283365708e-05, rel=1e-12, abs=0.0)
+
+    def test_extreme_shells_keep_relative_accuracy(self):
+        # Taylor expansions at the origin and exact exponentials in the tail
+        r, th, h = 0.7, 1.3, 1e-5
+        m1 = ProductExponential(r, [th])
+        assert m1.mass(below(h)) == pytest.approx(
+            -r * math.expm1(-th * h), rel=1e-13, abs=0.0)
+        x = th * h
+        assert m1.norm_sq_moment(below(h)) == pytest.approx(
+            r * th * h ** 3 / 3.0 * (1.0 - 0.75 * x + 0.3 * x * x), rel=1e-12, abs=0.0)
+        assert m1.mass(above(30.0)) == pytest.approx(
+            r * math.exp(-30.0 * th), rel=1e-13, abs=0.0)
+        assert m1.mass(measures.Region(20.0, 21.0)) == pytest.approx(
+            -r * math.exp(-20.0 * th) * math.expm1(-th), rel=1e-13, abs=0.0)
+        theta = np.array([1.1, 2.3])
+        m2 = ProductExponential(r, theta)
+        quarter_disk = (math.pi / 4.0 * h ** 2 - theta.sum() * h ** 3 / 3.0
+                        + (math.pi / 4.0 * theta @ theta + theta.prod()) * h ** 4 / 8.0)
+        assert m2.mass(below(h)) == pytest.approx(
+            r * theta.prod() * quarter_disk, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @SHELL_SETTINGS
+    @given(data=st.data())
+    def test_complementary_regions(self, dim, data):
+        m = data.draw(product_exponentials(dim))
+        i = data.draw(st.integers(0, dim - 1))
+        r, theta = m.r, m.theta
+        assert m.mass(SMALL_JUMPS) + m.mass(LARGE_JUMPS) == pytest.approx(
+            r, rel=SHELL_REL, abs=SHELL_ABS)
+        assert m.coord(i, SMALL_JUMPS) + m.coord(i, LARGE_JUMPS) == pytest.approx(
+            r / theta[i], rel=SHELL_REL, abs=SHELL_ABS)
+        second = r * float(np.sum(2.0 / theta ** 2))
+        assert m.norm_sq_moment(ALL) == pytest.approx(second, rel=SHELL_REL)
+        assert m.norm_sq_moment(SMALL_JUMPS) + m.norm_sq_moment(LARGE_JUMPS) == \
+            pytest.approx(second, rel=SHELL_REL, abs=SHELL_ABS)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @SHELL_SETTINGS
+    @given(data=st.data())
+    def test_shell_additivity(self, dim, data):
+        m = data.draw(product_exponentials(dim))
+        lo, mid, hi = data.draw(
+            st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3, unique=True).map(sorted))
+        i = data.draw(st.integers(0, dim - 1))
+        f = data.draw(st.sampled_from([
+            m.mass, m.norm_moment, m.norm_sq_moment, lambda reg: m.coord(i, reg)]))
+        split = f(measures.Region(lo, mid)) + f(measures.Region(mid, hi))
+        assert split == pytest.approx(
+            f(measures.Region(lo, hi)), rel=SHELL_REL, abs=SHELL_ABS)
+
+    def test_s3_setup_uses_angular_quadrature_only(self, monkeypatch):
+        # shell integrals must stay (d-1)-dimensional, never d-dimensional
+        scenario = load_scenario("S3")
+        dim = scenario.params.d
+        calls = []
+        nquad_strict = measures.nquad_strict
+
+        def guarded(fn, ranges):
+            assert len(ranges) == dim - 1
+            calls.append(len(ranges))
+            return nquad_strict(fn, ranges)
+
+        monkeypatch.setattr(measures, "nquad_strict", guarded)
+        assert validate(scenario.params).ok
+        derive(scenario.params, scenario.eps_trunc)
+        assert calls
 
 
 def simpson_exp(r, theta, g, lo=0.0, hi=None):
