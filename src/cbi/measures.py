@@ -174,6 +174,8 @@ class DiscreteAtoms(JumpMeasure):
         self._z = np.array(locs, dtype=float).reshape(len(locs), self.dim)
         self._w = np.array(weights, dtype=float)
         self._norms = np.linalg.norm(self._z, axis=1)
+        self._cdf_cache = {}
+        self._cdf_lock = threading.Lock()
 
     @property
     def atoms(self):
@@ -226,13 +228,25 @@ class DiscreteAtoms(JumpMeasure):
             return 0.0
         return self._wsum(1.0 - np.exp(-self._z @ lam))
 
+    def _cdf(self, region):
+        """(normalised CDF, locations) of the atoms inside region, cached."""
+        key = (region.lo, region.hi)
+        with self._cdf_lock:
+            cached = self._cdf_cache.get(key)
+            if cached is None:
+                mask = region.contains(self._norms)
+                w = self._w[mask]
+                if w.size == 0:
+                    raise EmptyRegion("no atoms inside the requested region")
+                # the CDF Generator.choice(p=w / w.sum()) builds on every call
+                cdf = (w / w.sum()).cumsum()
+                cdf /= cdf[-1]
+                cached = self._cdf_cache[key] = (cdf, self._z[mask])
+            return cached
+
     def sample_n(self, region, n, rng):
-        mask = region.contains(self._norms)
-        w = self._w[mask]
-        if w.size == 0:
-            raise EmptyRegion("no atoms inside the requested region")
-        idx = rng.choice(w.size, size=n, p=w / w.sum())
-        return self._z[mask][idx]
+        cdf, locs = self._cdf(region)
+        return locs[cdf.searchsorted(rng.random(n), side="right")]
 
 
 # --------------------------------------------------------------------------

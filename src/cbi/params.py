@@ -178,7 +178,7 @@ def validate(p: AdmissibleParams) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def _simulated_region(component, eps):
+def simulated_region(component, eps):
     """Sampling region per mixture component: full for finite activity."""
     if component.is_finite_activity:
         return measures.ALL
@@ -193,7 +193,7 @@ def _truncation_stats(m, d, eps):
     sim_mean = np.zeros(d)
     lost_mean = np.zeros(d)
     for comp in m.components():
-        region = _simulated_region(comp, eps)
+        region = simulated_region(comp, eps)
         rate += comp.mass(region)
         sim_mean += np.array([comp.coord(i, region) for i in range(d)])
         if region is not measures.ALL:

@@ -11,11 +11,19 @@ below eps_trunc; the discarded sub-cutoff branching martingale is dropped
 whole (mean zero), the discarded sub-cutoff immigration mean is a documented
 bias.
 
-Randomness is consumed in a fixed per-step order (diffusion normals,
-immigration counts and sizes, then per-type branching counts, sizes and
-thinning marks), so a fixed Generator state reproduces paths bit-for-bit.
-Counter-based substreams for block-parallel runs live in
-:func:`block_generator`.
+One step kernel advances a stack of k block states that share all noise:
+k = 1 is a block of independent paths, k = 2 the coupled pair of
+:func:`simulate_coupled_block`. Jump counts are superposed: per step and
+measure a block draws one Poisson total and splits its points among its n
+paths in proportion to their intensities (uniformly for immigration), which
+has the law of independent per-path counts.
+
+Randomness is consumed in a fixed per-step order: the diffusion normals; the
+immigration total, its owners and its sizes; then per type the candidate
+total, owners, sizes, and the thinning marks when k = 2 or jumps are
+recorded. A one-path block draws no owners. A fixed Generator state thus
+reproduces paths bit-for-bit; counter-based substreams for block-parallel
+runs live in :func:`block_generator`.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures, params as params_mod
+from . import params as params_mod
 from .errors import InfiniteMass, InvalidConfig, PreconditionViolated
 from .params import AdmissibleParams, DerivedParams
 
@@ -97,7 +105,7 @@ class _SamplingPlan:
         if measure is None:
             return
         for leaf in measure.components():
-            region = measures.ALL if leaf.is_finite_activity else measures.above(eps)
+            region = params_mod.simulated_region(leaf, eps)
             mass = leaf.mass(region)
             if np.isinf(mass):
                 raise InfiniteMass(
@@ -137,6 +145,98 @@ def _check_x0(x0, d):
     return x0
 
 
+def _log(events, time, kind, j, owners, sizes, marks):
+    for i, (owner, z) in enumerate(zip(owners, sizes)):
+        events[owner].append(JumpEvent(
+            time=time, kind=kind, type_index=j, size=z.copy(),
+            u=None if marks is None else float(marks[i]),
+            size_class="small" if np.linalg.norm(z) < 1 else "large"))
+
+
+def _branching_draw(rng, bound, rate, dt):
+    """(total, owners) of candidates whose per-path counts are independent
+    Poisson(bound * rate * dt); a path with zero bound never owns one."""
+    if len(bound) == 1:
+        total = rng.poisson(bound[0] * rate * dt)
+        return total, np.zeros(total, np.intp) if total else None
+    cum = np.cumsum(bound)
+    top = cum[-1]
+    total = rng.poisson(top * rate * dt)
+    if not total:
+        return 0, None
+    owners = cum.searchsorted(rng.uniform(0.0, top, total), side="right")
+    # cum.searchsorted(top) is the last path with positive bound: a uniform
+    # equal to top goes there, never to a zero-bound path after it
+    return total, np.minimum(owners, cum.searchsorted(top), out=owners)
+
+
+def _euler(p, der, X, beta, cfg, rng, observe):
+    """Euler steps of a stack of k block states, shape (k, n, d), sharing all noise.
+
+    beta has shape (k, 1, d). Branching candidates arrive at the largest
+    thinning intensity in the stack; state s accepts one when its uniform mark
+    is at most the state's own left-endpoint value (k = 1 accepts all).
+    observe(step, X) sees the stack at step 0 and after every step. Returns
+    the final stack and, with cfg.record_jumps, per-path JumpEvent lists of
+    state 0.
+    """
+    der = _matched_derived(p, der, cfg)
+    k, n, d = X.shape
+    dt = cfg.dt
+    sqrt_dt = np.sqrt(dt)
+    nu_plan = _SamplingPlan(p.nu, cfg.eps_trunc)
+    mu_plans = [_SamplingPlan(m, cfg.eps_trunc) for m in p.mu]
+    drift = der.drift_matrix
+    use_diffusion = bool(np.any(p.c > 0))
+    sig = np.sqrt(2.0 * p.c)
+    events = tuple([] for _ in range(n)) if cfg.record_jumps else None
+    observe(0, X)
+
+    for step in range(cfg.n_steps):
+        Xp = np.maximum(X, 0.0)
+        X_new = X + (beta + Xp @ drift.T) * dt
+        if use_diffusion:
+            xi = rng.standard_normal((n, d))
+            X_new += np.sqrt(Xp) * sig * sqrt_dt * xi
+        t_next = (step + 1) * dt
+
+        if nu_plan.rate > 0.0:
+            total = rng.poisson(n * nu_plan.rate * dt)
+            if total:
+                owners = rng.integers(0, n, total) if n > 1 else np.zeros(total, np.intp)
+                sizes = nu_plan.sample(total, rng)
+                for s in range(k):
+                    np.add.at(X_new[s], owners, sizes)
+                if events is not None:
+                    _log(events, t_next, "immigration", None, owners, sizes, None)
+
+        for j, plan in enumerate(mu_plans):
+            if plan.rate == 0.0:
+                continue
+            bound = Xp[0, :, j] if k == 1 else Xp[:, :, j].max(axis=0)
+            total, owners = _branching_draw(rng, bound, plan.rate, dt)
+            if not total:
+                continue
+            sizes = plan.sample(total, rng)
+            marks = None
+            if k > 1 or events is not None:
+                marks = rng.uniform(0.0, bound[owners])
+            accepted = [slice(None)] if k == 1 else [marks <= Xp[s, owners, j]
+                                                     for s in range(k)]
+            for s, acc in enumerate(accepted):
+                np.add.at(X_new[s], owners[acc], sizes[acc])
+            if events is not None:
+                acc = accepted[0]
+                _log(events, t_next, "branching", j, owners[acc], sizes[acc], marks[acc])
+
+        if cfg.positivity_mode == "clamp":
+            np.maximum(X_new, 0.0, out=X_new)
+        X = X_new
+        observe(step + 1, X)
+
+    return X, events
+
+
 def simulate_block(p: AdmissibleParams, der: DerivedParams, x0, cfg: SimConfig,
                    rng, keep_full: bool = False, snapshot_steps=()):
     """Simulate a block of paths sharing one random stream.
@@ -145,79 +245,20 @@ def simulate_block(p: AdmissibleParams, der: DerivedParams, x0, cfg: SimConfig,
     snapshots maps requested step indices to state copies and events is a
     per-path tuple of JumpEvent lists when cfg.record_jumps is set.
     """
-    der = _matched_derived(p, der, cfg)
-    X = _check_x0(x0, p.d).copy()
+    X = _check_x0(x0, p.d)
     n, d = X.shape
-    n_steps = cfg.n_steps
-    dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
-
-    nu_plan = _SamplingPlan(p.nu, cfg.eps_trunc)
-    mu_plans = [_SamplingPlan(m, cfg.eps_trunc) for m in p.mu]
-    drift = der.drift_matrix
-    use_diffusion = bool(np.any(p.c > 0))
-    sig = np.sqrt(2.0 * p.c)
-
-    full = np.empty((n_steps + 1, n, d)) if keep_full else None
-    if keep_full:
-        full[0] = X
+    full = np.empty((cfg.n_steps + 1, n, d)) if keep_full else None
     snapshots = {}
     wanted = set(int(k) for k in snapshot_steps)
-    if 0 in wanted:
-        snapshots[0] = X.copy()
-    events = tuple([] for _ in range(n)) if cfg.record_jumps else None
 
-    for k in range(n_steps):
-        Xp = np.maximum(X, 0.0)
-        X_new = X + (p.beta[None, :] + Xp @ drift.T) * dt
-        if use_diffusion:
-            xi = rng.standard_normal((n, d))
-            X_new += np.sqrt(Xp) * sig[None, :] * sqrt_dt * xi
-
-        t_next = (k + 1) * dt
-
-        if nu_plan.rate > 0.0:
-            counts = rng.poisson(nu_plan.rate * dt, size=n)
-            total = int(counts.sum())
-            if total:
-                sizes = nu_plan.sample(total, rng)
-                owners = np.repeat(np.arange(n), counts)
-                np.add.at(X_new, owners, sizes)
-                if events is not None:
-                    for owner, z in zip(owners, sizes):
-                        events[owner].append(JumpEvent(
-                            time=t_next, kind="immigration", type_index=None,
-                            size=z.copy(), u=None,
-                            size_class="small" if np.linalg.norm(z) < 1 else "large"))
-
-        for j, plan in enumerate(mu_plans):
-            if plan.rate == 0.0:
-                continue
-            lam = Xp[:, j] * plan.rate * dt
-            counts = rng.poisson(lam)
-            total = int(counts.sum())
-            if not total:
-                continue
-            sizes = plan.sample(total, rng)
-            owners = np.repeat(np.arange(n), counts)
-            np.add.at(X_new, owners, sizes)
-            if events is not None:
-                marks = rng.uniform(0.0, np.repeat(Xp[:, j], counts))
-                for owner, z, u in zip(owners, sizes, marks):
-                    events[owner].append(JumpEvent(
-                        time=t_next, kind="branching", type_index=j,
-                        size=z.copy(), u=float(u),
-                        size_class="small" if np.linalg.norm(z) < 1 else "large"))
-
-        if cfg.positivity_mode == "clamp":
-            np.maximum(X_new, 0.0, out=X_new)
-        X = X_new
+    def observe(step, stack):
         if keep_full:
-            full[k + 1] = X
-        if (k + 1) in wanted:
-            snapshots[k + 1] = X.copy()
+            full[step] = stack[0]
+        if step in wanted:
+            snapshots[step] = stack[0].copy()
 
-    return X, full, snapshots, events
+    X, events = _euler(p, der, X[None], p.beta[None, None, :], cfg, rng, observe)
+    return X[0], full, snapshots, events
 
 
 def simulate_path(p: AdmissibleParams, der: DerivedParams, x0, cfg: SimConfig,
@@ -261,14 +302,13 @@ def simulate_coupled_block(p: AdmissibleParams, der: DerivedParams, beta_prime,
     the accepted sets are nested whenever the states are ordered. Immigration
     points and Gaussian increments are shared identically.
     """
-    der = _matched_derived(p, der, cfg)
     beta_prime = np.asarray(beta_prime, dtype=float)
     if beta_prime.shape != (p.d,):
         raise PreconditionViolated(f"beta_prime must have {p.d} components")
     if np.any(beta_prime < p.beta):
         raise PreconditionViolated("beta_prime must dominate beta componentwise")
-    X = _check_x0(x0, p.d).copy()
-    Xq = _check_x0(x0_prime, p.d).copy()
+    X = _check_x0(x0, p.d)
+    Xq = _check_x0(x0_prime, p.d)
     if Xq.shape != X.shape:
         raise PreconditionViolated("x0 and x0_prime must have matching shapes")
     if np.any(Xq < X):
@@ -276,69 +316,19 @@ def simulate_coupled_block(p: AdmissibleParams, der: DerivedParams, beta_prime,
 
     n, d = X.shape
     n_steps = cfg.n_steps
-    dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
-
-    nu_plan = _SamplingPlan(p.nu, cfg.eps_trunc)
-    mu_plans = [_SamplingPlan(m, cfg.eps_trunc) for m in p.mu]
-    drift = der.drift_matrix
-    use_diffusion = bool(np.any(p.c > 0))
-    sig = np.sqrt(2.0 * p.c)
-
     stats = CoupledStats(n_paths=n,
                          diff_sum=np.zeros((n_steps + 1, d)),
                          diff_sq_sum=np.zeros((n_steps + 1, d)))
-    stats.record(0, Xq - X)
     full = np.empty((2, n_steps + 1, n, d)) if keep_full else None
-    if keep_full:
-        full[0, 0], full[1, 0] = X, Xq
 
-    for k in range(n_steps):
-        Xp = np.maximum(X, 0.0)
-        Xqp = np.maximum(Xq, 0.0)
-        X_new = X + (p.beta[None, :] + Xp @ drift.T) * dt
-        Xq_new = Xq + (beta_prime[None, :] + Xqp @ drift.T) * dt
-        if use_diffusion:
-            xi = rng.standard_normal((n, d))
-            X_new += np.sqrt(Xp) * sig[None, :] * sqrt_dt * xi
-            Xq_new += np.sqrt(Xqp) * sig[None, :] * sqrt_dt * xi
-
-        if nu_plan.rate > 0.0:
-            counts = rng.poisson(nu_plan.rate * dt, size=n)
-            total = int(counts.sum())
-            if total:
-                sizes = nu_plan.sample(total, rng)
-                owners = np.repeat(np.arange(n), counts)
-                np.add.at(X_new, owners, sizes)
-                np.add.at(Xq_new, owners, sizes)
-
-        for j, plan in enumerate(mu_plans):
-            if plan.rate == 0.0:
-                continue
-            bound = np.maximum(Xp[:, j], Xqp[:, j])
-            counts = rng.poisson(bound * plan.rate * dt)
-            total = int(counts.sum())
-            if not total:
-                continue
-            sizes = plan.sample(total, rng)
-            owners = np.repeat(np.arange(n), counts)
-            marks = rng.uniform(0.0, 1.0, size=total) * np.repeat(bound, counts)
-            accept = marks <= np.repeat(Xp[:, j], counts)
-            accept_q = marks <= np.repeat(Xqp[:, j], counts)
-            if np.any(accept):
-                np.add.at(X_new, owners[accept], sizes[accept])
-            if np.any(accept_q):
-                np.add.at(Xq_new, owners[accept_q], sizes[accept_q])
-
-        if cfg.positivity_mode == "clamp":
-            np.maximum(X_new, 0.0, out=X_new)
-            np.maximum(Xq_new, 0.0, out=Xq_new)
-        X, Xq = X_new, Xq_new
-        stats.record(k + 1, Xq - X)
+    def observe(step, stack):
+        stats.record(step, stack[1] - stack[0])
         if keep_full:
-            full[0, k + 1], full[1, k + 1] = X, Xq
+            full[:, step] = stack
 
-    return X, Xq, stats, full
+    betas = np.stack([p.beta, beta_prime])[:, None, :]
+    X, _ = _euler(p, der, np.stack([X, Xq]), betas, cfg, rng, observe)
+    return X[0], X[1], stats, full
 
 
 def simulate_coupled(p: AdmissibleParams, der: DerivedParams, beta_prime,

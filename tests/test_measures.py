@@ -332,6 +332,27 @@ class TestSampling:
         se = math.sqrt(0.75 * 0.25 / n)
         assert abs(freq - 0.75) <= 3.0 * se
 
+    @pytest.mark.parametrize("atoms", [
+        [([1.5, 0.2], 1.0)],
+        [([1.5, 0.2], 1.0), ([0.2, 0.1], 0.3)],
+        [([1.5, 0.2], 1.0), ([0.2, 0.1], 0.3), ([0.1, 3.0], 2.2)],
+    ])
+    @pytest.mark.parametrize("region", [ALL, LARGE_JUMPS])
+    def test_atoms_draw_like_generator_choice(self, atoms, region):
+        # the cached-CDF sampler draws the indices and leaves the generator
+        # state of Generator.choice over the normalised weights in the region
+        m = DiscreteAtoms(2, [(np.array(z), w) for z, w in atoms])
+        locs = np.array([z for z, _ in atoms])
+        inside = np.linalg.norm(locs, axis=1) >= region.lo
+        w = np.array([w for _, w in atoms])[inside]
+        ours = np.random.Generator(np.random.Philox(key=[5, len(atoms)]))
+        ref = np.random.Generator(np.random.Philox(key=[5, len(atoms)]))
+        for n in (1, 7, 1000, 7):
+            got = m.sample_n(region, n, ours)
+            want = locs[inside][ref.choice(w.size, size=n, p=w / w.sum())]
+            assert np.array_equal(got, want)
+            assert ours.random() == ref.random()
+
     def test_product_exponential_region_rejection(self):
         m = ProductExponential(2.0, [1.0, 0.7])
         rng = np.random.default_rng(5)

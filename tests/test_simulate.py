@@ -10,7 +10,7 @@ from cbi.measures import DiscreteAtoms, TemperedPowerLawAxis
 from cbi.moments import mean
 from cbi.params import AdmissibleParams, derive
 from cbi.simulate import (
-    SimConfig, block_generator, simulate_block, simulate_coupled,
+    SimConfig, _euler, block_generator, simulate_block, simulate_coupled,
     simulate_coupled_block, simulate_path,
 )
 
@@ -197,3 +197,126 @@ class TestCoupling:
         var = stats.diff_sq_sum / stats.n_paths - mean_diff ** 2
         se = np.sqrt(np.maximum(var, 0.0) / stats.n_paths)
         assert np.all(mean_diff >= -3.0 * se)
+
+
+# jumps this small leave states of order one unchanged, so every step of a
+# run draws its counts from the same intensities
+TINY = 1e-200
+
+
+def _run_stack(p, states, cfg, rng):
+    """Kernel run of one block from the given (possibly raw-negative) states."""
+    X = np.asarray(states, dtype=float)[None, :, None]
+    return _euler(p, derive(p, cfg.eps_trunc), X, p.beta[None, None, :], cfg, rng,
+                  lambda step, stack: None)
+
+
+def _counts_per_step(events, kind, n_steps, dt):
+    counts = np.zeros((n_steps, len(events)), dtype=int)
+    for owner, evs in enumerate(events):
+        for ev in evs:
+            if ev.kind == kind:
+                counts[round(ev.time / dt) - 1, owner] += 1
+    return counts
+
+
+class TestSuperposedCounts:
+    def test_branching_counts_are_independent_poisson(self):
+        states = np.array([0.0, 1.0, -0.5, 2.0, 0.0, 0.3, -1e-3, 1.5, 0.05])
+        rate = 4.0
+        p = make(mu=(DiscreteAtoms(1, [(np.array([TINY]), rate)]),))
+        cfg = SimConfig(T=500.0, dt=0.125, record_jumps=True)
+        final, events = _run_stack(p, states, cfg, block_generator(61, 0))
+        assert np.array_equal(final[0, :, 0], states)
+        counts = _counts_per_step(events, "branching", cfg.n_steps, cfg.dt)
+        lam = np.maximum(states, 0.0) * rate * cfg.dt
+        steps = cfg.n_steps
+        assert np.all(counts[:, lam == 0.0] == 0)
+        live = lam > 0.0
+        mean, var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
+        assert np.all(np.abs(mean - lam)[live] <= 4.0 * np.sqrt(lam[live] / steps))
+        var_se = np.sqrt((lam + 2.0 * lam ** 2) / steps)
+        assert np.all(np.abs(var - lam)[live] <= 4.0 * var_se[live])
+        # independent counts, not a fixed total split among the paths
+        corr = np.corrcoef(counts[:, live], rowvar=False)
+        off = corr[~np.eye(len(corr), dtype=bool)]
+        assert np.all(np.abs(off) <= 4.0 / math.sqrt(steps))
+
+    def test_immigration_owners_uniform(self):
+        n, rate = 10, 3.0
+        p = make(nu=DiscreteAtoms(1, [(np.array([TINY]), rate)]))
+        cfg = SimConfig(T=300.0, dt=0.125, record_jumps=True)
+        _, events = _run_stack(p, np.ones(n), cfg, block_generator(67, 0))
+        counts = _counts_per_step(events, "immigration", cfg.n_steps, cfg.dt)
+        lam = rate * cfg.dt
+        assert np.all(np.abs(counts.mean(axis=0) - lam)
+                      <= 4.0 * math.sqrt(lam / cfg.n_steps))
+        totals = counts.sum(axis=0)
+        expect = totals.sum() / n
+        chi2 = float(((totals - expect) ** 2 / expect).sum())
+        assert chi2 <= (n - 1) + 4.0 * math.sqrt(2.0 * (n - 1))
+
+    def test_uniform_on_the_total_goes_to_a_positive_path(self):
+        class TopUniform:
+            """Three candidates whose owner uniforms all land on the total."""
+
+            def __init__(self, rng):
+                self._rng = rng
+
+            def poisson(self, lam):
+                return 3
+
+            def uniform(self, low, high, size=None):
+                return np.broadcast_to(np.asarray(high, dtype=float),
+                                       np.shape(high) if size is None else size).copy()
+
+            def __getattr__(self, item):
+                return getattr(self._rng, item)
+
+        p = make(mu=(DiscreteAtoms(1, [(np.array([TINY]), 2.0)]),))
+        cfg = SimConfig(T=0.125, dt=0.125, record_jumps=True)
+        _, events = _run_stack(p, [1.0, 0.0, 2.0, -0.5, 0.0], cfg,
+                               TopUniform(block_generator(71, 0)))
+        assert [len(evs) for evs in events] == [0, 0, 3, 0, 0]
+
+
+class CountingGenerator:
+    """Generator proxy that records the arguments of every poisson call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.poisson_calls = []
+
+    def poisson(self, lam=1.0, size=None):
+        self.poisson_calls.append((np.ndim(lam), size))
+        return self._rng.poisson(lam, size)
+
+    def __getattr__(self, item):
+        return getattr(self._rng, item)
+
+
+class TestPoissonCallGuard:
+    """One scalar Poisson total per step and measure with positive rate."""
+
+    def instance(self):
+        mu = DiscreteAtoms(2, [(np.array([0.3, 0.1]), 1.5)])
+        nu = DiscreteAtoms(2, [(np.array([0.2, 0.2]), 0.7)])
+        return make(d=2, c=(0.3, 0.3), beta=(0.2, 0.1),
+                    B=((-1.0, 0.2), (0.1, -0.8)), nu=nu, mu=(mu, None))
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_block(self, n):
+        p = self.instance()
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        rng = CountingGenerator(block_generator(73, n))
+        simulate_block(p, derive(p), np.tile([1.0, 0.5], (n, 1)), cfg, rng)
+        assert rng.poisson_calls == [(0, None)] * (2 * cfg.n_steps)
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_coupled_block(self, n):
+        p = self.instance()
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        rng = CountingGenerator(block_generator(79, n))
+        x0 = np.tile([1.0, 0.5], (n, 1))
+        simulate_coupled_block(p, derive(p), p.beta + 0.5, x0, x0 + 0.1, cfg, rng)
+        assert rng.poisson_calls == [(0, None)] * (2 * cfg.n_steps)
