@@ -79,11 +79,15 @@ def _csv_row(values):
 
 
 def _write_path_csv(path_obj, out: Path):
-    d = path_obj.states.shape[1]
-    lines = ["t," + ",".join(f"x{i + 1}" for i in range(d))]
-    for t, row in zip(path_obj.grid, path_obj.states):
-        lines.append(_csv_row([t, *row]))
-    out.write_text("\n".join(lines) + "\n")
+    # one %-format of the whole table: the same "%.17g" bytes as format_float,
+    # whose quoted infinities _csv_row strips to inf and -inf
+    table = np.column_stack([path_obj.grid, path_obj.states])
+    if np.isnan(table).any():
+        raise ValueError("cannot serialise NaN")
+    rows, cols = table.shape
+    header = "t," + ",".join(f"x{i}" for i in range(1, cols)) + "\n"
+    row = ",".join(["%.17g"] * cols) + "\n"
+    out.write_text(header + (row * rows) % tuple(table.ravel().tolist()))
 
 
 def _write_jump_csv(path_obj, out: Path, d: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments, riccati
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidConfig
 from .params import AdmissibleParams, DerivedParams, derive
 from .simulate import SimConfig, block_generator, simulate_block, simulate_coupled_block
 
@@ -270,13 +270,14 @@ def verify_mean(scenario, threads=None, budget=None) -> VerifyReport:
 
 def verify_laplace(scenario, threads=None, budget=None) -> VerifyReport:
     """Riccati Laplace transform versus the Monte Carlo estimate."""
+    points = scenario.laplace_points
+    if not points:
+        raise InvalidConfig(
+            f"scenario {scenario.name} has no laplace_points block: nothing to verify")
     start = time.perf_counter()
     p, der = scenario.params, scenario.derived()
-    points = scenario.laplace_points
-    analytic = np.array([
-        riccati.laplace_transform(p, der, scenario.x0, lam, t,
-                                  rtol=1e-10, atol=1e-12)
-        for t, lam in points])
+    analytic = riccati.laplace_grid(p, der, scenario.x0, points,
+                                    rtol=1e-10, atol=1e-12)
     values, stderrs = estimate_laplace_grid(
         p, scenario.x0, points, scenario.n_paths, scenario.sim_config(),
         scenario.seed, der=der, threads=threads, budget=budget)
@@ -330,6 +331,9 @@ def _comparison_run(p, der, scenario, dt, threads, budget):
 
 def verify_comparison(scenario, threads=None, budget=None) -> VerifyReport:
     """Monotone-coupling ordering diagnostics at two step sizes."""
+    if scenario.comparison is None:
+        raise InvalidConfig(
+            f"scenario {scenario.name} has no comparison block: nothing to verify")
     start = time.perf_counter()
     p, der = scenario.params, scenario.derived()
     dt = scenario.comparison["dt"]

@@ -234,16 +234,34 @@ def solve_v(p: AdmissibleParams, der: DerivedParams, lam, T: float,
 def laplace_transform(p: AdmissibleParams, der: DerivedParams, x, lam, t: float,
                       rtol: float = 1e-8, atol: float = 1e-10) -> float:
     """E[e^{-<lam, X_t>} | X_0 = x] via the Riccati representation; in (0, 1]."""
+    return float(laplace_grid(p, der, x, [(t, lam)], rtol=rtol, atol=atol)[0])
+
+
+def laplace_grid(p: AdmissibleParams, der: DerivedParams, x, points,
+                 rtol: float = 1e-8, atol: float = 1e-10) -> np.ndarray:
+    """The Laplace transform at every (t, lam) of points, aligned with points.
+
+    Each distinct lam is solved once, to its largest t; its earlier t read the
+    dense output, which agrees with a solve to that t within the tolerances.
+    """
     x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return math.exp(-float(x @ lam))
-    if not np.any(lam):
-        return 1.0
-    sol = solve_v(p, der, lam, t, rtol=rtol, atol=atol)
-    return math.exp(-float(x @ sol.v[-1]) - sol.psi_accum[-1])
+    out = np.empty(len(points))
+    flows = {}   # lam bytes -> (lam, [(index, t), ...])
+    for i, (t, lam) in enumerate(points):
+        lam = np.asarray(lam, dtype=float)
+        if t < 0:
+            raise ValueError("t must be non-negative")
+        if t == 0.0:
+            out[i] = math.exp(-float(x @ lam))
+        elif not np.any(lam):
+            out[i] = 1.0
+        else:
+            flows.setdefault(lam.tobytes(), (lam, []))[1].append((i, t))
+    for lam, members in flows.values():
+        sol = solve_v(p, der, lam, max(t for _, t in members), rtol=rtol, atol=atol)
+        for i, t in members:
+            out[i] = math.exp(-float(x @ sol.v_at(t)) - sol.psi_at(t))
+    return out
 
 
 def cir_closed_form_v(c: float, b: float, lam: float, t: float) -> float:

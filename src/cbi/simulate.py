@@ -173,31 +173,54 @@ def _branching_draw(rng, bound, rate, dt):
 def _euler(p, der, X, beta, cfg, rng, observe):
     """Euler steps of a stack of k block states, shape (k, n, d), sharing all noise.
 
-    beta has shape (k, 1, d). Branching candidates arrive at the largest
-    thinning intensity in the stack; state s accepts one when its uniform mark
-    is at most the state's own left-endpoint value (k = 1 accepts all).
-    observe(step, X) sees the stack at step 0 and after every step. Returns
-    the final stack and, with cfg.record_jumps, per-path JumpEvent lists of
-    state 0.
+    k is 1 (a block of paths) or 2 (a coupled pair); beta has shape (k, 1, d).
+    Branching candidates arrive at the larger thinning intensity of the
+    stack; state s accepts one when its uniform mark is at most the state's
+    own left-endpoint value (k = 1 accepts all).
+
+    The kernel copies X once and then works in buffers allocated once per
+    call: the state and the next state swap after every step, and the drift,
+    the diffusion and the jumps are added in place. observe(step, X) sees the
+    stack at step 0 and after every step; the array it gets is overwritten by
+    a later step, so an observer copies whatever it keeps. Returns the final
+    stack and, with cfg.record_jumps, per-path JumpEvent lists of state 0.
     """
     der = _matched_derived(p, der, cfg)
+    X = np.array(X, dtype=float, order="C")
     k, n, d = X.shape
     dt = cfg.dt
     sqrt_dt = np.sqrt(dt)
     nu_plan = _SamplingPlan(p.nu, cfg.eps_trunc)
     mu_plans = [_SamplingPlan(m, cfg.eps_trunc) for m in p.mu]
-    drift = der.drift_matrix
+    # the transposed view, not a contiguous copy, and the (k, n, d) stack,
+    # not its (k * n, d) reshape: matmul rounds differently on either (the
+    # copy at n = 1, the reshape for the coupled pair at n = 1)
+    drift_t = der.drift_matrix.T
     use_diffusion = bool(np.any(p.c > 0))
-    sig = np.sqrt(2.0 * p.c)
+    # beta and sig spelled out to the full shape: broadcasting a length-d
+    # row runs numpy's inner loop over d elements at a time, ten times slower
+    beta = np.broadcast_to(beta, X.shape).copy()
+    sig = np.broadcast_to(np.sqrt(2.0 * p.c), (n, d)).copy()
+    X_new = np.empty_like(X)
+    Xp = np.empty_like(X)
+    noise = np.empty_like(X) if use_diffusion else None
+    xi = np.empty((n, d)) if use_diffusion else None
     events = tuple([] for _ in range(n)) if cfg.record_jumps else None
     observe(0, X)
 
     for step in range(cfg.n_steps):
-        Xp = np.maximum(X, 0.0)
-        X_new = X + (beta + Xp @ drift.T) * dt
+        np.maximum(X, 0.0, out=Xp)
+        np.matmul(Xp, drift_t, out=X_new)
+        X_new += beta
+        X_new *= dt
+        X_new += X
         if use_diffusion:
-            xi = rng.standard_normal((n, d))
-            X_new += np.sqrt(Xp) * sig * sqrt_dt * xi
+            rng.standard_normal(out=xi)
+            np.sqrt(Xp, out=noise)
+            noise *= sig
+            noise *= sqrt_dt
+            noise *= xi
+            X_new += noise
         t_next = (step + 1) * dt
 
         if nu_plan.rate > 0.0:
@@ -213,7 +236,7 @@ def _euler(p, der, X, beta, cfg, rng, observe):
         for j, plan in enumerate(mu_plans):
             if plan.rate == 0.0:
                 continue
-            bound = Xp[0, :, j] if k == 1 else Xp[:, :, j].max(axis=0)
+            bound = Xp[0, :, j] if k == 1 else np.maximum(Xp[0, :, j], Xp[1, :, j])
             total, owners = _branching_draw(rng, bound, plan.rate, dt)
             if not total:
                 continue
@@ -221,17 +244,21 @@ def _euler(p, der, X, beta, cfg, rng, observe):
             marks = None
             if k > 1 or events is not None:
                 marks = rng.uniform(0.0, bound[owners])
-            accepted = [slice(None)] if k == 1 else [marks <= Xp[s, owners, j]
-                                                     for s in range(k)]
-            for s, acc in enumerate(accepted):
-                np.add.at(X_new[s], owners[acc], sizes[acc])
+            if k == 1:
+                np.add.at(X_new[0], owners, sizes)
+                acc0 = slice(None)
+            else:
+                # nonzero lists state 0's acceptances before state 1's
+                acc = marks <= Xp[:, owners, j]
+                s, c = np.nonzero(acc)
+                np.add.at(X_new, (s, owners[c]), sizes[c])
+                acc0 = acc[0]
             if events is not None:
-                acc = accepted[0]
-                _log(events, t_next, "branching", j, owners[acc], sizes[acc], marks[acc])
+                _log(events, t_next, "branching", j, owners[acc0], sizes[acc0], marks[acc0])
 
         if cfg.positivity_mode == "clamp":
             np.maximum(X_new, 0.0, out=X_new)
-        X = X_new
+        X, X_new = X_new, X
         observe(step + 1, X)
 
     return X, events
@@ -282,13 +309,23 @@ class CoupledStats:
     diff_sq_sum: np.ndarray | None = None
 
     def record(self, step, diff):
-        gap = np.minimum(diff, 0.0)
-        self.violations += int(np.count_nonzero(diff < -COMPARISON_SLACK))
+        """Add one grid point's (n, d) differences X' - X."""
+        if not diff.size:
+            return
+        lo = float(diff.min())
+        if lo < -COMPARISON_SLACK:
+            self.violations += int(np.count_nonzero(diff < -COMPARISON_SLACK))
         self.triples += diff.size
-        worst = float(-gap.min()) if gap.size else 0.0
-        self.worst = max(self.worst, worst)
-        self.diff_sum[step] += diff.sum(axis=0)
-        self.diff_sq_sum[step] += (diff ** 2).sum(axis=0)
+        self.worst = max(self.worst, -lo)
+        if diff.shape[1] > 1:
+            # sum(axis=0) adds row by row here, as einsum does without the
+            # strided loop and the temporaries
+            self.diff_sum[step] += np.einsum("ij->j", diff)
+            self.diff_sq_sum[step] += np.einsum("ij,ij->j", diff, diff)
+        else:
+            # one contiguous column, which sum(axis=0) adds pairwise
+            self.diff_sum[step] += diff.sum(axis=0)
+            self.diff_sq_sum[step] += (diff ** 2).sum(axis=0)
 
 
 def simulate_coupled_block(p: AdmissibleParams, der: DerivedParams, beta_prime,
@@ -321,8 +358,10 @@ def simulate_coupled_block(p: AdmissibleParams, der: DerivedParams, beta_prime,
                          diff_sq_sum=np.zeros((n_steps + 1, d)))
     full = np.empty((2, n_steps + 1, n, d)) if keep_full else None
 
+    diff = np.empty((n, d))
+
     def observe(step, stack):
-        stats.record(step, stack[1] - stack[0])
+        stats.record(step, np.subtract(stack[1], stack[0], out=diff))
         if keep_full:
             full[:, step] = stack
 

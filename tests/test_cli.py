@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from cbi.cli import main
-from cbi.config import parse_float
+from cbi.cli import _write_path_csv, main
+from cbi.config import format_float, parse_float
+from cbi.simulate import Path
 
 CIR = {
     "d": 1, "c": [1.0], "beta": [1.0], "B": [[-1.0]], "nu": None, "mu": [None],
@@ -152,6 +154,36 @@ class TestSimulateCommand:
         assert kinds <= {"immigration", "branching"}
 
 
+def reference_path_csv(path_obj) -> str:
+    """The path file written one format_float call per value."""
+    d = path_obj.states.shape[1]
+    lines = ["t," + ",".join(f"x{i + 1}" for i in range(d))]
+    for t, row in zip(path_obj.grid, path_obj.states):
+        lines.append(",".join(format_float(float(v)).strip('"') for v in [t, *row]))
+    return "\n".join(lines) + "\n"
+
+
+class TestPathCsv:
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, 5e-324, -2.5e-310, 1.7976931348623157e308,
+               123456789.123456789, 1e16, 1e17, float("inf"), float("-inf")]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_per_value_writer(self, d, tmp_path):
+        rng = np.random.default_rng(d)
+        states = rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-20, 20, (40, d))
+        states.flat[:len(self.SPECIAL)] = self.SPECIAL[:states.size]
+        path_obj = Path(grid=np.linspace(0.0, 1.0, 40), states=states)
+        out = tmp_path / "path.csv"
+        _write_path_csv(path_obj, out)
+        assert out.read_text() == reference_path_csv(path_obj)
+
+    def test_nan_rejected(self, tmp_path):
+        states = np.array([[1.0, 2.0], [float("nan"), 0.5]])
+        with pytest.raises(ValueError):
+            _write_path_csv(Path(grid=np.array([0.0, 0.5]), states=states),
+                            tmp_path / "nan.csv")
+
+
 class TestVerifyCommand:
     def test_verify_mean_tiny_scenario(self, tmp_path, cir_file, capsys):
         scen = tiny_scenario(tmp_path, cir_file)
@@ -190,6 +222,14 @@ class TestVerifyCommand:
     def test_unknown_scenario_exit_two(self, capsys):
         assert main(["verify", "mean", "--scenario", "S99"]) == 2
         assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, name, block", [
+        ("comparison", "S1", "comparison"), ("laplace", "S2", "laplace_points")])
+    def test_missing_scenario_block_exit_two(self, check, name, block, capsys):
+        assert main(["verify", check, "--scenario", name]) == 2
+        err = capsys.readouterr().err
+        assert "schema error: InvalidConfig" in err
+        assert f"scenario {name} has no {block} block" in err
 
     def test_budget_exceeded_exit_four(self, tmp_path, cir_file, capsys):
         scen = tiny_scenario(tmp_path, cir_file)

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from cbi import riccati
 from cbi.measures import DiscreteAtoms
 from cbi.params import AdmissibleParams, derive
-from cbi.riccati import cir_closed_form_v, laplace_transform, phi, psi, solve_v
+from cbi.riccati import (
+    cir_closed_form_v, laplace_grid, laplace_transform, phi, psi, solve_v,
+)
+from cbi.scenarios import load_scenario
 
 from helpers import cir_log_laplace_oracle, cir_v_oracle, random_discrete_params
 
@@ -197,6 +201,42 @@ class TestLaplaceTransform:
             val = laplace_transform(p, der, rng.uniform(0, 3, p.d),
                                     rng.uniform(0, 3, p.d), rng.uniform(0, 2))
             assert 0.0 < val <= 1.0
+
+
+class TestLaplaceGrid:
+    @pytest.mark.parametrize("name", ["S1", "S3", "S4"])
+    def test_matches_per_point_transforms(self, name, monkeypatch):
+        s = load_scenario(name)
+        p, der = s.params, s.derived()
+        solves = []
+
+        def counting_solve_v(*args, **kwargs):
+            solves.append(args[2])
+            return solve_v(*args, **kwargs)
+
+        monkeypatch.setattr(riccati, "solve_v", counting_solve_v)
+        got = laplace_grid(p, der, s.x0, s.laplace_points, rtol=1e-10, atol=1e-12)
+        distinct = {np.asarray(lam, dtype=float).tobytes() for _, lam in s.laplace_points}
+        assert len(solves) == len(distinct)
+        want = [laplace_transform(p, der, s.x0, lam, t, rtol=1e-10, atol=1e-12)
+                for t, lam in s.laplace_points]
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_special_points_and_order(self):
+        p = make(c=(1.0,), beta=(0.7,), B=((-1.0,),))
+        der = derive(p)
+        x = [1.3]
+        points = [(1.0, [0.5]), (0.0, [0.8]), (0.4, [0.0]), (0.3, [0.5]), (2.0, [0.9])]
+        got = laplace_grid(p, der, x, points)
+        assert got[1] == math.exp(-1.3 * 0.8)
+        assert got[2] == 1.0
+        # the largest t of a lambda is read at the end of its solve
+        assert got[0] == laplace_transform(p, der, x, [0.5], 1.0)
+        assert got[4] == laplace_transform(p, der, x, [0.9], 2.0)
+        assert got[3] == pytest.approx(laplace_transform(p, der, x, [0.5], 0.3),
+                                       rel=1e-9, abs=0)
+        with pytest.raises(ValueError):
+            laplace_grid(p, der, x, [(1.0, [0.5]), (-0.1, [0.5])])
 
 
 class TestDenseOutputConsistency:

@@ -10,8 +10,8 @@ from cbi.measures import DiscreteAtoms, TemperedPowerLawAxis
 from cbi.moments import mean
 from cbi.params import AdmissibleParams, derive
 from cbi.simulate import (
-    SimConfig, _euler, block_generator, simulate_block, simulate_coupled,
-    simulate_coupled_block, simulate_path,
+    COMPARISON_SLACK, CoupledStats, SimConfig, _euler, block_generator,
+    simulate_block, simulate_coupled, simulate_coupled_block, simulate_path,
 )
 
 
@@ -197,6 +197,108 @@ class TestCoupling:
         var = stats.diff_sq_sum / stats.n_paths - mean_diff ** 2
         se = np.sqrt(np.maximum(var, 0.0) / stats.n_paths)
         assert np.all(mean_diff >= -3.0 * se)
+
+
+def reference_record(stats, step, diff):
+    """CoupledStats.record written with temporaries and plain reductions."""
+    gap = np.minimum(diff, 0.0)
+    stats.violations += int(np.count_nonzero(diff < -COMPARISON_SLACK))
+    stats.triples += diff.size
+    worst = float(-gap.min()) if gap.size else 0.0
+    stats.worst = max(stats.worst, worst)
+    stats.diff_sum[step] += diff.sum(axis=0)
+    stats.diff_sq_sum[step] += (diff ** 2).sum(axis=0)
+
+
+def empty_stats(n, steps, d):
+    return CoupledStats(n_paths=n, diff_sum=np.zeros((steps, d)),
+                        diff_sq_sum=np.zeros((steps, d)))
+
+
+def assert_same_stats(a, b):
+    assert (a.violations, a.triples, a.worst) == (b.violations, b.triples, b.worst)
+    assert np.array_equal(a.diff_sum, b.diff_sum)
+    assert np.array_equal(a.diff_sq_sum, b.diff_sq_sum)
+
+
+class TestKernelBuffers:
+    """The kernel reuses its buffers; what callers get back must not alias them."""
+
+    def instance(self):
+        mu = DiscreteAtoms(2, [(np.array([0.3, 0.1]), 1.5)])
+        nu = DiscreteAtoms(2, [(np.array([0.2, 0.2]), 0.7)])
+        return make(d=2, c=(0.3, 0.3), beta=(0.2, 0.1),
+                    B=((-1.0, 0.2), (0.1, -0.8)), nu=nu, mu=(mu, mu))
+
+    def test_x0_unchanged(self):
+        p = self.instance()
+        der = derive(p)
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        x0 = np.tile([1.0, 0.5], (50, 1))
+        x0_prime = x0 + 0.1
+        kept, kept_prime = x0.copy(), x0_prime.copy()
+        simulate_block(p, der, x0, cfg, block_generator(83, 0))
+        simulate_coupled_block(p, der, p.beta + 0.5, x0, x0_prime, cfg,
+                               block_generator(83, 1))
+        assert np.array_equal(x0, kept)
+        assert np.array_equal(x0_prime, kept_prime)
+
+    def test_snapshots_and_full_states_are_copies(self):
+        p = self.instance()
+        der = derive(p)
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        x0 = np.tile([1.0, 0.5], (50, 1))
+        wanted = (0, 1, 2, 7, cfg.n_steps)
+        final, full, snaps, _ = simulate_block(
+            p, der, x0, cfg, block_generator(89, 0), keep_full=True,
+            snapshot_steps=wanted)
+        assert sorted(snaps) == list(wanted)
+        for step in wanted:
+            assert np.array_equal(snaps[step], full[step])
+        assert np.array_equal(full[-1], final)
+        assert not np.array_equal(full[1], full[2])
+        _, again, _, _ = simulate_block(p, der, x0, cfg, block_generator(89, 0),
+                                        keep_full=True)
+        snaps[1] += 1.0
+        final += 1.0
+        assert np.array_equal(full, again)
+
+    def test_coupled_full_states_are_copies(self):
+        # the statistics rebuilt from the kept states match the recorded ones
+        # only if every kept step holds its own values
+        p = self.instance()
+        der = derive(p)
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        x0 = np.tile([1.0, 0.5], (50, 1))
+        a, b, stats, full = simulate_coupled_block(
+            p, der, p.beta + 0.5, x0, x0 + 0.1, cfg, block_generator(97, 0),
+            keep_full=True)
+        assert np.array_equal(full[0, -1], a) and np.array_equal(full[1, -1], b)
+        rebuilt = empty_stats(50, cfg.n_steps + 1, 2)
+        for step in range(cfg.n_steps + 1):
+            reference_record(rebuilt, step, full[1, step] - full[0, step])
+        assert_same_stats(stats, rebuilt)
+
+
+class TestCoupledStatsRecord:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 9, 1000, 16384])
+    def test_matches_reference(self, n, d):
+        rng = np.random.default_rng(n * 10 + d)
+        steps = 6
+        got, want = empty_stats(n, steps, d), empty_stats(n, steps, d)
+        for step in range(steps):
+            for _ in range(2):
+                scale = 10.0 ** rng.uniform(-14, 3, (n, 1))
+                diff = rng.standard_normal((n, d)) * scale
+                if step == 0:
+                    diff = np.abs(diff)       # no violation at all
+                elif step == 1:
+                    diff[::2] = 0.0           # zeros and tiny negatives
+                    diff[1::3] = -COMPARISON_SLACK / 2
+                got.record(step, diff)
+                reference_record(want, step, diff)
+        assert_same_stats(got, want)
 
 
 # jumps this small leave states of order one unchanged, so every step of a
