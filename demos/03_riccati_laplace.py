@@ -28,12 +28,10 @@ value = laplace_transform(p, der, x=[1.0], lam=[2.0], t=1.0)
 print("Laplace transform at (x=1, lam=2, t=1):", value)
 print("conservativity (lam=0):", laplace_transform(p, der, [1.0], [0.0], 1.0))
 
-# With branching jumps the mechanism gains an exponential integral; both
-# algebraic forms of phi agree.
+# With branching jumps the mechanism gains an exponential integral.
 mu = DiscreteAtoms(1, [(np.array([0.5]), 0.8), (np.array([2.0]), 0.3)])
 pj = AdmissibleParams(d=1, c=[0.5], beta=[0.3], B=[[-1.0]], nu=None, mu=(mu,))
 derj = derive(pj)
 lam = np.array([1.2])
-print("phi (generator form)  ", phi(pj, derj, lam, form="generator"))
-print("phi (compensated form)", phi(pj, derj, lam, form="compensated"))
-print("psi                   ", psi(pj, lam))
+print("phi", phi(pj, derj, lam))
+print("psi", psi(pj, lam))

@@ -16,9 +16,9 @@ from .measures import (
     exp_branching_integral, exp_branching_integral_full, exp_immigration_integral,
     moment_integral, sample, total_mass,
 )
-from .moments import expm_action, mean
+from .moments import mean
 from .montecarlo import (
-    McEstimate, VerifyReport, estimate_laplace, estimate_mean,
+    McEstimate, VerifyReport, estimate_laplace_grid, estimate_mean,
     mean_error_halving_ratio, verify_comparison, verify_laplace, verify_mean,
 )
 from .params import (

@@ -19,20 +19,15 @@ ABS_TOL = 1e-14
 SUBINTERVAL_BUDGET = 1000
 
 
-def quad_strict(fn, lo, hi, points=None):
+def quad_strict(fn, lo, hi):
     """Integrate fn over (lo, hi), raising QuadratureFailure on non-convergence."""
     if hi <= lo:
         return 0.0
-    kwargs = dict(epsabs=ABS_TOL, epsrel=REL_TOL, limit=SUBINTERVAL_BUDGET)
-    if points is not None:
-        interior = [p for p in points if lo < p < hi]
-        # QUADPACK rejects breakpoints together with infinite bounds
-        if interior and hi != float("inf"):
-            kwargs["points"] = interior
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            value, _ = integrate.quad(fn, lo, hi, **kwargs)
+            value, _ = integrate.quad(fn, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL,
+                                      limit=SUBINTERVAL_BUDGET)
         except integrate.IntegrationWarning as exc:
             raise QuadratureFailure(
                 f"quadrature on ({lo}, {hi}) did not converge: {exc}"

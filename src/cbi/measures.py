@@ -18,6 +18,9 @@ Regions are shells in the Euclidean norm, {z : lo <= ||z|| < hi}; the public
 region vocabulary is ALL, SMALL_JUMPS (||z|| < 1), LARGE_JUMPS (||z|| >= 1),
 above(eps) and below(eps).
 
+Mixtures are sampled by :func:`sample_parts`, the one place that picks a
+mixture leaf by mass, for :class:`MeasureSum` and the Euler scheme alike.
+
 All measure objects are immutable after construction and safe to share across
 parallel workers; sampling takes an explicit numpy Generator.
 """
@@ -610,20 +613,30 @@ class MeasureSum(JumpMeasure):
         return self._sum(lambda c: c.exp_immigration(lam))
 
     def sample_n(self, region, n, rng):
-        masses = np.array([c.mass(region) for c in self._components])
-        if np.any(np.isinf(masses)):
+        parts = [(c, region, c.mass(region)) for c in self._components]
+        if any(math.isinf(mass) for _, _, mass in parts):
             raise InfiniteMass("a mixture component has infinite mass on the region")
-        total = masses.sum()
-        if total <= 0.0:
+        parts = [part for part in parts if part[2] > 0.0]
+        if not parts:
             raise EmptyRegion("mixture mass vanishes on the region")
-        comp_idx = rng.choice(len(self._components), size=n, p=masses / total)
-        out = np.empty((n, self.dim))
-        for k, c in enumerate(self._components):
-            sel = comp_idx == k
-            cnt = int(sel.sum())
-            if cnt:
-                out[sel] = c.sample_n(region, cnt, rng)
-        return out
+        return sample_parts(parts, n, rng)
+
+
+def sample_parts(parts, n, rng):
+    """(n, d) draws from (leaf, region, mass) parts of positive mass, each
+    part picked by its mass share; a single part draws no part indices."""
+    if len(parts) == 1:
+        leaf, region, _ = parts[0]
+        return leaf.sample_n(region, n, rng)
+    masses = [mass for _, _, mass in parts]
+    idx = rng.choice(len(parts), size=n, p=np.array(masses) / sum(masses))
+    out = np.empty((n, parts[0][0].dim))
+    for k, (leaf, region, _) in enumerate(parts):
+        sel = idx == k
+        cnt = int(sel.sum())
+        if cnt:
+            out[sel] = leaf.sample_n(region, cnt, rng)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -694,22 +707,3 @@ def sample(m: JumpMeasure, region: Region, rng, size: int | None = None):
     draws = m.sample_n(region, n, rng)
     return draws[0] if size is None else draws
 
-
-def origin_refinement_diverges(integral_above, base_cutoff=1e-3, shrink=1e-2,
-                               refinements=3, growth_threshold=1.5):
-    """Numeric divergence probe via shrinking inner cutoffs.
-
-    integral_above(a) must return the integral restricted to {||z|| >= a}.
-    The integral is declared divergent when successive cutoff refinements keep
-    growing instead of Cauchy-converging: each refinement must shrink the
-    increment by at least the growth threshold, otherwise +inf is reported.
-    """
-    cutoffs = [base_cutoff * shrink ** k for k in range(refinements + 1)]
-    values = [integral_above(a) for a in cutoffs]
-    increments = [abs(v2 - v1) for v1, v2 in zip(values[:-1], values[1:])]
-    scale = max(abs(values[-1]), 1e-300)
-    for prev, nxt in zip(increments[:-1], increments[1:]):
-        negligible = nxt <= 1e-12 * scale
-        if not negligible and nxt * growth_threshold > prev:
-            return True
-    return False

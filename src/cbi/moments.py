@@ -20,22 +20,6 @@ from .params import AdmissibleParams, DerivedParams
 _NORM_LIMIT = 500.0
 
 
-def expm_action(A, t: float, v):
-    """e^{tA} v by scaling-and-squaring with norm-based Pade degree."""
-    A = np.asarray(A, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    if t * np.linalg.norm(A, 1) > _NORM_LIMIT:
-        raise OverflowError("||tA|| too large for a reliable matrix exponential")
-    result = expm(t * A) @ v
-    if not np.all(np.isfinite(result)):
-        raise OverflowError("matrix exponential overflowed")
-    return result
-
-
 def integrated_expm(A, t: float):
     """(e^{tA}, int_0^t e^{uA} du) via the augmented block exponential."""
     A = np.asarray(A, dtype=float)

@@ -1,5 +1,10 @@
 """Monte Carlo estimators and the cross-representation verification harness.
 
+One estimator, :func:`_estimate`, reduces a statistic of path snapshots:
+the state at t for :func:`estimate_mean`, e^{-<lam, X_t^+>} per (t, lam) for
+:func:`estimate_laplace_grid`. Both verifications share one pass rule,
+|estimate - analytic| <= 3 stderr + C dt.
+
 Work is split into fixed-size path blocks; block k draws its randomness from
 a counter-based substream keyed by (seed, k), and block results are reduced
 in block order. Estimates are therefore bitwise identical across runs and
@@ -33,15 +38,9 @@ def resolve_threads(threads=None) -> int:
 
 
 def _blocks(n_paths: int):
-    out = []
-    start = 0
-    index = 0
-    while start < n_paths:
-        count = min(BLOCK_SIZE, n_paths - start)
-        out.append((index, count))
-        start += count
-        index += 1
-    return out
+    """(index, count) of each fixed-size path block."""
+    return [(index, min(BLOCK_SIZE, n_paths - start))
+            for index, start in enumerate(range(0, n_paths, BLOCK_SIZE))]
 
 
 def _run_blocks(worker, blocks, threads):
@@ -156,96 +155,89 @@ def _zscores(err, stderr, allowance):
     return z
 
 
-def estimate_mean(p: AdmissibleParams, x0, t: float, n_paths: int,
-                  cfg: SimConfig, seed: int, der: DerivedParams | None = None,
-                  threads=None, budget=None) -> McEstimate:
-    """Sample mean and standard error of X_t over independent paths."""
-    x0 = np.asarray(x0, dtype=float)
-    if t == 0.0:
-        return McEstimate(x0.copy(), np.zeros_like(x0), n_paths, cfg.dt, seed)
-    run_cfg = SimConfig(T=t, dt=cfg.dt, eps_trunc=cfg.eps_trunc,
-                        positivity_mode=cfg.positivity_mode)
-    _check_budget(n_paths, run_cfg.n_steps, budget)
-    der = der if der is not None and der.eps_trunc == cfg.eps_trunc \
-        else derive(p, eps_trunc=cfg.eps_trunc)
+def _estimate(p, x0, times, statistic, n_paths, cfg, seed, der, threads, budget):
+    """Sample means and standard errors of statistic(snapshots) over paths.
 
-    def worker(index, count):
-        rng = block_generator(seed, index)
-        final, _, _, _ = simulate_block(
-            p, der, np.tile(x0, (count, 1)), run_cfg, rng)
-        return _block_moments(final)
-
-    partials = _run_blocks(worker, _blocks(n_paths), resolve_threads(threads))
-    value, stderr = _reduce_moments(partials, n_paths)
-    return McEstimate(value, stderr, n_paths, cfg.dt, seed)
-
-
-def estimate_laplace(p: AdmissibleParams, x0, lam, t: float, n_paths: int,
-                     cfg: SimConfig, seed: int, der: DerivedParams | None = None,
-                     threads=None, budget=None) -> McEstimate:
-    """Sample mean of e^{-<lam, X_t>}; the statistic lies in (0, 1]."""
-    x0 = np.asarray(x0, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if t == 0.0 or not np.any(lam):
-        exact = float(np.exp(-x0 @ lam)) if t == 0.0 else 1.0
-        return McEstimate(np.array([exact]), np.zeros(1), n_paths, cfg.dt, seed)
-    run_cfg = SimConfig(T=t, dt=cfg.dt, eps_trunc=cfg.eps_trunc,
-                        positivity_mode=cfg.positivity_mode)
-    _check_budget(n_paths, run_cfg.n_steps, budget)
-    der = der if der is not None and der.eps_trunc == cfg.eps_trunc \
-        else derive(p, eps_trunc=cfg.eps_trunc)
-
-    def worker(index, count):
-        rng = block_generator(seed, index)
-        final, _, _, _ = simulate_block(
-            p, der, np.tile(x0, (count, 1)), run_cfg, rng)
-        stat = np.exp(-np.maximum(final, 0.0) @ lam)
-        return _block_moments(stat[:, None])
-
-    partials = _run_blocks(worker, _blocks(n_paths), resolve_threads(threads))
-    value, stderr = _reduce_moments(partials, n_paths)
-    return McEstimate(value, stderr, n_paths, cfg.dt, seed)
-
-
-def estimate_laplace_grid(p, x0, points, n_paths, cfg, seed, der=None,
-                          threads=None, budget=None):
-    """Laplace statistics at several (t, lam) points from one path sweep.
-
-    Returns (values, stderrs) arrays aligned with points; every t must be an
-    integer multiple of cfg.dt.
+    statistic maps a block's (count, d) states at each of times (non-negative
+    multiples of cfg.dt) to a (count, m) array; at all-zero times it is exact.
     """
     x0 = np.asarray(x0, dtype=float)
-    t_max = max(t for t, _ in points)
-    run_cfg = SimConfig(T=t_max, dt=cfg.dt, eps_trunc=cfg.eps_trunc,
+    if not times:
+        raise InvalidConfig("nothing to estimate: no times given")
+    steps = []
+    for t in times:
+        k = round(t / cfg.dt) if 0.0 <= t < np.inf else -1
+        if k < 0 or (k == 0) != (t == 0.0) or abs(k * cfg.dt - t) > 1e-9 * max(1.0, t):
+            raise InvalidConfig(
+                f"time {t} is not a non-negative integer multiple of dt = {cfg.dt}")
+        steps.append(k)
+    if not any(steps):
+        value = statistic([x0[None]] * len(steps))[0].copy()
+        return value, np.zeros_like(value)
+    run_cfg = SimConfig(T=max(times), dt=cfg.dt, eps_trunc=cfg.eps_trunc,
                         positivity_mode=cfg.positivity_mode)
     _check_budget(n_paths, run_cfg.n_steps, budget)
     der = der if der is not None and der.eps_trunc == cfg.eps_trunc \
         else derive(p, eps_trunc=cfg.eps_trunc)
-    steps = []
-    for t, _ in points:
-        k = round(t / cfg.dt)
-        if abs(k * cfg.dt - t) > 1e-9:
-            raise ValueError("every Laplace time must be a multiple of dt")
-        steps.append(k)
 
     def worker(index, count):
         rng = block_generator(seed, index)
         _, _, snapshots, _ = simulate_block(
-            p, der, np.tile(x0, (count, 1)), run_cfg, rng,
-            snapshot_steps=tuple(sorted(set(steps))))
-        stats = np.empty((count, len(points)))
-        for i, ((_, lam), k) in enumerate(zip(points, steps)):
-            stats[:, i] = np.exp(
-                -np.maximum(snapshots[k], 0.0) @ np.asarray(lam, dtype=float))
-        return _block_moments(stats)
+            p, der, np.tile(x0, (count, 1)), run_cfg, rng, snapshot_steps=steps)
+        return _block_moments(statistic([snapshots[k] for k in steps]))
 
     partials = _run_blocks(worker, _blocks(n_paths), resolve_threads(threads))
     return _reduce_moments(partials, n_paths)
 
 
+def estimate_mean(p: AdmissibleParams, x0, t: float, n_paths: int,
+                  cfg: SimConfig, seed: int, der: DerivedParams | None = None,
+                  threads=None, budget=None) -> McEstimate:
+    """Sample mean and standard error of X_t over independent paths."""
+    value, stderr = _estimate(p, x0, [t], lambda snaps: snaps[0], n_paths, cfg,
+                              seed, der, threads, budget)
+    return McEstimate(value, stderr, n_paths, cfg.dt, seed)
+
+
+def estimate_laplace_grid(p, x0, points, n_paths, cfg, seed, der=None,
+                          threads=None, budget=None):
+    """Laplace statistics e^{-<lam, X_t^+>} at several (t, lam) points from
+    one path sweep.
+
+    Returns (values, stderrs) arrays aligned with points; every t must be a
+    non-negative integer multiple of cfg.dt.
+    """
+    lams = [np.asarray(lam, dtype=float) for _, lam in points]
+
+    def statistic(snaps):
+        stats = np.empty((len(snaps[0]), len(lams)))
+        for i, (X, lam) in enumerate(zip(snaps, lams)):
+            stats[:, i] = np.exp(-np.maximum(X, 0.0) @ lam)
+        return stats
+
+    return _estimate(p, x0, [t for t, _ in points], statistic, n_paths, cfg,
+                     seed, der, threads, budget)
+
+
 # --------------------------------------------------------------------------
 # verification harness
 # --------------------------------------------------------------------------
+
+def _report(quantity, scenario, analytic, value, stderr, bias_constant, start,
+            **details) -> VerifyReport:
+    """Pass when every |error| <= 3 stderr + C dt; z-scores after that allowance."""
+    err = value - analytic
+    allowance = bias_constant * scenario.dt
+    passed = bool(np.all(np.abs(err) <= 3.0 * stderr + allowance))
+    z = _zscores(err, stderr, allowance)
+    return VerifyReport(
+        quantity=f"{quantity}[{scenario.name}]",
+        analytic=analytic, estimate=value, stderr=stderr,
+        z_score=float(np.max(np.abs(z))), bias_allowance=allowance,
+        passed=passed, runtime=time.perf_counter() - start,
+        details={"n_paths": scenario.n_paths, "dt": scenario.dt,
+                 "seed": scenario.seed, **details})
+
 
 def verify_mean(scenario, threads=None, budget=None) -> VerifyReport:
     """First-moment formula versus the Monte Carlo mean on one scenario."""
@@ -255,17 +247,8 @@ def verify_mean(scenario, threads=None, budget=None) -> VerifyReport:
     est = estimate_mean(p, scenario.x0, scenario.t, scenario.n_paths,
                         scenario.sim_config(), scenario.seed, der=der,
                         threads=threads, budget=budget)
-    err = est.value - analytic
-    allowance = scenario.bias_constant_mean * scenario.dt
-    passed = bool(np.all(np.abs(err) <= 3.0 * est.stderr + allowance))
-    z = _zscores(err, est.stderr, allowance)
-    return VerifyReport(
-        quantity=f"mean[{scenario.name}]",
-        analytic=analytic, estimate=est.value, stderr=est.stderr,
-        z_score=float(np.max(np.abs(z))), bias_allowance=allowance,
-        passed=passed, runtime=time.perf_counter() - start,
-        details={"n_paths": scenario.n_paths, "dt": scenario.dt,
-                 "seed": scenario.seed})
+    return _report("mean", scenario, analytic, est.value, est.stderr,
+                   scenario.bias_constant_mean, start)
 
 
 def verify_laplace(scenario, threads=None, budget=None) -> VerifyReport:
@@ -281,19 +264,10 @@ def verify_laplace(scenario, threads=None, budget=None) -> VerifyReport:
     values, stderrs = estimate_laplace_grid(
         p, scenario.x0, points, scenario.n_paths, scenario.sim_config(),
         scenario.seed, der=der, threads=threads, budget=budget)
-    err = values - analytic
-    allowance = scenario.bias_constant_laplace * scenario.dt
-    passed = bool(np.all(np.abs(err) <= 3.0 * stderrs + allowance))
-    z = _zscores(err, stderrs, allowance)
-    return VerifyReport(
-        quantity=f"laplace[{scenario.name}]",
-        analytic=analytic, estimate=values, stderr=stderrs,
-        z_score=float(np.max(np.abs(z))), bias_allowance=allowance,
-        passed=passed, runtime=time.perf_counter() - start,
-        details={"n_paths": scenario.n_paths, "dt": scenario.dt,
-                 "seed": scenario.seed,
-                 "points": [{"t": t, "lam": [float(v) for v in lam]}
-                            for t, lam in points]})
+    return _report("laplace", scenario, analytic, values, stderrs,
+                   scenario.bias_constant_laplace, start,
+                   points=[{"t": t, "lam": [float(v) for v in lam]}
+                           for t, lam in points])
 
 
 def _comparison_run(p, der, scenario, dt, threads, budget):

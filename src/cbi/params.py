@@ -9,12 +9,13 @@ reports each one as data; nothing admissibility-related throws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InfiniteMass
 from .measures import JumpMeasure, MomentKind
 
 DEFAULT_EPS_TRUNC = 1e-3
@@ -183,6 +184,21 @@ def simulated_region(component, eps):
     if component.is_finite_activity:
         return measures.ALL
     return measures.above(eps)
+
+
+def simulated_parts(m, eps):
+    """(leaf, region, mass) of each mixture leaf of m that the Euler scheme
+    simulates at cutoff eps: leaves with zero mass on their region are left
+    out, and a region of infinite mass raises InfiniteMass."""
+    parts = []
+    for leaf in m.components() if m is not None else ():
+        region = simulated_region(leaf, eps)
+        mass = leaf.mass(region)
+        if math.isinf(mass):
+            raise InfiniteMass("simulated jump region must have finite mass above the cutoff")
+        if mass > 0.0:
+            parts.append((leaf, region, mass))
+    return parts
 
 
 def _truncation_stats(m, d, eps):

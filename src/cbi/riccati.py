@@ -56,30 +56,18 @@ _P = np.array([
 _MAX_STEPS = 1_000_000
 
 
-def phi(p: AdmissibleParams, der: DerivedParams, lam, form: str = "generator"):
-    """Branching mechanism vector phi(lam).
+def phi(p: AdmissibleParams, der: DerivedParams, lam):
+    """Branching mechanism vector phi(lam): c_i lam_i^2 - <B e_i, lam> plus
+    the (1 ^ z_i)-compensated jump integral of mu_i.
 
-    form="generator" uses c_i lam_i^2 - <B e_i, lam> plus the
-    (1 ^ z_i)-compensated jump integral; form="compensated" uses the
-    equivalent expression through B_tilde and the fully compensated
-    integrand. The two agree for admissible parameters.
+    der is unused; phi takes the (p, der, ...) arguments of the flow solver.
     """
     lam = np.asarray(lam, dtype=float)
-    d = p.d
-    out = np.empty(d)
-    for i in range(d):
-        quad_term = p.c[i] * lam[i] ** 2
-        if form == "generator":
-            linear = float(p.B[:, i] @ lam)
-            jump = (measures.exp_branching_integral(p.mu[i], lam, i)
-                    if p.mu[i] is not None else 0.0)
-        elif form == "compensated":
-            linear = float(der.B_tilde[:, i] @ lam)
-            jump = (measures.exp_branching_integral_full(p.mu[i], lam)
-                    if p.mu[i] is not None else 0.0)
-        else:
-            raise ValueError(f"unknown phi form {form!r}")
-        out[i] = quad_term - linear + jump
+    out = np.empty(p.d)
+    for i in range(p.d):
+        jump = (measures.exp_branching_integral(p.mu[i], lam, i)
+                if p.mu[i] is not None else 0.0)
+        out[i] = p.c[i] * lam[i] ** 2 - float(p.B[:, i] @ lam) + jump
     return out
 
 

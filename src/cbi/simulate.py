@@ -9,7 +9,8 @@ actual-event drift matrix B_hat whenever nothing is truncated. Immigration
 jumps arrive state-independently. Infinite-activity components are truncated
 below eps_trunc; the discarded sub-cutoff branching martingale is dropped
 whole (mean zero), the discarded sub-cutoff immigration mean is a documented
-bias.
+bias. Jump sizes are drawn by :func:`cbi.measures.sample_parts` from the
+leaves of :func:`cbi.params.simulated_parts`, at the rates ``derive`` caches.
 
 One step kernel advances a stack of k block states that share all noise:
 k = 1 is a block of independent paths, k = 2 the coupled pair of
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import params as params_mod
-from .errors import InfiniteMass, InvalidConfig, PreconditionViolated
+from .errors import InvalidConfig, PreconditionViolated
+from .measures import sample_parts
 from .params import AdmissibleParams, DerivedParams
 
 COMPARISON_SLACK = 1e-12  # ordering violations below this are roundoff
@@ -96,40 +98,6 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed), int(block_index)]))
 
 
-class _SamplingPlan:
-    """Per-measure decomposition into leaf families with simulated regions."""
-
-    def __init__(self, measure, eps):
-        self.entries = []
-        self.rate = 0.0
-        if measure is None:
-            return
-        for leaf in measure.components():
-            region = params_mod.simulated_region(leaf, eps)
-            mass = leaf.mass(region)
-            if np.isinf(mass):
-                raise InfiniteMass(
-                    "simulated jump region must have finite mass above the cutoff")
-            if mass > 0.0:
-                self.entries.append((leaf, region, mass))
-                self.rate += mass
-
-    def sample(self, total, rng):
-        """(total, d) jump sizes from the rate-normalised mixture."""
-        if len(self.entries) == 1:
-            leaf, region, _ = self.entries[0]
-            return leaf.sample_n(region, total, rng)
-        weights = np.array([m for _, _, m in self.entries]) / self.rate
-        idx = rng.choice(len(self.entries), size=total, p=weights)
-        out = np.empty((total, self.entries[0][0].dim))
-        for k, (leaf, region, _) in enumerate(self.entries):
-            sel = idx == k
-            cnt = int(sel.sum())
-            if cnt:
-                out[sel] = leaf.sample_n(region, cnt, rng)
-        return out
-
-
 def _matched_derived(p, der, cfg):
     if der.eps_trunc != cfg.eps_trunc:
         der = params_mod.derive(p, eps_trunc=cfg.eps_trunc)
@@ -190,8 +158,8 @@ def _euler(p, der, X, beta, cfg, rng, observe):
     k, n, d = X.shape
     dt = cfg.dt
     sqrt_dt = np.sqrt(dt)
-    nu_plan = _SamplingPlan(p.nu, cfg.eps_trunc)
-    mu_plans = [_SamplingPlan(m, cfg.eps_trunc) for m in p.mu]
+    nu_parts, *mu_parts = [params_mod.simulated_parts(m, cfg.eps_trunc)
+                           for m in (p.nu, *p.mu)]
     # the transposed view, not a contiguous copy, and the (k, n, d) stack,
     # not its (k * n, d) reshape: matmul rounds differently on either (the
     # copy at n = 1, the reshape for the coupled pair at n = 1)
@@ -223,24 +191,24 @@ def _euler(p, der, X, beta, cfg, rng, observe):
             X_new += noise
         t_next = (step + 1) * dt
 
-        if nu_plan.rate > 0.0:
-            total = rng.poisson(n * nu_plan.rate * dt)
+        if nu_parts:
+            total = rng.poisson(n * der.immigration_rate * dt)
             if total:
                 owners = rng.integers(0, n, total) if n > 1 else np.zeros(total, np.intp)
-                sizes = nu_plan.sample(total, rng)
+                sizes = sample_parts(nu_parts, total, rng)
                 for s in range(k):
                     np.add.at(X_new[s], owners, sizes)
                 if events is not None:
                     _log(events, t_next, "immigration", None, owners, sizes, None)
 
-        for j, plan in enumerate(mu_plans):
-            if plan.rate == 0.0:
+        for j, parts in enumerate(mu_parts):
+            if not parts:
                 continue
             bound = Xp[0, :, j] if k == 1 else np.maximum(Xp[0, :, j], Xp[1, :, j])
-            total, owners = _branching_draw(rng, bound, plan.rate, dt)
+            total, owners = _branching_draw(rng, bound, der.branching_rates[j], dt)
             if not total:
                 continue
-            sizes = plan.sample(total, rng)
+            sizes = sample_parts(parts, total, rng)
             marks = None
             if k > 1 or events is not None:
                 marks = rng.uniform(0.0, bound[owners])

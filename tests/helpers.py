@@ -1,7 +1,10 @@
 """Independent numerical oracles used by the test-suite.
 
-These deliberately avoid the package's own quadrature/ODE machinery:
-composite Simpson rules on refined grids and closed-form special cases.
+Most deliberately avoid the package's own quadrature/ODE machinery:
+composite Simpson rules on refined grids and closed-form special cases. The
+shrinking-cutoff divergence probe and the compensated form of phi take
+another route to a quantity the package computes: finite integrals at
+shrinking cutoffs, and B_tilde with the fully compensated jump integral.
 """
 
 import math
@@ -101,6 +104,40 @@ def cir_log_laplace_oracle(c, b, beta, x, lam, t):
     else:
         integral = math.log1p(c * lam / b * (math.exp(b * t) - 1.0)) / c
     return x * v + beta * integral
+
+
+def origin_refinement_diverges(integral_above, base_cutoff=1e-3, shrink=1e-2,
+                               refinements=3, growth_threshold=1.5):
+    """Numeric divergence probe via shrinking inner cutoffs.
+
+    integral_above(a) must return the integral restricted to {||z|| >= a}.
+    The integral is declared divergent when successive cutoff refinements keep
+    growing instead of Cauchy-converging: each refinement must shrink the
+    increment by at least the growth threshold, otherwise it diverges.
+    """
+    cutoffs = [base_cutoff * shrink ** k for k in range(refinements + 1)]
+    values = [integral_above(a) for a in cutoffs]
+    increments = [abs(v2 - v1) for v1, v2 in zip(values[:-1], values[1:])]
+    scale = max(abs(values[-1]), 1e-300)
+    for prev, nxt in zip(increments[:-1], increments[1:]):
+        negligible = nxt <= 1e-12 * scale
+        if not negligible and nxt * growth_threshold > prev:
+            return True
+    return False
+
+
+def phi_compensated(p, der, lam):
+    """Branching mechanism through B_tilde and the fully compensated jump
+    integral: c_i lam_i^2 - <B_tilde e_i, lam> + int (e^{-<lam,z>} - 1 +
+    <lam,z>) mu_i(dz), equal to riccati.phi for admissible parameters."""
+    from cbi.measures import exp_branching_integral_full
+
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty(p.d)
+    for i in range(p.d):
+        jump = exp_branching_integral_full(p.mu[i], lam) if p.mu[i] is not None else 0.0
+        out[i] = p.c[i] * lam[i] ** 2 - float(der.B_tilde[:, i] @ lam) + jump
+    return out
 
 
 def random_discrete_params(rng, d=None, with_nu=True, max_atoms=3):

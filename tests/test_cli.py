@@ -28,7 +28,7 @@ def write_params(tmp_path, name, obj):
     return str(path)
 
 
-def tiny_scenario(tmp_path, cir_file_path):
+def tiny_scenario(tmp_path, cir_file_path, **overrides):
     blob = {
         "name": "tiny",
         "description": "unit-test scenario",
@@ -45,6 +45,7 @@ def tiny_scenario(tmp_path, cir_file_path):
         "comparison": {"beta_shift": [0.5], "n_paths": 1000, "dt": 2.0 ** -6,
                        "T": 0.25, "seed": 5},
     }
+    blob.update(overrides)
     path = tmp_path / "tiny_scenario.json"
     path.write_text(json.dumps(blob))
     return str(path)
@@ -92,6 +93,12 @@ class TestScalarCommands:
     def test_numeric_failure_exit_four(self, cir_file, capsys):
         assert main(["mean", cir_file, "--m0", "1.0", "--t", "1e9"]) == 4
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_mean_overflow_exit_four(self, tmp_path, capsys):
+        # ||t B_tilde|| = 400 passes the norm guard; the result overflows
+        path = write_params(tmp_path, "growth.json", dict(CIR, B=[[1.0]]))
+        assert main(["mean", path, "--m0", "1e300", "--t", "400"]) == 4
+        assert "overflowed" in capsys.readouterr().err
 
     def test_inadmissible_exit_three(self, tmp_path, capsys):
         bad = dict(CIR, B=[[float("nan")]])
@@ -230,6 +237,15 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "schema error: InvalidConfig" in err
         assert f"scenario {name} has no {block} block" in err
+
+    @pytest.mark.parametrize("times", [[0.1, 0.25], [0.125, 0.3]])
+    def test_off_grid_laplace_time_exit_two(self, times, tmp_path, cir_file, capsys):
+        scen = tiny_scenario(tmp_path, cir_file, laplace_points=[
+            {"t": t, "lam": [1.0]} for t in times])
+        assert main(["verify", "laplace", "--scenario", scen]) == 2
+        err = capsys.readouterr().err
+        assert "schema error: InvalidConfig" in err
+        assert "multiple of dt" in err
 
     def test_budget_exceeded_exit_four(self, tmp_path, cir_file, capsys):
         scen = tiny_scenario(tmp_path, cir_file)

@@ -15,7 +15,9 @@ from cbi.measures import (
 from cbi.params import derive, validate
 from cbi.scenarios import load_scenario
 
-from helpers import product_exp_shell_oracle_2d, tpl_radial_oracle
+from helpers import (
+    origin_refinement_diverges, product_exp_shell_oracle_2d, tpl_radial_oracle,
+)
 
 # a few integrals at the package's quadrature policy (relative 1e-10,
 # absolute 1e-12 per nested quadrature) are summed in each identity
@@ -95,7 +97,7 @@ class TestMomentIntegral:
                             + _m.mass(LARGE_JUMPS))
                 return _m.norm_sq_moment(measures.Region(a, 1.0))
 
-            diverges = measures.origin_refinement_diverges(restricted)
+            diverges = origin_refinement_diverges(restricted)
             value = measures.moment_integral(m, kind)
             assert diverges == bool(np.isinf(value))
 
@@ -350,6 +352,35 @@ class TestSampling:
         for n in (1, 7, 1000, 7):
             got = m.sample_n(region, n, ours)
             want = locs[inside][ref.choice(w.size, size=n, p=w / w.sum())]
+            assert np.array_equal(got, want)
+            assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("n_parts", [1, 2, 3])
+    def test_parts_draw_like_generator_choice(self, n_parts):
+        # parts are picked as Generator.choice over the normalised masses
+        # would pick them, then each leaf samples its count in part order; a
+        # single part draws no part indices
+        leaves = [
+            ProductExponential(1.5, [1.2, 0.8]),
+            DiscreteAtoms(2, [(np.array([0.3, 0.4]), 1.0), (np.array([2.0, 0.1]), 0.5)]),
+            TemperedPowerLawAxis(2, 1, alpha=0.7, theta=1.5, scale=0.4),
+        ]
+        regions = [ALL, LARGE_JUMPS, above(0.05)]
+        parts = [(leaf, region, leaf.mass(region))
+                 for leaf, region in zip(leaves, regions)][:n_parts]
+        masses = np.array([mass for _, _, mass in parts])
+        ours = np.random.Generator(np.random.Philox(key=[11, n_parts]))
+        ref = np.random.Generator(np.random.Philox(key=[11, n_parts]))
+        for n in (1, 7, 1000):
+            got = measures.sample_parts(parts, n, ours)
+            if n_parts == 1:
+                want = parts[0][0].sample_n(parts[0][1], n, ref)
+            else:
+                idx = ref.choice(n_parts, size=n, p=masses / masses.sum())
+                want = np.empty((n, 2))
+                for k, (leaf, region, _) in enumerate(parts):
+                    if np.any(idx == k):
+                        want[idx == k] = leaf.sample_n(region, int(np.sum(idx == k)), ref)
             assert np.array_equal(got, want)
             assert ours.random() == ref.random()
 

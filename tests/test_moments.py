@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cbi.moments import expm_action, mean
+from cbi.moments import integrated_expm, mean
 from cbi.params import AdmissibleParams, derive
 from cbi.riccati import laplace_transform
 
@@ -13,22 +13,17 @@ from helpers import random_discrete_params
 
 
 class TestExpmAction:
-    def test_zero_matrix(self):
-        v = np.array([1.5, -2.0])
-        assert np.allclose(expm_action(np.zeros((2, 2)), 1.0, v), v, rtol=0, atol=0)
-
-    def test_identity(self):
-        got = expm_action(np.eye(2), 1.0, np.array([1.0, 1.0]))
-        assert np.allclose(got, [math.e, math.e], rtol=1e-14)
-
-    def test_nilpotent(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        got = expm_action(A, 1.0, np.array([0.0, 1.0]))
-        assert np.allclose(got, [1.0, 1.0], rtol=0, atol=1e-15)
+    """e^{tA} v as the propagator block of integrated_expm and mean apply it."""
 
     def test_overflow_guard(self):
+        # ||t B_tilde|| above the limit, and a finite norm whose result overflows
+        p = AdmissibleParams(d=2, c=[0.0, 0.0], beta=[0.0, 0.0], B=np.eye(2) * 1e6,
+                             nu=None, mu=(None, None))
         with pytest.raises(OverflowError):
-            expm_action(np.eye(2) * 1e6, 1.0, np.ones(2))
+            mean(p, derive(p), np.ones(2), 1.0)
+        p = AdmissibleParams(d=1, c=[0.0], beta=[0.0], B=[[1.0]], nu=None, mu=(None,))
+        with pytest.raises(OverflowError), np.errstate(over="ignore"):
+            mean(p, derive(p), [1e300], 400.0)
 
     def test_accuracy_against_series(self):
         rng = np.random.default_rng(2)
@@ -40,7 +35,8 @@ class TestExpmAction:
         for k in range(1, 120):
             term = A @ term / k
             total += term
-        assert np.allclose(expm_action(A, 1.0, v), total, rtol=1e-12)
+        propagator, _ = integrated_expm(A, 1.0)
+        assert np.allclose(propagator @ v, total, rtol=1e-12)
 
 
 class TestMean:

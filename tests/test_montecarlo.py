@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cbi.errors import BudgetExceeded
+from cbi.errors import BudgetExceeded, InvalidConfig
 from cbi.measures import DiscreteAtoms
 from cbi.montecarlo import (
-    estimate_laplace, estimate_mean, mean_error_halving_ratio, verify_comparison,
+    estimate_laplace_grid, estimate_mean, mean_error_halving_ratio, verify_comparison,
     verify_laplace, verify_mean,
 )
 from cbi.params import AdmissibleParams
@@ -84,28 +84,76 @@ class TestEstimateMean:
             estimate_mean(cir(), [1.0], 1.0, 10_000, CFG, seed=1, budget=1000)
 
 
+def laplace_at(p, x0, lam, t, n_paths, seed):
+    """One-point estimate_laplace_grid: (value, stderr)."""
+    values, stderrs = estimate_laplace_grid(p, x0, [(t, np.array(lam))], n_paths,
+                                            CFG, seed=seed)
+    return values[0], stderrs[0]
+
+
 class TestEstimateLaplace:
     def test_zero_lambda_exact(self):
-        est = estimate_laplace(cir(), [1.0], [0.0], 1.0, 100, CFG, seed=2)
-        assert est.value[0] == 1.0 and est.stderr[0] == 0.0
+        value, stderr = laplace_at(cir(), [1.0], [0.0], 1.0, 100, seed=2)
+        assert value == 1.0 and stderr == 0.0
 
     def test_t_zero_exact(self):
-        est = estimate_laplace(cir(), [1.5], [2.0], 0.0, 100, CFG, seed=2)
-        assert est.value[0] == math.exp(-3.0) and est.stderr[0] == 0.0
+        value, stderr = laplace_at(cir(), [1.5], [2.0], 0.0, 100, seed=2)
+        assert value == math.exp(-3.0) and stderr == 0.0
 
     def test_stderr_bound_for_bounded_statistic(self):
         n = 10_000
-        est = estimate_laplace(cir(), [1.0], [1.0], 1.0, n, CFG, seed=8)
-        assert est.stderr[0] <= 0.5 / math.sqrt(n)
+        _, stderr = laplace_at(cir(), [1.0], [1.0], 1.0, n, seed=8)
+        assert stderr <= 0.5 / math.sqrt(n)
 
     def test_matches_riccati_transform(self):
         p = cir()
         from cbi.params import derive
         der = derive(p)
         n = 40_000
-        est = estimate_laplace(p, [1.0], [1.0], 1.0, n, CFG, seed=21)
+        value, stderr = laplace_at(p, [1.0], [1.0], 1.0, n, seed=21)
         analytic = laplace_transform(p, der, [1.0], [1.0], 1.0)
-        assert abs(est.value[0] - analytic) <= 3.0 * est.stderr[0] + 2.0 * CFG.dt
+        assert abs(value - analytic) <= 3.0 * stderr + 2.0 * CFG.dt
+
+
+class TestEstimateTimes:
+    """Times are checked once for every estimator; t = 0 alone is exact."""
+
+    def test_all_times_zero_exact_without_paths(self):
+        points = [(0.0, np.array([2.0])), (0.0, np.array([0.5]))]
+        values, stderrs = estimate_laplace_grid(cir(), [1.5], points, 100, CFG,
+                                                seed=2, budget=0)
+        assert values.tolist() == [math.exp(-3.0), math.exp(-0.75)]
+        assert stderrs.tolist() == [0.0, 0.0]
+        x0 = np.array([1.5])
+        est = estimate_mean(cir(), x0, 0.0, 100, CFG, seed=2, budget=0)
+        assert est.value.tolist() == [1.5] and est.stderr.tolist() == [0.0]
+        assert est.value is not x0
+
+    def test_zero_time_among_others(self):
+        points = [(0.5, np.array([1.0])), (0.0, np.array([2.0]))]
+        values, stderrs = estimate_laplace_grid(cir(), [1.5], points, 200, CFG, seed=2)
+        # the column of a constant statistic, reduced with a varying one
+        assert values[1] == pytest.approx(math.exp(-3.0), rel=1e-15, abs=0)
+        assert stderrs[1] <= 1e-15
+        assert 0.0 < values[0] < 1.0 and stderrs[0] > 0.0
+
+    @pytest.mark.parametrize("points", [
+        [],
+        [(-0.5, np.array([1.0]))],
+        [(0.3, np.array([1.0])), (1.0, np.array([1.0]))],
+        [(0.5, np.array([1.0])), (0.7, np.array([1.0]))],
+        [(1e-12, np.array([1.0]))],
+        [(float("nan"), np.array([1.0]))],
+    ], ids=["empty", "negative", "off-grid-earlier", "off-grid-largest",
+            "below-one-step", "nan"])
+    def test_bad_times_are_input_errors(self, points):
+        with pytest.raises(InvalidConfig):
+            estimate_laplace_grid(cir(), [1.0], points, 100, CFG, seed=2)
+
+    @pytest.mark.parametrize("t", [-1.0, 0.3])
+    def test_bad_mean_time_is_input_error(self, t):
+        with pytest.raises(InvalidConfig):
+            estimate_mean(cir(), [1.0], t, 100, CFG, seed=2)
 
 
 class TestVerify:

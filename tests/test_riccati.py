@@ -13,7 +13,9 @@ from cbi.riccati import (
 )
 from cbi.scenarios import load_scenario
 
-from helpers import cir_log_laplace_oracle, cir_v_oracle, random_discrete_params
+from helpers import (
+    cir_log_laplace_oracle, cir_v_oracle, phi_compensated, random_discrete_params,
+)
 
 
 def make(d=1, c=(1.0,), beta=(0.0,), B=((-0.0,),), nu=None, mu=None):
@@ -39,8 +41,8 @@ class TestMechanisms:
             p = random_discrete_params(rng)
             der = derive(p)
             lam = rng.uniform(0.0, 4.0, size=p.d)
-            a = phi(p, der, lam, form="generator")
-            b = phi(p, der, lam, form="compensated")
+            a = phi(p, der, lam)
+            b = phi_compensated(p, der, lam)
             assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
     def test_psi_values(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cbi.errors import InvalidConfig, PreconditionViolated
-from cbi.measures import DiscreteAtoms, TemperedPowerLawAxis
+from cbi.measures import ALL, DiscreteAtoms, MeasureSum, TemperedPowerLawAxis, above
 from cbi.moments import mean
 from cbi.params import AdmissibleParams, derive
 from cbi.simulate import (
@@ -132,6 +132,27 @@ class TestJumpScheme:
         assert np.array_equal(a.states, b.states)
         c = simulate_path(p, der, [1.0, 0.5], cfg, block_generator(31, 8))
         assert not np.array_equal(a.states, c.states)
+
+
+class TestMixtureJumps:
+    def test_finite_and_tempered_leaves(self):
+        # the atoms are simulated whole, sub-cutoff atom included; the
+        # tempered leaf only above the cutoff; each leaf owns its mass share
+        eps = 0.05
+        atoms = DiscreteAtoms(1, [(np.array([0.01]), 1.0), (np.array([0.3]), 1.5)])
+        tempered = TemperedPowerLawAxis(1, 0, alpha=0.7, theta=1.0, scale=0.5)
+        mix = MeasureSum([atoms, tempered])
+        p = make(beta=(0.5,), B=((-1.0,),), nu=mix, mu=(mix,))
+        cfg = SimConfig(T=1.0, dt=2.0 ** -6, eps_trunc=eps, record_jumps=True)
+        _, _, _, events = simulate_block(p, derive(p, eps_trunc=eps),
+                                         np.ones((200, 1)), cfg, block_generator(37, 0))
+        sizes = np.array([ev.size[0] for evs in events for ev in evs])
+        from_atoms = np.isin(sizes, [0.01, 0.3])
+        assert np.all(sizes[~from_atoms] >= eps)
+        assert np.any(sizes == 0.01)
+        share = atoms.mass(ALL) / (atoms.mass(ALL) + tempered.mass(above(eps)))
+        n = len(sizes)
+        assert abs(from_atoms.mean() - share) <= 4.0 * math.sqrt(share * (1 - share) / n)
 
 
 class TestCoupling:

@@ -45,9 +45,8 @@ def calibrate(name, n_paths, threads):
 
     c_laplace = 0.25
     if s.laplace_points:
-        exact = np.array([
-            riccati.laplace_transform(p, der, s.x0, lam, t, rtol=1e-10, atol=1e-12)
-            for t, lam in s.laplace_points])
+        exact = riccati.laplace_grid(p, der, s.x0, s.laplace_points,
+                                     rtol=1e-10, atol=1e-12)
         values, ses = estimate_laplace_grid(p, s.x0, s.laplace_points, n_paths,
                                             cfg, CAL_SEED, der=der, threads=threads)
         lbias = np.abs(values - exact)
