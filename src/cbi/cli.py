@@ -78,16 +78,22 @@ def _csv_row(values):
     return ",".join(format_float(float(v)).strip('"') for v in values)
 
 
-def _write_path_csv(path_obj, out: Path):
-    # one %-format of the whole table: the same "%.17g" bytes as format_float,
-    # whose quoted infinities _csv_row strips to inf and -inf
-    table = np.column_stack([path_obj.grid, path_obj.states])
-    if np.isnan(table).any():
+def _time_cells(grid):
+    """The "%.17g," time cell that opens each row of a path file."""
+    return ["%.17g," % t for t in grid.tolist()]
+
+
+def _write_path_csv(times, states, out: Path):
+    # times from _time_cells, formatted once per command; one %-format of
+    # the states: the same "%.17g" bytes as format_float, whose quoted
+    # infinities _csv_row strips to inf and -inf
+    if np.isnan(states).any():
         raise ValueError("cannot serialise NaN")
-    rows, cols = table.shape
-    header = "t," + ",".join(f"x{i}" for i in range(1, cols)) + "\n"
-    row = ",".join(["%.17g"] * cols) + "\n"
-    out.write_text(header + (row * rows) % tuple(table.ravel().tolist()))
+    d = states.shape[1]
+    header = "t," + ",".join(f"x{i + 1}" for i in range(d)) + "\n"
+    row = ",".join(["%.17g"] * d) + "\n"
+    body = "".join([t + row for t in times]) % tuple(states.ravel().tolist())
+    out.write_text(header + body)
 
 
 def _write_jump_csv(path_obj, out: Path, d: int):
@@ -157,10 +163,11 @@ def _cmd_simulate(opts) -> int:
     x0 = _vector(opts.x0)
     out_dir = Path(opts.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    times = _time_cells(cfg.grid())
     for k in range(opts.n):
         rng = block_generator(opts.seed, k)
         path_obj = simulate_path(p, der, x0, cfg, rng)
-        _write_path_csv(path_obj, out_dir / f"path_{k:05d}.csv")
+        _write_path_csv(times, path_obj.states, out_dir / f"path_{k:05d}.csv")
         if opts.record_jumps:
             _write_jump_csv(path_obj, out_dir / f"jumps_{k:05d}.csv", p.d)
     print(f"wrote {opts.n} path file(s) to {out_dir}")

@@ -375,25 +375,21 @@ class ProductExponential(JumpMeasure):
         return self.r * (1.0 - float(np.prod(self.theta / (self.theta + lam))))
 
     def sample_n(self, region, n, rng):
-        whole = region.lo == 0.0 and region.hi == INF
-        if not whole:
-            accept_p = self.mass(region) / self.r
-            if accept_p <= 0.0:
-                raise EmptyRegion("product-exponential mass vanishes on the region")
-            if accept_p < 1e-9:
-                raise EmptyRegion(
-                    f"region acceptance probability {accept_p:.3e} too small for rejection sampling"
-                )
+        scale = 1.0 / self.theta
+        if region.lo == 0.0 and region.hi == INF:
+            return rng.exponential(scale, size=(n, self.dim))
+        accept_p = self.mass(region) / self.r
+        if accept_p <= 0.0:
+            raise EmptyRegion("product-exponential mass vanishes on the region")
+        if accept_p < 1e-9:
+            raise EmptyRegion(
+                f"region acceptance probability {accept_p:.3e} too small for rejection sampling"
+            )
         out = np.empty((n, self.dim))
         filled = 0
-        scale = 1.0 / self.theta
         while filled < n:
-            batch = max(n - filled, 64)
-            draws = rng.exponential(scale, size=(batch, self.dim))
-            if whole:
-                take = draws
-            else:
-                take = draws[region.contains(np.linalg.norm(draws, axis=1))]
+            draws = rng.exponential(scale, size=(max(n - filled, 64), self.dim))
+            take = draws[region.contains(np.linalg.norm(draws, axis=1))]
             k = min(len(take), n - filled)
             out[filled:filled + k] = take[:k]
             filled += k

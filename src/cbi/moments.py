@@ -43,7 +43,9 @@ def mean(p: AdmissibleParams, der: DerivedParams, m0, t: float):
     if t * np.linalg.norm(der.B_tilde, 1) > _NORM_LIMIT:
         raise OverflowError("||t B_tilde|| too large for a reliable matrix exponential")
     propagator, integral = integrated_expm(der.B_tilde, t)
-    result = propagator @ m0 + integral @ der.beta_tilde
+    # an overflow is reported by the check below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = propagator @ m0 + integral @ der.beta_tilde
     if not np.all(np.isfinite(result)):
         raise OverflowError("matrix exponential overflowed")
     return result

@@ -115,12 +115,14 @@ class VerifyReport:
 
 
 def _block_moments(values):
-    """(count, mean, sum of squared deviations) for one block, per component."""
+    """(count, mean, sum of squared deviations) for one block, per component;
+    a constant column gets its exact value and zero deviations."""
     count = values.shape[0]
-    if np.all(values == values[0]):  # degenerate statistic: exact zeros
-        return count, values[0].copy(), np.zeros(values.shape[1])
+    const = np.all(values == values[0], axis=0)
     mean = values.mean(axis=0)
     m2 = ((values - mean) ** 2).sum(axis=0)
+    mean[const] = values[0, const]
+    m2[const] = 0.0
     return count, mean, m2
 
 

@@ -19,12 +19,18 @@ measure a block draws one Poisson total and splits its points among its n
 paths in proportion to their intensities (uniformly for immigration), which
 has the law of independent per-path counts.
 
-Randomness is consumed in a fixed per-step order: the diffusion normals; the
-immigration total, its owners and its sizes; then per type the candidate
-total, owners, sizes, and the thinning marks when k = 2 or jumps are
-recorded. A one-path block draws no owners. A fixed Generator state thus
-reproduces paths bit-for-bit; counter-based substreams for block-parallel
-runs live in :func:`block_generator`.
+Randomness is consumed in a fixed order per chunk of m steps, m =
+max(1, min(n_steps, _CHUNK_VALUES // (n * d))): first the state-independent
+noise of the whole chunk, that is the diffusion normals of all m steps, then
+the immigration total of the chunk, each arrival's step (m > 1), owner and
+size; then per step and type the branching candidate total, owners, sizes,
+and the thinning marks when k = 2 or jumps are recorded. A one-path block
+draws no owners. When m = 1 (n * d >= _CHUNK_VALUES) this is the per-step
+order: normals, immigration, branching. A Poisson total spread uniformly
+over the m * n (step, path) cells gives independent Poisson counts per cell,
+so the chunking changes the stream, not the law. A fixed Generator state
+thus reproduces paths bit-for-bit; counter-based substreams for
+block-parallel runs live in :func:`block_generator`.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ from .measures import sample_parts
 from .params import AdmissibleParams, DerivedParams
 
 COMPARISON_SLACK = 1e-12  # ordering violations below this are roundoff
+# pre-drawn Gaussian increments per chunk of steps: at most this many values
+# (256 KiB), no more than one Monte Carlo block's state
+_CHUNK_VALUES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,27 @@ def _branching_draw(rng, bound, rate, dt):
     return total, np.minimum(owners, cum.searchsorted(top), out=owners)
 
 
-def _euler(p, der, X, beta, cfg, rng, observe):
+def _immigration_draw(rng, parts, mean, m, n):
+    """Immigration arrivals of a chunk of m steps: a Poisson(mean) total
+    spread uniformly over the m * n (step, path) cells, with sizes.
+
+    Returns None without arrivals, else (owners, sizes, bounds) sorted stably
+    by step: step i owns rows bounds[i]:bounds[i + 1].
+    """
+    total = rng.poisson(mean)
+    if not total:
+        return None
+    steps = rng.integers(0, m, total) if m > 1 else None
+    owners = rng.integers(0, n, total) if n > 1 else np.zeros(total, np.intp)
+    sizes = sample_parts(parts, total, rng)
+    if steps is None:
+        return owners, sizes, [0, total]
+    order = np.argsort(steps, kind="stable")
+    bounds = steps[order].searchsorted(np.arange(m + 1))
+    return owners[order], sizes[order], bounds.tolist()
+
+
+def _euler(p, der, X, beta, cfg, rng, observe, out=None):
     """Euler steps of a stack of k block states, shape (k, n, d), sharing all noise.
 
     k is 1 (a block of paths) or 2 (a coupled pair); beta has shape (k, 1, d).
@@ -146,90 +175,109 @@ def _euler(p, der, X, beta, cfg, rng, observe):
     stack; state s accepts one when its uniform mark is at most the state's
     own left-endpoint value (k = 1 accepts all).
 
-    The kernel copies X once and then works in buffers allocated once per
-    call: the state and the next state swap after every step, and the drift,
-    the diffusion and the jumps are added in place. observe(step, X) sees the
-    stack at step 0 and after every step; the array it gets is overwritten by
-    a later step, so an observer copies whatever it keeps. Returns the final
-    stack and, with cfg.record_jumps, per-path JumpEvent lists of state 0.
+    The state-independent noise, Gaussian increments and immigration
+    arrivals, is drawn once per chunk of steps holding at most _CHUNK_VALUES
+    normals; branching is drawn per step. Buffers are allocated once per
+    call and the drift, the diffusion and the jumps are added in place.
+    Without out, the state and the next state swap after every step; with
+    out, shape (n_steps + 1, k, n, d), step s writes straight into out[s].
+    observe(step, X) sees the stack at step 0 and after every step; the
+    array it gets is overwritten by a later step, so an observer copies
+    whatever it keeps. Returns the final stack (never a view of out) and,
+    with cfg.record_jumps, per-path JumpEvent lists of state 0.
     """
     der = _matched_derived(p, der, cfg)
-    X = np.array(X, dtype=float, order="C")
-    k, n, d = X.shape
+    k, n, d = np.shape(X)
+    n_steps = cfg.n_steps
     dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
     nu_parts, *mu_parts = [params_mod.simulated_parts(m, cfg.eps_trunc)
                            for m in (p.nu, *p.mu)]
-    # the transposed view, not a contiguous copy, and the (k, n, d) stack,
-    # not its (k * n, d) reshape: matmul rounds differently on either (the
-    # copy at n = 1, the reshape for the coupled pair at n = 1)
-    drift_t = der.drift_matrix.T
+    # dt folded into contiguous constants: matmul with the transposed view
+    # runs three times slower; beta_dt and sig are spelled out to the full
+    # shape, because broadcasting a length-d row runs numpy's inner loop over
+    # d elements at a time, ten times slower
+    drift_dt = np.ascontiguousarray(dt * der.drift_matrix.T)
+    beta_dt = np.broadcast_to(dt * beta, (k, n, d)).copy()
     use_diffusion = bool(np.any(p.c > 0))
-    # beta and sig spelled out to the full shape: broadcasting a length-d
-    # row runs numpy's inner loop over d elements at a time, ten times slower
-    beta = np.broadcast_to(beta, X.shape).copy()
-    sig = np.broadcast_to(np.sqrt(2.0 * p.c), (n, d)).copy()
-    X_new = np.empty_like(X)
+    chunk = max(1, min(n_steps, _CHUNK_VALUES // (n * d)))
+    if use_diffusion:
+        sig = np.broadcast_to(np.sqrt(2.0 * p.c * dt), (1, n, d)).copy()
+        z = np.empty((chunk, 1, n, d))
+    if out is None:
+        X = np.array(X, dtype=float, order="C")
+        spare = np.empty_like(X)
+    else:
+        out[0] = X
+        X = spare = out[0]
     Xp = np.empty_like(X)
     noise = np.empty_like(X) if use_diffusion else None
-    xi = np.empty((n, d)) if use_diffusion else None
     events = tuple([] for _ in range(n)) if cfg.record_jumps else None
     observe(0, X)
 
-    for step in range(cfg.n_steps):
-        np.maximum(X, 0.0, out=Xp)
-        np.matmul(Xp, drift_t, out=X_new)
-        X_new += beta
-        X_new *= dt
-        X_new += X
+    for first in range(0, n_steps, chunk):
+        m = min(chunk, n_steps - first)
         if use_diffusion:
-            rng.standard_normal(out=xi)
-            np.sqrt(Xp, out=noise)
-            noise *= sig
-            noise *= sqrt_dt
-            noise *= xi
-            X_new += noise
-        t_next = (step + 1) * dt
-
+            zc = z[:m]
+            rng.standard_normal(out=zc)
+            zc *= sig
+        arrivals = None
         if nu_parts:
-            total = rng.poisson(n * der.immigration_rate * dt)
-            if total:
-                owners = rng.integers(0, n, total) if n > 1 else np.zeros(total, np.intp)
-                sizes = sample_parts(nu_parts, total, rng)
-                for s in range(k):
-                    np.add.at(X_new[s], owners, sizes)
+            arrivals = _immigration_draw(
+                rng, nu_parts, n * der.immigration_rate * dt * m, m, n)
+
+        for i in range(m):
+            step = first + i
+            X_new = spare if out is None else out[step + 1]
+            np.maximum(X, 0.0, out=Xp)
+            np.matmul(Xp, drift_dt, out=X_new)
+            X_new += beta_dt
+            X_new += X
+            if use_diffusion:
+                np.sqrt(Xp, out=noise)
+                noise *= zc[i]
+                X_new += noise
+            t_next = (step + 1) * dt
+
+            if arrivals is not None:
+                owners, sizes, bounds = arrivals
+                lo, hi = bounds[i], bounds[i + 1]
+                if hi > lo:
+                    for s in range(k):
+                        np.add.at(X_new[s], owners[lo:hi], sizes[lo:hi])
+                    if events is not None:
+                        _log(events, t_next, "immigration", None,
+                             owners[lo:hi], sizes[lo:hi], None)
+
+            for j, parts in enumerate(mu_parts):
+                if not parts:
+                    continue
+                bound = Xp[0, :, j] if k == 1 else np.maximum(Xp[0, :, j], Xp[1, :, j])
+                total, owners = _branching_draw(rng, bound, der.branching_rates[j], dt)
+                if not total:
+                    continue
+                sizes = sample_parts(parts, total, rng)
+                marks = None
+                if k > 1 or events is not None:
+                    marks = rng.uniform(0.0, bound[owners])
+                if k == 1:
+                    np.add.at(X_new[0], owners, sizes)
+                    acc0 = slice(None)
+                else:
+                    # nonzero lists state 0's acceptances before state 1's
+                    acc = marks <= Xp[:, owners, j]
+                    s, c = np.nonzero(acc)
+                    np.add.at(X_new, (s, owners[c]), sizes[c])
+                    acc0 = acc[0]
                 if events is not None:
-                    _log(events, t_next, "immigration", None, owners, sizes, None)
+                    _log(events, t_next, "branching", j, owners[acc0], sizes[acc0],
+                         marks[acc0])
 
-        for j, parts in enumerate(mu_parts):
-            if not parts:
-                continue
-            bound = Xp[0, :, j] if k == 1 else np.maximum(Xp[0, :, j], Xp[1, :, j])
-            total, owners = _branching_draw(rng, bound, der.branching_rates[j], dt)
-            if not total:
-                continue
-            sizes = sample_parts(parts, total, rng)
-            marks = None
-            if k > 1 or events is not None:
-                marks = rng.uniform(0.0, bound[owners])
-            if k == 1:
-                np.add.at(X_new[0], owners, sizes)
-                acc0 = slice(None)
-            else:
-                # nonzero lists state 0's acceptances before state 1's
-                acc = marks <= Xp[:, owners, j]
-                s, c = np.nonzero(acc)
-                np.add.at(X_new, (s, owners[c]), sizes[c])
-                acc0 = acc[0]
-            if events is not None:
-                _log(events, t_next, "branching", j, owners[acc0], sizes[acc0], marks[acc0])
+            if cfg.positivity_mode == "clamp":
+                np.maximum(X_new, 0.0, out=X_new)
+            X, spare = X_new, X
+            observe(step + 1, X)
 
-        if cfg.positivity_mode == "clamp":
-            np.maximum(X_new, 0.0, out=X_new)
-        X, X_new = X_new, X
-        observe(step + 1, X)
-
-    return X, events
+    return (X if out is None else X.copy()), events
 
 
 def simulate_block(p: AdmissibleParams, der: DerivedParams, x0, cfg: SimConfig,
@@ -247,12 +295,11 @@ def simulate_block(p: AdmissibleParams, der: DerivedParams, x0, cfg: SimConfig,
     wanted = set(int(k) for k in snapshot_steps)
 
     def observe(step, stack):
-        if keep_full:
-            full[step] = stack[0]
         if step in wanted:
             snapshots[step] = stack[0].copy()
 
-    X, events = _euler(p, der, X[None], p.beta[None, None, :], cfg, rng, observe)
+    X, events = _euler(p, der, X[None], p.beta[None, None, :], cfg, rng, observe,
+                       None if full is None else full[:, None])
     return X[0], full, snapshots, events
 
 

@@ -2,11 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cbi.cli import _write_path_csv, main
+from cbi.cli import _time_cells, _write_path_csv, main
 from cbi.config import format_float, parse_float
 from cbi.simulate import Path
 
@@ -95,9 +96,12 @@ class TestScalarCommands:
         assert "numeric failure" in capsys.readouterr().err
 
     def test_mean_overflow_exit_four(self, tmp_path, capsys):
-        # ||t B_tilde|| = 400 passes the norm guard; the result overflows
+        # ||t B_tilde|| = 400 passes the norm guard; the result overflows,
+        # which the command reports without a numpy warning
         path = write_params(tmp_path, "growth.json", dict(CIR, B=[[1.0]]))
-        assert main(["mean", path, "--m0", "1e300", "--t", "400"]) == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mean", path, "--m0", "1e300", "--t", "400"]) == 4
         assert "overflowed" in capsys.readouterr().err
 
     def test_inadmissible_exit_three(self, tmp_path, capsys):
@@ -181,13 +185,13 @@ class TestPathCsv:
         states.flat[:len(self.SPECIAL)] = self.SPECIAL[:states.size]
         path_obj = Path(grid=np.linspace(0.0, 1.0, 40), states=states)
         out = tmp_path / "path.csv"
-        _write_path_csv(path_obj, out)
+        _write_path_csv(_time_cells(path_obj.grid), states, out)
         assert out.read_text() == reference_path_csv(path_obj)
 
     def test_nan_rejected(self, tmp_path):
         states = np.array([[1.0, 2.0], [float("nan"), 0.5]])
         with pytest.raises(ValueError):
-            _write_path_csv(Path(grid=np.array([0.0, 0.5]), states=states),
+            _write_path_csv(_time_cells(np.array([0.0, 0.5])), states,
                             tmp_path / "nan.csv")
 
 

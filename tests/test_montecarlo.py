@@ -8,7 +8,7 @@ import pytest
 from cbi.errors import BudgetExceeded, InvalidConfig
 from cbi.measures import DiscreteAtoms
 from cbi.montecarlo import (
-    estimate_laplace_grid, estimate_mean, mean_error_halving_ratio, verify_comparison,
+    BLOCK_SIZE, estimate_laplace_grid, estimate_mean, mean_error_halving_ratio, verify_comparison,
     verify_laplace, verify_mean,
 )
 from cbi.params import AdmissibleParams
@@ -55,6 +55,21 @@ class TestEstimateMean:
         for _ in range(64):
             m += (0.5 - m) * 2.0 ** -6
         assert est.value[0] == pytest.approx(m, rel=1e-14)
+
+    def test_deterministic_coordinate_zero_stderr(self):
+        # x2 has no diffusion, no jump moves it and no drift flows in from
+        # x1: its column is constant across paths, next to a varying x1,
+        # within a block and across the merge of two blocks
+        nu = DiscreteAtoms(2, [(np.array([0.4, 0.0]), 0.5)])
+        mu = DiscreteAtoms(2, [(np.array([0.3, 0.0]), 0.8)])
+        p = AdmissibleParams(d=2, c=[0.5, 0.0], beta=[0.3, 0.4],
+                             B=[[-1.0, 0.3], [0.0, -0.7]], nu=nu, mu=(mu, None))
+        est = estimate_mean(p, [1.0, 2.0], 1.0, BLOCK_SIZE + 100, CFG, seed=4)
+        assert est.stderr[1] == 0.0 and est.stderr[0] > 0.0
+        m = 2.0
+        for _ in range(64):
+            m += (0.4 - 0.7 * m) * 2.0 ** -6
+        assert est.value[1] == pytest.approx(m, rel=1e-13)
 
     def test_cir_mean_within_tolerance(self):
         est = estimate_mean(cir(), [1.0], 1.0, 30_000, CFG, seed=5)
@@ -133,8 +148,8 @@ class TestEstimateTimes:
         points = [(0.5, np.array([1.0])), (0.0, np.array([2.0]))]
         values, stderrs = estimate_laplace_grid(cir(), [1.5], points, 200, CFG, seed=2)
         # the column of a constant statistic, reduced with a varying one
-        assert values[1] == pytest.approx(math.exp(-3.0), rel=1e-15, abs=0)
-        assert stderrs[1] <= 1e-15
+        assert values[1] == math.exp(-3.0)
+        assert stderrs[1] == 0.0
         assert 0.0 < values[0] < 1.0 and stderrs[0] > 0.0
 
     @pytest.mark.parametrize("points", [

@@ -10,7 +10,7 @@ from cbi.measures import ALL, DiscreteAtoms, MeasureSum, TemperedPowerLawAxis, a
 from cbi.moments import mean
 from cbi.params import AdmissibleParams, derive
 from cbi.simulate import (
-    COMPARISON_SLACK, CoupledStats, SimConfig, _euler, block_generator,
+    _CHUNK_VALUES, COMPARISON_SLACK, CoupledStats, SimConfig, _euler, block_generator,
     simulate_block, simulate_coupled, simulate_coupled_block, simulate_path,
 )
 
@@ -284,6 +284,27 @@ class TestKernelBuffers:
         final += 1.0
         assert np.array_equal(full, again)
 
+    def test_final_state_does_not_alias_full_states(self):
+        p = self.instance()
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        final, full, _, _ = simulate_block(p, derive(p), np.tile([1.0, 0.5], (50, 1)),
+                                           cfg, block_generator(91, 0), keep_full=True)
+        assert np.array_equal(final, full[-1])
+        assert not np.shares_memory(final, full)
+
+    def test_path_is_row_of_one_path_block(self):
+        p = self.instance()
+        der = derive(p)
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6, record_jumps=True)
+        path = simulate_path(p, der, [1.0, 0.5], cfg, block_generator(93, 0))
+        final, full, _, events = simulate_block(p, der, [[1.0, 0.5]], cfg,
+                                                block_generator(93, 0), keep_full=True)
+        assert np.array_equal(path.states, full[:, 0])
+        assert np.array_equal(path.final, final[0])
+        assert path.jumps
+        assert [(e.time, e.kind, e.type_index, e.u, e.size.tolist()) for e in path.jumps] \
+            == [(e.time, e.kind, e.type_index, e.u, e.size.tolist()) for e in events[0]]
+
     def test_coupled_full_states_are_copies(self):
         # the statistics rebuilt from the kept states match the recorded ones
         # only if every kept step holds its own values
@@ -409,9 +430,11 @@ class CountingGenerator:
     def __init__(self, rng):
         self._rng = rng
         self.poisson_calls = []
+        self.poisson_means = []
 
     def poisson(self, lam=1.0, size=None):
         self.poisson_calls.append((np.ndim(lam), size))
+        self.poisson_means.append(lam)
         return self._rng.poisson(lam, size)
 
     def __getattr__(self, item):
@@ -419,7 +442,10 @@ class CountingGenerator:
 
 
 class TestPoissonCallGuard:
-    """One scalar Poisson total per step and measure with positive rate."""
+    """One scalar Poisson total per chunk for immigration, then per step one
+    per branching type with positive rate (here only type 1)."""
+
+    T, DT = 0.25, 2.0 ** -6   # 16 steps
 
     def instance(self):
         mu = DiscreteAtoms(2, [(np.array([0.3, 0.1]), 1.5)])
@@ -427,19 +453,62 @@ class TestPoissonCallGuard:
         return make(d=2, c=(0.3, 0.3), beta=(0.2, 0.1),
                     B=((-1.0, 0.2), (0.1, -0.8)), nu=nu, mu=(mu, None))
 
-    @pytest.mark.parametrize("n", [1, 7, 300])
+    # the steps of each chunk, _CHUNK_VALUES // (n * d) capped at the 16
+    # steps: one chunk up to n = 1024, ten-step chunks at n = 1500, one step
+    # per chunk once n * d reaches 2 ** 15
+    CHUNKS = {1: [16], 7: [16], 300: [16], 1500: [10, 6], 20000: [1] * 16}
+
+    def check(self, rng, p, n):
+        chunks = self.CHUNKS[n]
+        assert sum(chunks) == round(self.T / self.DT)
+        assert max(1, min(16, _CHUNK_VALUES // (2 * n))) == chunks[0]
+        assert rng.poisson_calls == [(0, None)] * (len(chunks) + sum(chunks))
+        rate = derive(p).immigration_rate
+        starts = np.cumsum([0] + [1 + m for m in chunks[:-1]])
+        assert [rng.poisson_means[i] for i in starts] == \
+            [n * rate * self.DT * m for m in chunks]
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 1500, 20000])
     def test_block(self, n):
         p = self.instance()
-        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        cfg = SimConfig(T=self.T, dt=self.DT)
         rng = CountingGenerator(block_generator(73, n))
         simulate_block(p, derive(p), np.tile([1.0, 0.5], (n, 1)), cfg, rng)
-        assert rng.poisson_calls == [(0, None)] * (2 * cfg.n_steps)
+        self.check(rng, p, n)
 
-    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("n", [1, 300, 1500, 20000])
     def test_coupled_block(self, n):
         p = self.instance()
-        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        cfg = SimConfig(T=self.T, dt=self.DT)
         rng = CountingGenerator(block_generator(79, n))
         x0 = np.tile([1.0, 0.5], (n, 1))
         simulate_coupled_block(p, derive(p), p.beta + 0.5, x0, x0 + 0.1, cfg, rng)
-        assert rng.poisson_calls == [(0, None)] * (2 * cfg.n_steps)
+        self.check(rng, p, n)
+
+
+class TestChunkedImmigration:
+    def test_counts_iid_poisson_across_chunks(self):
+        # unit immigration atoms and no other dynamics: each step's increment
+        # of a path is its immigration count, exactly
+        n, rate = 4096, 3.0
+        p = make(nu=DiscreteAtoms(1, [(np.array([1.0]), rate)]))
+        cfg = SimConfig(T=250 * 0.125, dt=0.125)
+        m = _CHUNK_VALUES // n
+        assert m == 8 and cfg.n_steps % m   # 31 whole chunks and a short one
+        _, full, _, _ = simulate_block(p, derive(p), np.zeros((n, 1)), cfg,
+                                       block_generator(101, 0), keep_full=True)
+        counts = np.diff(full[:, :, 0], axis=0)
+        assert np.array_equal(counts, np.round(counts))
+        lam = rate * cfg.dt
+        for pos in range(m):
+            c = counts[pos::m].ravel()
+            assert abs(c.mean() - lam) <= 4.0 * math.sqrt(lam / c.size)
+            var_se = math.sqrt((lam + 2.0 * lam ** 2) / c.size)
+            assert abs(c.var(ddof=1) - lam) <= 4.0 * var_se
+        # the last step of each chunk against the first of the next, and
+        # every pair of consecutive steps
+        for before, after in ((counts[m - 1:-1:m], counts[m::m]),
+                              (counts[:-1], counts[1:])):
+            k = min(len(before), len(after))
+            r = np.corrcoef(before[:k].ravel(), after[:k].ravel())[0, 1]
+            assert abs(r) <= 4.0 / math.sqrt(before[:k].size)
