@@ -155,6 +155,8 @@ def _cmd_mean(opts) -> int:
 
 
 def _cmd_simulate(opts) -> int:
+    if opts.n < 1:
+        raise InvalidConfig("--n must be at least 1")
     p = _load_params(opts.params)
     _require_admissible(p)
     cfg = SimConfig(T=opts.T, dt=opts.dt, eps_trunc=opts.eps,

@@ -36,8 +36,10 @@ def mean(p: AdmissibleParams, der: DerivedParams, m0, t: float):
     m0 = np.asarray(m0, dtype=float)
     if m0.shape != (p.d,):
         raise ValueError(f"m0 must have shape ({p.d},)")
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not np.all(np.isfinite(m0)):
+        raise ValueError("m0 must be finite")
+    if not 0 <= t < np.inf:
+        raise ValueError("t must be finite and non-negative")
     if t == 0.0:
         return m0.copy()
     if t * np.linalg.norm(der.B_tilde, 1) > _NORM_LIMIT:

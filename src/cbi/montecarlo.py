@@ -24,7 +24,9 @@ import numpy as np
 from . import moments, riccati
 from .errors import BudgetExceeded, InvalidConfig
 from .params import AdmissibleParams, DerivedParams, derive
-from .simulate import SimConfig, block_generator, simulate_block, simulate_coupled_block
+from .simulate import (
+    SimConfig, _check_x0, block_generator, simulate_block, simulate_coupled_block,
+)
 
 BLOCK_SIZE = 16384
 THREADS_ENV_VAR = "CBI_NUM_THREADS"
@@ -164,6 +166,7 @@ def _estimate(p, x0, times, statistic, n_paths, cfg, seed, der, threads, budget)
     multiples of cfg.dt) to a (count, m) array; at all-zero times it is exact.
     """
     x0 = np.asarray(x0, dtype=float)
+    _check_x0(x0.reshape(1, -1), p.d)
     if not times:
         raise InvalidConfig("nothing to estimate: no times given")
     steps = []

@@ -14,23 +14,26 @@ leaves of :func:`cbi.params.simulated_parts`, at the rates ``derive`` caches.
 
 One step kernel advances a stack of k block states that share all noise:
 k = 1 is a block of independent paths, k = 2 the coupled pair of
-:func:`simulate_coupled_block`. Jump counts are superposed: per step and
-measure a block draws one Poisson total and splits its points among its n
-paths in proportion to their intensities (uniformly for immigration), which
-has the law of independent per-path counts.
+:func:`simulate_coupled_block`. Jump counts are superposed: the candidates of
+a measure over a whole block form one Poisson process whose points are split
+among the n paths in proportion to their intensities (uniformly for
+immigration), which has the law of independent per-path counts. Each
+branching type carries the exponential waiting time to its next candidate
+across steps, so a step draws nothing for a type without a candidate.
 
-Randomness is consumed in a fixed order per chunk of m steps, m =
-max(1, min(n_steps, _CHUNK_VALUES // (n * d))): first the state-independent
-noise of the whole chunk, that is the diffusion normals of all m steps, then
-the immigration total of the chunk, each arrival's step (m > 1), owner and
-size; then per step and type the branching candidate total, owners, sizes,
-and the thinning marks when k = 2 or jumps are recorded. A one-path block
-draws no owners. When m = 1 (n * d >= _CHUNK_VALUES) this is the per-step
-order: normals, immigration, branching. A Poisson total spread uniformly
-over the m * n (step, path) cells gives independent Poisson counts per cell,
-so the chunking changes the stream, not the law. A fixed Generator state
-thus reproduces paths bit-for-bit; counter-based substreams for
-block-parallel runs live in :func:`block_generator`.
+Randomness is consumed in a fixed order: at the start of the call one Exp(1)
+gap per type with simulated branching mass; then per chunk of m steps, m =
+max(1, min(n_steps, _CHUNK_VALUES // (n * d))), the state-independent noise
+of the whole chunk, that is the diffusion normals of all m steps, then the
+immigration total of the chunk, each arrival's step (m > 1), owner and
+size; then per step, only for a branching type that fires, its Poisson
+count, its new gap, the owners, sizes, and the thinning marks when k = 2 or
+jumps are recorded. A one-path block draws no owners. A Poisson total spread
+uniformly over the m * n (step, path) cells gives independent Poisson counts
+per cell, and a carried gap gives each step a Poisson count independent of
+the others, so neither changes the law. A fixed Generator state thus
+reproduces paths bit-for-bit; counter-based substreams for block-parallel
+runs live in :func:`block_generator`.
 """
 
 from __future__ import annotations
@@ -61,10 +64,10 @@ class SimConfig:
     record_jumps: bool = False
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise InvalidConfig("T must be positive")
-        if not self.dt > 0:
-            raise InvalidConfig("dt must be positive")
+        if not 0 < self.T < np.inf:
+            raise InvalidConfig("T must be positive and finite")
+        if not 0 < self.dt < np.inf:
+            raise InvalidConfig("dt must be positive and finite")
         if not 0.0 < self.eps_trunc <= 1.0:
             raise InvalidConfig("eps_trunc must lie in (0, 1]")
         if self.positivity_mode not in ("raw", "clamp"):
@@ -104,7 +107,11 @@ class Path:
 
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
     """Counter-based substream for one path block; scheduling-independent."""
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(block_index)]))
+    key = [int(seed), int(block_index)]
+    if not all(0 <= v < 2 ** 64 for v in key):
+        raise InvalidConfig(
+            f"seed {seed} and block index {block_index} must lie in [0, 2**64)")
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _matched_derived(p, der, cfg):
@@ -117,6 +124,8 @@ def _check_x0(x0, d):
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[1] != d:
         raise InvalidConfig(f"x0 must have {d} components")
+    if not np.all(np.isfinite(x0)):
+        raise PreconditionViolated("x0 must be finite")
     if np.any(x0 < 0):
         raise PreconditionViolated("x0 must be componentwise non-negative")
     return x0
@@ -130,44 +139,39 @@ def _log(events, time, kind, j, owners, sizes, marks):
             size_class="small" if np.linalg.norm(z) < 1 else "large"))
 
 
-def _branching_draw(rng, bound, rate, dt):
-    """(total, owners) of candidates whose per-path counts are independent
-    Poisson(bound * rate * dt); a path with zero bound never owns one."""
-    if len(bound) == 1:
-        total = rng.poisson(bound[0] * rate * dt)
-        return total, np.zeros(total, np.intp) if total else None
-    cum = np.cumsum(bound)
+def _branching_owners(rng, cum, total):
+    """Owners of total candidates, in proportion to the bounds whose
+    cumulative sums are cum; a path with zero bound never owns one."""
     top = cum[-1]
-    total = rng.poisson(top * rate * dt)
-    if not total:
-        return 0, None
     owners = cum.searchsorted(rng.uniform(0.0, top, total), side="right")
     # cum.searchsorted(top) is the last path with positive bound: a uniform
     # equal to top goes there, never to a zero-bound path after it
-    return total, np.minimum(owners, cum.searchsorted(top), out=owners)
+    return np.minimum(owners, cum.searchsorted(top), out=owners)
 
 
 def _immigration_draw(rng, parts, mean, m, n):
     """Immigration arrivals of a chunk of m steps: a Poisson(mean) total
     spread uniformly over the m * n (step, path) cells, with sizes.
 
-    Returns None without arrivals, else (owners, sizes, bounds) sorted stably
-    by step: step i owns rows bounds[i]:bounds[i + 1].
+    Returns {step: (owners, sizes)} over the steps of the chunk that have
+    arrivals, each step's arrivals in draw order.
     """
     total = rng.poisson(mean)
     if not total:
-        return None
+        return {}
     steps = rng.integers(0, m, total) if m > 1 else None
     owners = rng.integers(0, n, total) if n > 1 else np.zeros(total, np.intp)
     sizes = sample_parts(parts, total, rng)
     if steps is None:
-        return owners, sizes, [0, total]
+        return {0: (owners, sizes)}
     order = np.argsort(steps, kind="stable")
-    bounds = steps[order].searchsorted(np.arange(m + 1))
-    return owners[order], sizes[order], bounds.tolist()
+    busy, starts = np.unique(steps[order], return_index=True)
+    ends = [*starts[1:].tolist(), total]
+    return {step: (owners[order[lo:hi]], sizes[order[lo:hi]])
+            for step, lo, hi in zip(busy.tolist(), starts.tolist(), ends)}
 
 
-def _euler(p, der, X, beta, cfg, rng, observe, out=None):
+def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
     """Euler steps of a stack of k block states, shape (k, n, d), sharing all noise.
 
     k is 1 (a block of paths) or 2 (a coupled pair); beta has shape (k, 1, d).
@@ -175,16 +179,29 @@ def _euler(p, der, X, beta, cfg, rng, observe, out=None):
     stack; state s accepts one when its uniform mark is at most the state's
     own left-endpoint value (k = 1 accepts all).
 
-    The state-independent noise, Gaussian increments and immigration
-    arrivals, is drawn once per chunk of steps holding at most _CHUNK_VALUES
-    normals; branching is drawn per step. Buffers are allocated once per
-    call and the drift, the diffusion and the jumps are added in place.
-    Without out, the state and the next state swap after every step; with
-    out, shape (n_steps + 1, k, n, d), step s writes straight into out[s].
-    observe(step, X) sees the stack at step 0 and after every step; the
-    array it gets is overwritten by a later step, so an observer copies
-    whatever it keeps. Returns the final stack (never a view of out) and,
-    with cfg.record_jumps, per-path JumpEvent lists of state 0.
+    The candidates of type j over the whole block form one unit-rate Poisson
+    process run on the clock rate_j * dt * (sum over paths of the bound) per
+    step. The kernel carries each type's exponential gap g_j, the clock time
+    left to that process's next point: a step whose clock increment l_j is at
+    most g_j takes l_j off the gap and draws nothing; otherwise it has
+    1 + Poisson(l_j - g_j) candidates and g_j is redrawn. Given the past, g_j
+    is Exp(1), so a step's count is Poisson(l_j), independent of every other
+    step and variate (the modified next reaction method).
+
+    Randomness is consumed in this order: the gaps of the types with
+    simulated branching mass at the start of the call; per chunk of at most
+    _CHUNK_VALUES normals the Gaussian increments and the immigration
+    arrivals; per step, only for a type that fires, its Poisson count, its
+    new gap, then the owners (n > 1), sizes and marks (k = 2 or jumps
+    recorded). Buffers are allocated once per call, the stack is worked on
+    as (k * n, d) rows and the drift, the diffusion and the jumps are added
+    in place. Without out, the state and the next state swap after every
+    step; with out, shape (n_steps + 1, k, n, d) and C-contiguous in its
+    last three axes, step s writes straight into out[s]. observe(step, X),
+    when given, sees the stack at step 0 and after every step; the array it
+    gets is overwritten by a later step, so an observer copies whatever it
+    keeps. Returns the final stack (never a view of out) and, with
+    cfg.record_jumps, per-path JumpEvent lists of state 0.
     """
     der = _matched_derived(p, der, cfg)
     k, n, d = np.shape(X)
@@ -192,27 +209,42 @@ def _euler(p, der, X, beta, cfg, rng, observe, out=None):
     dt = cfg.dt
     nu_parts, *mu_parts = [params_mod.simulated_parts(m, cfg.eps_trunc)
                            for m in (p.nu, *p.mu)]
-    # dt folded into contiguous constants: matmul with the transposed view
+    # the types with simulated branching mass, each with its expected
+    # candidates per unit of bound and step, and its gap
+    branching = [(j, parts, der.branching_rates[j] * dt)
+                 for j, parts in enumerate(mu_parts) if parts]
+    gaps = rng.exponential(size=len(branching)).tolist() if branching else []
+    # dt folded into contiguous constants: a product with the transposed view
     # runs three times slower; beta_dt and sig are spelled out to the full
     # shape, because broadcasting a length-d row runs numpy's inner loop over
     # d elements at a time, ten times slower
     drift_dt = np.ascontiguousarray(dt * der.drift_matrix.T)
-    beta_dt = np.broadcast_to(dt * beta, (k, n, d)).copy()
+    beta_dt = np.broadcast_to(dt * beta, (k, n, d)).copy().reshape(k * n, d)
     use_diffusion = bool(np.any(p.c > 0))
     chunk = max(1, min(n_steps, _CHUNK_VALUES // (n * d)))
     if use_diffusion:
-        sig = np.broadcast_to(np.sqrt(2.0 * p.c * dt), (1, n, d)).copy()
-        z = np.empty((chunk, 1, n, d))
+        sig = np.broadcast_to(np.sqrt(2.0 * p.c * dt), (n, d)).copy()
+        z = np.empty((chunk, n, d))
     if out is None:
-        X = np.array(X, dtype=float, order="C")
-        spare = np.empty_like(X)
+        X = np.array(X, dtype=float, order="C").reshape(k * n, d)
+        swap = (X, np.empty_like(X))
     else:
         out[0] = X
-        X = spare = out[0]
+        rows = list(out.reshape(n_steps + 1, k * n, d))
+        X = rows[0]
     Xp = np.empty_like(X)
-    noise = np.empty_like(X) if use_diffusion else None
+    Xp3 = Xp.reshape(k, n, d)
+    # a zero array and same-shape operands skip numpy's scalar conversion and
+    # broadcasting set-up, which dominate an operation on one path
+    zero = np.zeros_like(X)
+    if use_diffusion:
+        noise = np.empty_like(X)
+        # the stack's states share each step's normals
+        noise_k = noise if k == 1 else noise.reshape(k, n, d)
+    clamp = cfg.positivity_mode == "clamp"
     events = tuple([] for _ in range(n)) if cfg.record_jumps else None
-    observe(0, X)
+    if observe is not None:
+        observe(0, X.reshape(k, n, d))
 
     for first in range(0, n_steps, chunk):
         m = min(chunk, n_steps - first)
@@ -220,63 +252,81 @@ def _euler(p, der, X, beta, cfg, rng, observe, out=None):
             zc = z[:m]
             rng.standard_normal(out=zc)
             zc *= sig
-        arrivals = None
+            zrows = list(zc)
+        arrivals = {}
         if nu_parts:
             arrivals = _immigration_draw(
                 rng, nu_parts, n * der.immigration_rate * dt * m, m, n)
 
         for i in range(m):
             step = first + i
-            X_new = spare if out is None else out[step + 1]
-            np.maximum(X, 0.0, out=Xp)
-            np.matmul(Xp, drift_dt, out=X_new)
+            X_new = swap[(step + 1) & 1] if out is None else rows[step + 1]
+            np.maximum(X, zero, out=Xp)
+            np.dot(Xp, drift_dt, out=X_new)
             X_new += beta_dt
             X_new += X
             if use_diffusion:
                 np.sqrt(Xp, out=noise)
-                noise *= zc[i]
+                noise_k *= zrows[i]
                 X_new += noise
-            t_next = (step + 1) * dt
 
-            if arrivals is not None:
-                owners, sizes, bounds = arrivals
-                lo, hi = bounds[i], bounds[i + 1]
-                if hi > lo:
-                    for s in range(k):
-                        np.add.at(X_new[s], owners[lo:hi], sizes[lo:hi])
-                    if events is not None:
-                        _log(events, t_next, "immigration", None,
-                             owners[lo:hi], sizes[lo:hi], None)
+            if i in arrivals:
+                owners, sizes = arrivals[i]
+                X3 = X_new.reshape(k, n, d)
+                for s in range(k):
+                    np.add.at(X3[s], owners, sizes)
+                if events is not None:
+                    _log(events, (step + 1) * dt, "immigration", None,
+                         owners, sizes, None)
 
-            for j, parts in enumerate(mu_parts):
-                if not parts:
+            if branching and n == 1:
+                # one path: the bounds of all types as floats in one go
+                bounds = Xp.tolist()[0] if k == 1 else Xp.max(axis=0).tolist()
+            for b, (j, parts, rate_dt) in enumerate(branching):
+                if n == 1:
+                    top = bounds[j]
+                else:
+                    bound = Xp[:, j] if k == 1 else np.maximum(Xp3[0, :, j], Xp3[1, :, j])
+                    cum = np.cumsum(bound)
+                    top = float(cum[-1])
+                clock = top * rate_dt
+                gap = gaps[b]
+                if gap >= clock:
+                    gaps[b] = gap - clock
                     continue
-                bound = Xp[0, :, j] if k == 1 else np.maximum(Xp[0, :, j], Xp[1, :, j])
-                total, owners = _branching_draw(rng, bound, der.branching_rates[j], dt)
-                if not total:
-                    continue
+                total = 1 + int(rng.poisson(clock - gap))
+                gaps[b] = rng.exponential()
+                if n == 1:
+                    owners = np.zeros(total, np.intp)
+                    owner_bound = top
+                else:
+                    owners = _branching_owners(rng, cum, total)
+                    owner_bound = bound[owners]
                 sizes = sample_parts(parts, total, rng)
                 marks = None
                 if k > 1 or events is not None:
-                    marks = rng.uniform(0.0, bound[owners])
+                    marks = rng.random(total) * owner_bound
+                X3 = X_new.reshape(k, n, d)
                 if k == 1:
-                    np.add.at(X_new[0], owners, sizes)
+                    np.add.at(X3[0], owners, sizes)
                     acc0 = slice(None)
                 else:
                     # nonzero lists state 0's acceptances before state 1's
-                    acc = marks <= Xp[:, owners, j]
+                    acc = marks <= Xp3[:, owners, j]
                     s, c = np.nonzero(acc)
-                    np.add.at(X_new, (s, owners[c]), sizes[c])
+                    np.add.at(X3, (s, owners[c]), sizes[c])
                     acc0 = acc[0]
                 if events is not None:
-                    _log(events, t_next, "branching", j, owners[acc0], sizes[acc0],
-                         marks[acc0])
+                    _log(events, (step + 1) * dt, "branching", j, owners[acc0],
+                         sizes[acc0], marks[acc0])
 
-            if cfg.positivity_mode == "clamp":
-                np.maximum(X_new, 0.0, out=X_new)
-            X, spare = X_new, X
-            observe(step + 1, X)
+            if clamp:
+                np.maximum(X_new, zero, out=X_new)
+            X = X_new
+            if observe is not None:
+                observe(step + 1, X.reshape(k, n, d))
 
+    X = X.reshape(k, n, d)
     return (X if out is None else X.copy()), events
 
 
@@ -293,10 +343,11 @@ def simulate_block(p: AdmissibleParams, der: DerivedParams, x0, cfg: SimConfig,
     full = np.empty((cfg.n_steps + 1, n, d)) if keep_full else None
     snapshots = {}
     wanted = set(int(k) for k in snapshot_steps)
-
-    def observe(step, stack):
-        if step in wanted:
-            snapshots[step] = stack[0].copy()
+    observe = None
+    if wanted:
+        def observe(step, stack):
+            if step in wanted:
+                snapshots[step] = stack[0].copy()
 
     X, events = _euler(p, der, X[None], p.beta[None, None, :], cfg, rng, observe,
                        None if full is None else full[:, None])

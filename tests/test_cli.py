@@ -23,6 +23,12 @@ def cir_file(tmp_path):
     return str(path)
 
 
+PAIR = {
+    "d": 2, "c": [1.0, 1.0], "beta": [1.0, 1.0], "B": [[-1.0, 0.0], [0.0, -1.0]],
+    "nu": None, "mu": [None, None],
+}
+
+
 def write_params(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -104,6 +110,15 @@ class TestScalarCommands:
             assert main(["mean", path, "--m0", "1e300", "--t", "400"]) == 4
         assert "overflowed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--t", "nan"), ("--t", "inf"), ("--m0", "4,nan"), ("--m0", "4,inf")])
+    def test_non_finite_mean_input_exit_two(self, flag, value, tmp_path, capsys):
+        path = write_params(tmp_path, "pair.json", PAIR)
+        args = {"--m0": "4,1", "--t": "1.0", flag: value}
+        assert main(["mean", path, *(x for kv in args.items() for x in kv)]) == 2
+        err = capsys.readouterr().err
+        assert "schema error: ValueError" in err and "finite" in err
+
     def test_inadmissible_exit_three(self, tmp_path, capsys):
         bad = dict(CIR, B=[[float("nan")]])
         # NaN fails essential non-negativity check semantics; craft cleanly:
@@ -163,6 +178,29 @@ class TestSimulateCommand:
         assert len(lines) > 1
         kinds = {row.split(",")[1] for row in lines[1:]}
         assert kinds <= {"immigration", "branching"}
+
+
+class TestSimulateInputs:
+    """Inputs the simulation cannot honour exit 2 before any path is written."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--x0", "4,nan", "x0 must be finite"),
+        ("--x0", "4,inf", "x0 must be finite"),
+        ("--T", "inf", "T must be positive and finite"),
+        ("--n", "0", "--n must be at least 1"),
+        ("--n", "-3", "--n must be at least 1"),
+        ("--seed", "1180591620717411303424", "must lie in [0, 2**64)"),
+        ("--seed", "-1", "must lie in [0, 2**64)"),
+    ])
+    def test_exit_two(self, flag, value, message, tmp_path, capsys):
+        path = write_params(tmp_path, "pair.json", PAIR)
+        args = {"--x0": "4,1", "--T": "0.25", "--dt": "0.03125", "--n": "2",
+                "--seed": "11", "--out": str(tmp_path / "out"), flag: value}
+        assert main(["simulate", path, *(x for kv in args.items() for x in kv)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "wrote" not in captured.out
+        assert not list(tmp_path.glob("out/*.csv"))
 
 
 def reference_path_csv(path_obj) -> str:
@@ -250,6 +288,18 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "schema error: InvalidConfig" in err
         assert "multiple of dt" in err
+
+    @pytest.mark.parametrize("check, overrides", [
+        ("mean", {"seed": -1}),
+        ("laplace", {"seed": 2 ** 64}),
+        ("comparison", {"comparison": {"beta_shift": [0.5], "n_paths": 1000,
+                                       "dt": 2.0 ** -6, "T": 0.25, "seed": -5}}),
+    ])
+    def test_seed_out_of_range_exit_two(self, check, overrides, tmp_path, cir_file,
+                                        capsys):
+        scen = tiny_scenario(tmp_path, cir_file, **overrides)
+        assert main(["verify", check, "--scenario", scen]) == 2
+        assert "schema error: InvalidConfig" in capsys.readouterr().err
 
     def test_budget_exceeded_exit_four(self, tmp_path, cir_file, capsys):
         scen = tiny_scenario(tmp_path, cir_file)

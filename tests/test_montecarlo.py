@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cbi.errors import BudgetExceeded, InvalidConfig
+from cbi.errors import BudgetExceeded, InvalidConfig, PreconditionViolated
 from cbi.measures import DiscreteAtoms
 from cbi.montecarlo import (
     BLOCK_SIZE, estimate_laplace_grid, estimate_mean, mean_error_halving_ratio, verify_comparison,
@@ -169,6 +169,21 @@ class TestEstimateTimes:
     def test_bad_mean_time_is_input_error(self, t):
         with pytest.raises(InvalidConfig):
             estimate_mean(cir(), [1.0], t, 100, CFG, seed=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_non_finite_x0_is_rejected(self, bad, t):
+        # budget 0: the check comes before the budget and before any path
+        with pytest.raises(PreconditionViolated, match="finite"):
+            estimate_mean(cir(), [bad], t, 100, CFG, seed=2, budget=0)
+        with pytest.raises(PreconditionViolated, match="finite"):
+            estimate_laplace_grid(cir(), [bad], [(t, np.array([1.0]))], 100, CFG,
+                                  seed=2, budget=0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_x0_is_one_state(self, t):
+        with pytest.raises(InvalidConfig, match="components"):
+            estimate_mean(cir(), [[1.0], [2.0]], t, 100, CFG, seed=2, budget=0)
 
 
 class TestVerify:

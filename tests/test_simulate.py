@@ -35,6 +35,54 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             SimConfig(T=1.0, dt=0.1, positivity_mode="projective")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_horizon_and_step(self, bad):
+        with pytest.raises(InvalidConfig):
+            SimConfig(T=bad, dt=0.1)
+        with pytest.raises(InvalidConfig):
+            SimConfig(T=1.0, dt=bad)
+
+    @pytest.mark.parametrize("seed, index", [
+        (-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64), (2 ** 70, 3)])
+    def test_generator_key_out_of_range(self, seed, index):
+        with pytest.raises(InvalidConfig):
+            block_generator(seed, index)
+
+    def test_generator_key_edges(self):
+        top = 2 ** 64 - 1
+        assert block_generator(top, top).random() != block_generator(0, 0).random()
+
+
+class TestNonFiniteStates:
+    """A non-finite initial state fails before the generator is touched."""
+
+    def instance(self):
+        mu = DiscreteAtoms(2, [(np.array([0.3, 0.1]), 1.5)])
+        nu = DiscreteAtoms(2, [(np.array([0.2, 0.2]), 0.7)])
+        return make(d=2, c=(0.3, 0.3), beta=(0.2, 0.1),
+                    B=((-1.0, 0.2), (0.1, -0.8)), nu=nu, mu=(mu, mu))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_before_any_draw(self, bad):
+        p = self.instance()
+        der = derive(p)
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        good = np.array([[1.0, 0.5], [2.0, 1.0]])
+        worse = good.copy()
+        worse[1, 0] = bad
+        rng = block_generator(109, 0)
+        before = repr(rng.bit_generator.state)
+        calls = [
+            lambda: simulate_path(p, der, worse[1], cfg, rng),
+            lambda: simulate_block(p, der, worse, cfg, rng),
+            lambda: simulate_coupled_block(p, der, p.beta, worse, good + 1.0, cfg, rng),
+            lambda: simulate_coupled_block(p, der, p.beta, good, worse, cfg, rng),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionViolated, match="finite"):
+                call()
+            assert repr(rng.bit_generator.state) == before
+
 
 class TestDeterministicLimits:
     def test_constant_drift_is_exact(self):
@@ -295,7 +343,9 @@ class TestKernelBuffers:
     def test_path_is_row_of_one_path_block(self):
         p = self.instance()
         der = derive(p)
-        cfg = SimConfig(T=0.25, dt=2.0 ** -6, record_jumps=True)
+        # immigration alone expects 0.7 * 16 = 11.2 jumps: a path without
+        # any jump has probability below e^-11.2 < 2e-5 at every seed
+        cfg = SimConfig(T=16.0, dt=2.0 ** -6, record_jumps=True)
         path = simulate_path(p, der, [1.0, 0.5], cfg, block_generator(93, 0))
         final, full, _, events = simulate_block(p, der, [[1.0, 0.5]], cfg,
                                                 block_generator(93, 0), keep_full=True)
@@ -407,8 +457,11 @@ class TestSuperposedCounts:
             def __init__(self, rng):
                 self._rng = rng
 
+            def exponential(self, scale=1.0, size=None):
+                return np.zeros(size) if size is not None else 0.0
+
             def poisson(self, lam):
-                return 3
+                return 2
 
             def uniform(self, low, high, size=None):
                 return np.broadcast_to(np.asarray(high, dtype=float),
@@ -425,25 +478,31 @@ class TestSuperposedCounts:
 
 
 class CountingGenerator:
-    """Generator proxy that records the arguments of every poisson call."""
+    """Generator proxy that logs every poisson and exponential call in order:
+    (method, ndim of the parameter, size, mean or drawn gaps)."""
 
     def __init__(self, rng):
         self._rng = rng
-        self.poisson_calls = []
-        self.poisson_means = []
+        self.calls = []
 
     def poisson(self, lam=1.0, size=None):
-        self.poisson_calls.append((np.ndim(lam), size))
-        self.poisson_means.append(lam)
+        self.calls.append(("poisson", np.ndim(lam), size, lam))
         return self._rng.poisson(lam, size)
+
+    def exponential(self, scale=1.0, size=None):
+        gaps = self._rng.exponential(scale, size)
+        self.calls.append(("exponential", np.ndim(scale), size, gaps))
+        return gaps
 
     def __getattr__(self, item):
         return getattr(self._rng, item)
 
 
 class TestPoissonCallGuard:
-    """One scalar Poisson total per chunk for immigration, then per step one
-    per branching type with positive rate (here only type 1)."""
+    """One Exp(1) gap per branching type at the start (here only type 1);
+    then one scalar Poisson total per chunk for immigration, and one scalar
+    Poisson exactly on each step whose clock increment passes the carried
+    gap, followed by the new gap. Never an array-valued Poisson draw."""
 
     T, DT = 0.25, 2.0 ** -6   # 16 steps
 
@@ -458,23 +517,44 @@ class TestPoissonCallGuard:
     # per chunk once n * d reaches 2 ** 15
     CHUNKS = {1: [16], 7: [16], 300: [16], 1500: [10, 6], 20000: [1] * 16}
 
-    def check(self, rng, p, n):
+    def check(self, rng, p, n, stacks):
+        """Replay the gaps the kernel drew against the kept (k, n, d) stacks."""
         chunks = self.CHUNKS[n]
         assert sum(chunks) == round(self.T / self.DT)
         assert max(1, min(16, _CHUNK_VALUES // (2 * n))) == chunks[0]
-        assert rng.poisson_calls == [(0, None)] * (len(chunks) + sum(chunks))
-        rate = derive(p).immigration_rate
-        starts = np.cumsum([0] + [1 + m for m in chunks[:-1]])
-        assert [rng.poisson_means[i] for i in starts] == \
-            [n * rate * self.DT * m for m in chunks]
+        der = derive(p)
+        rate_dt = der.branching_rates[0] * self.DT
+        drawn = [v for name, _, _, v in rng.calls if name == "exponential"]
+        gap = float(drawn.pop(0)[0])
+        want = [("exponential", 0, 1)]
+        want_means = []
+        step = 0
+        for m in chunks:
+            want.append(("poisson", 0, None))
+            want_means.append(n * der.immigration_rate * self.DT * m)
+            for _ in range(m):
+                bound = np.maximum(stacks[step, :, :, 0].max(axis=0), 0.0)
+                clock = float(np.cumsum(bound)[-1]) * rate_dt
+                if gap >= clock:
+                    gap -= clock
+                else:
+                    want += [("poisson", 0, None), ("exponential", 0, None)]
+                    want_means.append(clock - gap)
+                    gap = drawn.pop(0)
+                step += 1
+        assert [call[:3] for call in rng.calls] == want
+        assert [lam for name, _, _, lam in rng.calls if name == "poisson"] \
+            == pytest.approx(want_means, rel=1e-12)
+        assert not drawn
 
     @pytest.mark.parametrize("n", [1, 7, 300, 1500, 20000])
     def test_block(self, n):
         p = self.instance()
         cfg = SimConfig(T=self.T, dt=self.DT)
         rng = CountingGenerator(block_generator(73, n))
-        simulate_block(p, derive(p), np.tile([1.0, 0.5], (n, 1)), cfg, rng)
-        self.check(rng, p, n)
+        _, full, _, _ = simulate_block(p, derive(p), np.tile([1.0, 0.5], (n, 1)), cfg,
+                                       rng, keep_full=True)
+        self.check(rng, p, n, full[:, None])
 
     @pytest.mark.parametrize("n", [1, 300, 1500, 20000])
     def test_coupled_block(self, n):
@@ -482,8 +562,102 @@ class TestPoissonCallGuard:
         cfg = SimConfig(T=self.T, dt=self.DT)
         rng = CountingGenerator(block_generator(79, n))
         x0 = np.tile([1.0, 0.5], (n, 1))
-        simulate_coupled_block(p, derive(p), p.beta + 0.5, x0, x0 + 0.1, cfg, rng)
-        self.check(rng, p, n)
+        _, _, _, full = simulate_coupled_block(p, derive(p), p.beta + 0.5, x0, x0 + 0.1,
+                                               cfg, rng, keep_full=True)
+        self.check(rng, p, n, np.moveaxis(full, 0, 1))
+
+
+class TestThinningMarks:
+    @pytest.mark.parametrize("bound", [
+        [0.0], [1.5], [0.0, 2.0, 0.0, 3e-300, 7.5, 7.5],
+        np.linspace(0.0, 4.0, 1000), np.zeros(64)])
+    def test_scaled_uniforms_are_array_uniforms(self, bound):
+        # uniform(0, high) is 0 + high * u from the same double: the kernel's
+        # cheaper random(n) * high gives the same marks and generator state
+        bound = np.asarray(bound, dtype=float)
+        a, b = block_generator(113, 0), block_generator(113, 0)
+        want = a.uniform(0.0, bound)
+        got = b.random(bound.size) * bound
+        assert np.array_equal(got, want)
+        assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+class ZeroGaps:
+    """Generator proxy whose every gap is exactly 0, so a branching type
+    fires on every step with a positive clock increment."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.poisson_calls = 0
+
+    def exponential(self, scale=1.0, size=None):
+        return np.zeros(size) if size is not None else 0.0
+
+    def poisson(self, lam=1.0, size=None):
+        self.poisson_calls += 1
+        return self._rng.poisson(lam, size)
+
+    def __getattr__(self, item):
+        return getattr(self._rng, item)
+
+
+def _branching_counts(events, n_steps, dt, d):
+    """(n_steps, d) branching events per step and type, over all paths."""
+    counts = np.zeros((n_steps, d), dtype=int)
+    for evs in events:
+        for ev in evs:
+            counts[round(ev.time / dt) - 1, ev.type_index] += 1
+    return counts
+
+
+class TestCarriedGaps:
+    def tiny_types(self, rate):
+        # tiny own-axis jumps at rate per unit state on both types
+        mu = tuple(DiscreteAtoms(2, [(np.eye(2)[j] * TINY, rate)]) for j in range(2))
+        return make(d=2, c=(0.0, 0.0), beta=(0.0, 0.0), B=((0.0, 0.0), (0.0, 0.0)),
+                    mu=mu)
+
+    def test_single_path_counts_iid_poisson(self):
+        # one path, two types with clock increments 0.75 and 0.05 per step
+        rate, dt = 4.0, 0.125
+        state = np.array([1.5, 0.1])
+        p = self.tiny_types(rate)
+        cfg = SimConfig(T=12_500.0, dt=dt, record_jumps=True)
+        path = simulate_path(p, derive(p), state, cfg, block_generator(103, 0))
+        assert np.array_equal(path.final, state)
+        steps = cfg.n_steps
+        assert steps >= 10 ** 5
+        counts = _branching_counts([path.jumps], steps, dt, 2)
+        for lam, c in zip(state * rate * dt, counts.T):
+            assert abs(c.mean() - lam) <= 4.0 * math.sqrt(lam / steps)
+            var_se = math.sqrt((lam + 2.0 * lam ** 2) / steps)
+            assert abs(c.var(ddof=1) - lam) <= 4.0 * var_se
+            # a carried gap must not correlate consecutive steps
+            r = np.corrcoef(c[:-1], c[1:])[0, 1]
+            assert abs(r) <= 4.0 / math.sqrt(steps)
+        r = np.corrcoef(counts[:, 0], counts[:, 1])[0, 1]
+        assert abs(r) <= 4.0 / math.sqrt(steps)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("states", [
+        [[1.0, 0.0]],
+        [[1.0, 0.0], [0.0, 0.0], [-0.5, -1e-3], [2.0, 0.0], [0.0, 0.0]],
+    ])
+    def test_zero_gap_never_fires_zero_bound(self, k, states):
+        # type 2 has zero bound everywhere, paths 2, 3 and 5 on type 1 too:
+        # a gap of exactly 0 must fire neither, and fires type 1 every step
+        p = self.tiny_types(2.0)
+        cfg = SimConfig(T=2.0, dt=0.125, record_jumps=True)
+        X = np.tile(np.asarray(states, dtype=float), (k, 1, 1))
+        rng = ZeroGaps(block_generator(107, k))
+        final, events = _euler(p, derive(p), X, np.zeros((k, 1, 2)), cfg, rng)
+        assert np.array_equal(final, X)
+        assert rng.poisson_calls == cfg.n_steps
+        positive = np.asarray(states)[:, 0] > 0.0
+        for owner, evs in enumerate(events):
+            assert all(ev.type_index == 0 for ev in evs)
+            if not positive[owner]:
+                assert not evs
 
 
 class TestChunkedImmigration:
