@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -78,34 +79,39 @@ def _csv_row(values):
     return ",".join(format_float(float(v)).strip('"') for v in values)
 
 
-def _time_cells(grid):
-    """The "%.17g," time cell that opens each row of a path file."""
-    return ["%.17g," % t for t in grid.tolist()]
+# The writers below fill one %-format per file. "%.17g" gives the bytes of
+# format_float, whose quoted infinities _csv_row strips to inf and -inf; NaN,
+# which format_float refuses, is rejected before formatting.
+
+def _path_template(grid, d):
+    """The %-format of a whole path file: the header, and per row its time
+    formatted once per command and d state cells."""
+    header = "t," + ",".join(f"x{i + 1}" for i in range(d)) + "\n"
+    row = ",%.17g" * d + "\n"
+    return header + "".join(["%.17g" % t + row for t in grid.tolist()])
 
 
-def _write_path_csv(times, states, out: Path):
-    # times from _time_cells, formatted once per command; one %-format of
-    # the states: the same "%.17g" bytes as format_float, whose quoted
-    # infinities _csv_row strips to inf and -inf
+def _write_path_csv(template, states, out: Path):
     if np.isnan(states).any():
         raise ValueError("cannot serialise NaN")
-    d = states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(d)) + "\n"
-    row = ",".join(["%.17g"] * d) + "\n"
-    body = "".join([t + row for t in times]) % tuple(states.ravel().tolist())
-    out.write_text(header + body)
+    out.write_text(template % tuple(states.ravel().tolist()))
 
 
 def _write_jump_csv(path_obj, out: Path, d: int):
-    header = "t,kind,type," + ",".join(f"z{i + 1}" for i in range(d)) + ",u"
-    lines = [header]
+    cells = ",%.17g" * d
+    rows = ["t,kind,type" + "".join(f",z{i + 1}" for i in range(d)) + ",u\n"]
+    values = []
     for ev in path_obj.jumps or ():
-        type_str = "" if ev.type_index is None else str(ev.type_index + 1)
-        u_str = "" if ev.u is None else format_float(ev.u).strip('"')
-        lines.append(",".join([
-            format_float(ev.time).strip('"'), ev.kind, type_str,
-            _csv_row(ev.size), u_str]))
-    out.write_text("\n".join(lines) + "\n")
+        values.append(ev.time)
+        values += ev.size.tolist()
+        if ev.type_index is None:
+            rows.append(f"%.17g,{ev.kind},{cells},\n")
+        else:
+            rows.append(f"%.17g,{ev.kind},{ev.type_index + 1}{cells},%.17g\n")
+            values.append(ev.u)
+    if any(math.isnan(v) for v in values):
+        raise ValueError("cannot serialise NaN")
+    out.write_text("".join(rows) % tuple(values))
 
 
 # --------------------------------------------------------------------------
@@ -165,11 +171,11 @@ def _cmd_simulate(opts) -> int:
     x0 = _vector(opts.x0)
     out_dir = Path(opts.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    times = _time_cells(cfg.grid())
+    template = _path_template(cfg.grid(), p.d)
     for k in range(opts.n):
         rng = block_generator(opts.seed, k)
         path_obj = simulate_path(p, der, x0, cfg, rng)
-        _write_path_csv(times, path_obj.states, out_dir / f"path_{k:05d}.csv")
+        _write_path_csv(template, path_obj.states, out_dir / f"path_{k:05d}.csv")
         if opts.record_jumps:
             _write_jump_csv(path_obj, out_dir / f"jumps_{k:05d}.csv", p.d)
     print(f"wrote {opts.n} path file(s) to {out_dir}")

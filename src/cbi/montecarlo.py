@@ -59,7 +59,11 @@ def _run_blocks(worker, blocks, threads):
 
 
 def _check_budget(n_paths, n_steps, budget):
-    if budget is not None and n_paths * n_steps > budget:
+    if budget is None:
+        return
+    if budget < 0:
+        raise InvalidConfig(f"budget must be non-negative, got {budget}")
+    if n_paths * n_steps > budget:
         raise BudgetExceeded(
             f"{n_paths} paths x {n_steps} steps exceeds the budget of {budget} path-steps")
 

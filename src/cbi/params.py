@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .errors import DimensionMismatch, InfiniteMass
+from .errors import DimensionMismatch, InfiniteMass, InvalidConfig
 from .measures import JumpMeasure, MomentKind
 
 DEFAULT_EPS_TRUNC = 1e-3
@@ -220,6 +220,8 @@ def _truncation_stats(m, d, eps):
 
 def derive(p: AdmissibleParams, eps_trunc: float = DEFAULT_EPS_TRUNC) -> DerivedParams:
     """Compute the modified drifts and the truncation caches for eps_trunc."""
+    if not 0.0 < eps_trunc <= 1.0:
+        raise InvalidConfig("eps_trunc must lie in (0, 1]")
     d = p.d
     beta_tilde = p.beta + measures.first_moment_vector(p.nu, measures.ALL, d)
 

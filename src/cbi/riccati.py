@@ -122,17 +122,37 @@ class RiccatiSolution:
         return float(self._eval(t)[-1])
 
 
+def _check_vector(name, value, d):
+    """value as a finite, componentwise non-negative float vector of length d."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != (d,):
+        raise ValueError(f"{name} must have shape ({d},)")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(value < 0):
+        raise ValueError(f"{name} must be componentwise non-negative")
+    return value
+
+
+def _check_time(name, t):
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative")
+
+
+def _check_tolerances(rtol, atol):
+    # the error norm divides by atol + rtol * |y|, and the psi accumulator
+    # starts at 0: atol = 0 would divide 0 by 0 there
+    if not (0.0 <= rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError("rtol must be finite and non-negative, atol finite and positive")
+
+
 def solve_v(p: AdmissibleParams, der: DerivedParams, lam, T: float,
             rtol: float = 1e-8, atol: float = 1e-10) -> RiccatiSolution:
     """Integrate dv/dt = -phi(v), v(0) = lam, with the psi accumulator."""
-    lam = np.asarray(lam, dtype=float)
     d = p.d
-    if lam.shape != (d,):
-        raise ValueError(f"lambda must have shape ({d},)")
-    if np.any(lam < 0):
-        raise ValueError("lambda must be componentwise non-negative")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    lam = _check_vector("lambda", lam, d)
+    _check_time("T", T)
+    _check_tolerances(rtol, atol)
 
     def rhs(y):
         v = np.maximum(y[:d], 0.0)  # stages may undershoot by roundoff
@@ -158,12 +178,15 @@ def solve_v(p: AdmissibleParams, der: DerivedParams, lam, T: float,
     K = np.empty((n_stages, d + 1))
     steps = 0
     clamp_threshold = 10.0 * atol
+    h_min = max(1e-14, 1e-13 * T)
 
     while t < T:
         if steps > _MAX_STEPS:
             raise StepSizeUnderflow(f"step budget exhausted at t={t}")
         h = min(h, T - t)
-        if h < max(1e-14, 1e-13 * T):
+        # a step cut to the rest of the span is never too small, so a
+        # horizon below h_min still takes its one step
+        if h < h_min and h < T - t:
             raise StepSizeUnderflow(f"step size underflow at t={t}")
         steps += 1
 
@@ -231,14 +254,16 @@ def laplace_grid(p: AdmissibleParams, der: DerivedParams, x, points,
 
     Each distinct lam is solved once, to its largest t; its earlier t read the
     dense output, which agrees with a solve to that t within the tolerances.
+    Every input is checked before the first solve.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_vector("x", x, p.d)
+    _check_tolerances(rtol, atol)
+    points = [(t, _check_vector("lambda", lam, p.d)) for t, lam in points]
+    for t, _ in points:
+        _check_time("t", t)
     out = np.empty(len(points))
     flows = {}   # lam bytes -> (lam, [(index, t), ...])
     for i, (t, lam) in enumerate(points):
-        lam = np.asarray(lam, dtype=float)
-        if t < 0:
-            raise ValueError("t must be non-negative")
         if t == 0.0:
             out[i] = math.exp(-float(x @ lam))
         elif not np.any(lam):

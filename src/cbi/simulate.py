@@ -34,10 +34,19 @@ per cell, and a carried gap gives each step a Poisson count independent of
 the others, so neither changes the law. A fixed Generator state thus
 reproduces paths bit-for-bit; counter-based substreams for block-parallel
 runs live in :func:`block_generator`.
+
+A single path, as ``cbi simulate`` writes them, is held as d Python floats
+and advanced by a straight-line step generated once per dimension
+(:func:`_float_step`): on a length-d row, numpy's cost per call exceeds the
+step's arithmetic several times over. Its draws, jumps and event log are the
+kernel's one code; only the rounding of the drift's dot product differs from
+the array form, by a few ulps.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +180,49 @@ def _immigration_draw(rng, parts, mean, m, n):
             for step, lo, hi in zip(busy.tolist(), starts.tolist(), ends)}
 
 
+@functools.lru_cache(maxsize=None)
+def _float_step(d, diffusion):
+    """Factory of the Euler step of one path held as d Python floats.
+
+    make(a0_0, ..., a{d-1}_{d-1}, b0, ..., b{d-1}) binds the entries of
+    A = dt * drift_matrix.T, row by row, and of b = dt * beta, and returns
+    step(x, z) (step(x) without diffusion). From the list x it takes the
+    left-endpoint part p_i = max(x_i, 0), which keeps NaN and maps -0.0 to
+    0.0 as np.maximum does, and returns the next state
+    ((sum_j p_j * A_ji + b_i) + x_i) + sqrt(p_i) * z_i, summed in the array
+    step's order, as a new list together with the tuple p. The source is
+    generated from d and diffusion only, as dataclasses generates __init__;
+    the numbers enter as closure values.
+    """
+    ix = range(d)
+    names = [f"a{j}_{i}" for j in ix for i in ix] + [f"b{i}" for i in ix]
+    xs, ps = ("".join(f"{v}{i}, " for i in ix) for v in "xp")
+    lines = [f"def make({', '.join(names)}):",
+             f"    def step(x{', z' if diffusion else ''}):",
+             f"        {xs}= x"]
+    if diffusion:
+        lines.append(f"        {''.join(f'z{i}, ' for i in ix)}= z")
+    lines += [f"        p{i} = x{i} if x{i} > 0.0 or x{i} != x{i} else 0.0" for i in ix]
+    new = []
+    for i in ix:
+        dot = " + ".join(f"p{j} * a{j}_{i}" for j in ix)
+        new.append(f"((({dot}) + b{i}) + x{i})"
+                   + (f" + sqrt(p{i}) * z{i}" if diffusion else ""))
+    lines += [f"        return [{', '.join(new)}], ({ps})",
+              "    return step"]
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n", f"<Euler step d={d}>", "exec"),
+         {"sqrt": math.sqrt}, namespace)
+    return namespace["make"]
+
+
+def _add_floats(x, sizes):
+    """Add the rows of sizes to the float state x, in draw order."""
+    for z in sizes.tolist():
+        for i, v in enumerate(z):
+            x[i] += v
+
+
 def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
     """Euler steps of a stack of k block states, shape (k, n, d), sharing all noise.
 
@@ -193,14 +245,23 @@ def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
     _CHUNK_VALUES normals the Gaussian increments and the immigration
     arrivals; per step, only for a type that fires, its Poisson count, its
     new gap, then the owners (n > 1), sizes and marks (k = 2 or jumps
-    recorded). Buffers are allocated once per call, the stack is worked on
-    as (k * n, d) rows and the drift, the diffusion and the jumps are added
-    in place. Without out, the state and the next state swap after every
-    step; with out, shape (n_steps + 1, k, n, d) and C-contiguous in its
-    last three axes, step s writes straight into out[s]. observe(step, X),
-    when given, sees the stack at step 0 and after every step; the array it
-    gets is overwritten by a later step, so an observer copies whatever it
-    keeps. Returns the final stack (never a view of out) and, with
+    recorded).
+
+    The state has two representations; the draws, the jumps and the event
+    log above are the same code for both. A single path (k * n = 1) is a
+    list of d Python floats advanced by the step :func:`_float_step`
+    generates for d: a numpy call on a length-d row costs more than the
+    step's whole arithmetic, so this lane makes none per step, and with out
+    it keeps the rows in a list that fills out once at the end. Otherwise
+    buffers are allocated once per call, the stack is worked on as
+    (k * n, d) rows and the drift, the diffusion and the jumps are added in
+    place; without out, the state and the next state swap after every step;
+    with out, shape (n_steps + 1, k, n, d) and C-contiguous in its last three
+    axes, step s writes straight into out[s]. The two lanes differ only in
+    the rounding of the drift's dot product. observe(step, X), when given,
+    sees the (k, n, d) stack at step 0 and after every step; the array it
+    gets may be overwritten by a later step, so an observer copies whatever
+    it keeps. Returns the final stack (never a view of out) and, with
     cfg.record_jumps, per-path JumpEvent lists of state 0.
     """
     der = _matched_derived(p, der, cfg)
@@ -215,36 +276,49 @@ def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
                  for j, parts in enumerate(mu_parts) if parts]
     gaps = rng.exponential(size=len(branching)).tolist() if branching else []
     # dt folded into contiguous constants: a product with the transposed view
-    # runs three times slower; beta_dt and sig are spelled out to the full
-    # shape, because broadcasting a length-d row runs numpy's inner loop over
-    # d elements at a time, ten times slower
+    # runs three times slower
     drift_dt = np.ascontiguousarray(dt * der.drift_matrix.T)
-    beta_dt = np.broadcast_to(dt * beta, (k, n, d)).copy().reshape(k * n, d)
     use_diffusion = bool(np.any(p.c > 0))
     chunk = max(1, min(n_steps, _CHUNK_VALUES // (n * d)))
     if use_diffusion:
-        sig = np.broadcast_to(np.sqrt(2.0 * p.c * dt), (n, d)).copy()
+        sig = np.sqrt(2.0 * p.c * dt)
         z = np.empty((chunk, n, d))
-    if out is None:
-        X = np.array(X, dtype=float, order="C").reshape(k * n, d)
-        swap = (X, np.empty_like(X))
-    else:
-        out[0] = X
-        rows = list(out.reshape(n_steps + 1, k * n, d))
-        X = rows[0]
-    Xp = np.empty_like(X)
-    Xp3 = Xp.reshape(k, n, d)
-    # a zero array and same-shape operands skip numpy's scalar conversion and
-    # broadcasting set-up, which dominate an operation on one path
-    zero = np.zeros_like(X)
-    if use_diffusion:
-        noise = np.empty_like(X)
-        # the stack's states share each step's normals
-        noise_k = noise if k == 1 else noise.reshape(k, n, d)
     clamp = cfg.positivity_mode == "clamp"
     events = tuple([] for _ in range(n)) if cfg.record_jumps else None
-    if observe is not None:
-        observe(0, X.reshape(k, n, d))
+    floats = k * n == 1
+    if floats:
+        advance = _float_step(d, use_diffusion)(
+            *drift_dt.ravel().tolist(), *(dt * beta).ravel().tolist())
+        x = np.asarray(X, dtype=float).ravel().tolist()
+        # the rows, flat: numpy converts a flat list three times faster
+        kept = list(x) if out is not None else None
+        if observe is not None:
+            observe(0, np.array(x).reshape(1, 1, d))
+    else:
+        # beta_dt and sig are spelled out to the full shape, because
+        # broadcasting a length-d row runs numpy's inner loop over d elements
+        # at a time, ten times slower
+        beta_dt = np.broadcast_to(dt * beta, (k, n, d)).copy().reshape(k * n, d)
+        if use_diffusion:
+            sig = np.broadcast_to(sig, (n, d)).copy()
+        if out is None:
+            X = np.array(X, dtype=float, order="C").reshape(k * n, d)
+            swap = (X, np.empty_like(X))
+        else:
+            out[0] = X
+            rows = list(out.reshape(n_steps + 1, k * n, d))
+            X = rows[0]
+        Xp = np.empty_like(X)
+        Xp3 = Xp.reshape(k, n, d)
+        # a zero array and same-shape operands skip numpy's scalar conversion
+        # and broadcasting set-up, which dominate an operation on few paths
+        zero = np.zeros_like(X)
+        if use_diffusion:
+            noise = np.empty_like(X)
+            # the stack's states share each step's normals
+            noise_k = noise if k == 1 else noise.reshape(k, n, d)
+        if observe is not None:
+            observe(0, X.reshape(k, n, d))
 
     for first in range(0, n_steps, chunk):
         m = min(chunk, n_steps - first)
@@ -252,7 +326,7 @@ def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
             zc = z[:m]
             rng.standard_normal(out=zc)
             zc *= sig
-            zrows = list(zc)
+            zrows = zc.reshape(m, d).tolist() if floats else list(zc)
         arrivals = {}
         if nu_parts:
             arrivals = _immigration_draw(
@@ -260,28 +334,35 @@ def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
 
         for i in range(m):
             step = first + i
-            X_new = swap[(step + 1) & 1] if out is None else rows[step + 1]
-            np.maximum(X, zero, out=Xp)
-            np.dot(Xp, drift_dt, out=X_new)
-            X_new += beta_dt
-            X_new += X
-            if use_diffusion:
-                np.sqrt(Xp, out=noise)
-                noise_k *= zrows[i]
-                X_new += noise
+            if floats:
+                # the bounds of all types are the left-endpoint floats
+                x, bounds = advance(x, zrows[i]) if use_diffusion else advance(x)
+            else:
+                X_new = swap[(step + 1) & 1] if out is None else rows[step + 1]
+                np.maximum(X, zero, out=Xp)
+                np.dot(Xp, drift_dt, out=X_new)
+                X_new += beta_dt
+                X_new += X
+                if use_diffusion:
+                    np.sqrt(Xp, out=noise)
+                    noise_k *= zrows[i]
+                    X_new += noise
+                X3 = X_new.reshape(k, n, d)
+                if branching and n == 1:
+                    # the coupled pair of one path: the bounds as floats
+                    bounds = Xp.max(axis=0).tolist()
 
             if i in arrivals:
                 owners, sizes = arrivals[i]
-                X3 = X_new.reshape(k, n, d)
-                for s in range(k):
-                    np.add.at(X3[s], owners, sizes)
+                if floats:
+                    _add_floats(x, sizes)
+                else:
+                    for s in range(k):
+                        np.add.at(X3[s], owners, sizes)
                 if events is not None:
                     _log(events, (step + 1) * dt, "immigration", None,
                          owners, sizes, None)
 
-            if branching and n == 1:
-                # one path: the bounds of all types as floats in one go
-                bounds = Xp.tolist()[0] if k == 1 else Xp.max(axis=0).tolist()
             for b, (j, parts, rate_dt) in enumerate(branching):
                 if n == 1:
                     top = bounds[j]
@@ -306,10 +387,11 @@ def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
                 marks = None
                 if k > 1 or events is not None:
                     marks = rng.random(total) * owner_bound
-                X3 = X_new.reshape(k, n, d)
-                if k == 1:
-                    np.add.at(X3[0], owners, sizes)
-                    acc0 = slice(None)
+                acc0 = slice(None)
+                if floats:
+                    _add_floats(x, sizes)
+                elif k == 1:
+                    np.add.at(X_new, owners, sizes)
                 else:
                     # nonzero lists state 0's acceptances before state 1's
                     acc = marks <= Xp3[:, owners, j]
@@ -320,12 +402,24 @@ def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
                     _log(events, (step + 1) * dt, "branching", j, owners[acc0],
                          sizes[acc0], marks[acc0])
 
+            if floats:
+                if clamp:
+                    x = [v if v > 0.0 or v != v else 0.0 for v in x]
+                if kept is not None:
+                    kept += x
+                if observe is not None:
+                    observe(step + 1, np.array(x).reshape(1, 1, d))
+                continue
             if clamp:
                 np.maximum(X_new, zero, out=X_new)
             X = X_new
             if observe is not None:
-                observe(step + 1, X.reshape(k, n, d))
+                observe(step + 1, X3)
 
+    if floats:
+        if out is not None:
+            out[...] = np.array(kept).reshape(out.shape)
+        return np.array(x).reshape(1, 1, d), events
     X = X.reshape(k, n, d)
     return (X if out is None else X.copy()), events
 

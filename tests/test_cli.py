@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cbi.cli import _time_cells, _write_path_csv, main
-from cbi.config import format_float, parse_float
-from cbi.simulate import Path
+from cbi.cli import _path_template, _write_jump_csv, _write_path_csv, main
+from cbi.config import dumps_canonical, format_float, params_to_json, parse_float
+from cbi.scenarios import load_scenario
+from cbi.simulate import JumpEvent, Path
 
 CIR = {
     "d": 1, "c": [1.0], "beta": [1.0], "B": [[-1.0]], "nu": None, "mu": [None],
@@ -128,6 +129,13 @@ class TestScalarCommands:
         assert main(["laplace", path, "--x", "1,1", "--lam", "1,1", "--t", "1"]) == 3
         assert "admissibility failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["5", "1.0000001", "0", "-1e-3", "nan", "inf"])
+    def test_derive_eps_out_of_range_exit_two(self, eps, cir_file, capsys):
+        assert main(["derive", cir_file, f"--eps={eps}"]) == 2
+        captured = capsys.readouterr()
+        assert "schema error: InvalidConfig: eps_trunc must lie in (0, 1]" in captured.err
+        assert not captured.out
+
     def test_derive_round_trip(self, tmp_path, capsys):
         nu = {"family": "discrete", "atoms": [{"z": [0.3], "w": 0.7}]}
         obj = dict(CIR, nu=nu)
@@ -223,14 +231,115 @@ class TestPathCsv:
         states.flat[:len(self.SPECIAL)] = self.SPECIAL[:states.size]
         path_obj = Path(grid=np.linspace(0.0, 1.0, 40), states=states)
         out = tmp_path / "path.csv"
-        _write_path_csv(_time_cells(path_obj.grid), states, out)
+        _write_path_csv(_path_template(path_obj.grid, d), states, out)
         assert out.read_text() == reference_path_csv(path_obj)
 
     def test_nan_rejected(self, tmp_path):
         states = np.array([[1.0, 2.0], [float("nan"), 0.5]])
         with pytest.raises(ValueError):
-            _write_path_csv(_time_cells(np.array([0.0, 0.5])), states,
+            _write_path_csv(_path_template(np.array([0.0, 0.5]), 2), states,
                             tmp_path / "nan.csv")
+
+
+def reference_jump_csv(path_obj, d) -> str:
+    """The jump file written one format_float call per value."""
+    lines = ["t,kind,type," + ",".join(f"z{i + 1}" for i in range(d)) + ",u"]
+    for ev in path_obj.jumps:
+        cells = [format_float(v).strip('"') for v in [ev.time, *ev.size.tolist()]]
+        lines.append(",".join([
+            cells[0], ev.kind, "" if ev.type_index is None else str(ev.type_index + 1),
+            *cells[1:], "" if ev.u is None else format_float(ev.u).strip('"')]))
+    return "\n".join(lines) + "\n"
+
+
+class TestJumpCsv:
+    SPECIAL = TestPathCsv.SPECIAL
+
+    def jumps(self, d, values):
+        values = iter(values)
+        events = []
+        for k in range(12):
+            branching = k % 3 != 0
+            events.append(JumpEvent(
+                time=next(values), kind="branching" if branching else "immigration",
+                type_index=k % d if branching else None,
+                size=np.array([next(values) for _ in range(d)]),
+                u=next(values) if branching else None, size_class="large"))
+        return Path(grid=np.linspace(0.0, 1.0, 3), states=np.zeros((3, d)),
+                    jumps=tuple(events))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_per_value_writer(self, d, tmp_path):
+        rng = np.random.default_rng(10 + d)
+        values = rng.standard_normal(12 * (d + 2)) * 10.0 ** rng.uniform(-300, 300, 12 * (d + 2))
+        values[:len(self.SPECIAL)] = self.SPECIAL
+        path_obj = self.jumps(d, values.tolist())
+        out = tmp_path / "jumps.csv"
+        _write_jump_csv(path_obj, out, d)
+        assert out.read_text() == reference_jump_csv(path_obj, d)
+
+    def test_no_jumps(self, tmp_path):
+        out = tmp_path / "jumps.csv"
+        _write_jump_csv(Path(grid=np.zeros(1), states=np.zeros((1, 2)), jumps=()), out, 2)
+        assert out.read_text() == "t,kind,type,z1,z2,u\n"
+
+    @pytest.mark.parametrize("where", [0, 1, 3])
+    def test_nan_rejected(self, where, tmp_path):
+        # a NaN time, size or mark
+        values = [0.5] * 60
+        values[where] = float("nan")
+        out = tmp_path / "nan.csv"
+        with pytest.raises(ValueError, match="NaN"):
+            _write_jump_csv(self.jumps(2, values), out, 2)
+        assert not out.exists()
+
+
+@pytest.fixture
+def s3_file(tmp_path):
+    path = tmp_path / "S3-params.json"
+    path.write_text(dumps_canonical(params_to_json(load_scenario("S3").params)))
+    return str(path)
+
+
+class TestLaplaceInputs:
+    """Inputs the Riccati flow cannot honour exit 2 before it integrates."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--t", "inf", "t must be finite and non-negative"),
+        ("--t", "nan", "t must be finite and non-negative"),
+        ("--t", "-1", "t must be finite and non-negative"),
+        ("--lam", "1,nan", "lambda must be finite"),
+        ("--lam", "1,-0.5", "lambda must be componentwise non-negative"),
+        ("--lam", "1", "lambda must have shape (2,)"),
+        ("--x", "4,nan", "x must be finite"),
+        ("--x", "-4,0.4", "x must be componentwise non-negative"),
+        ("--x", "4", "x must have shape (2,)"),
+        ("--rtol", "-1", "rtol must be finite and non-negative"),
+        ("--rtol", "nan", "rtol must be finite and non-negative"),
+        ("--atol", "0", "atol finite and positive"),
+        ("--atol", "inf", "atol finite and positive"),
+    ])
+    def test_exit_two(self, flag, value, message, s3_file, capsys):
+        args = {"--x": "4,0.4", "--lam": "1,0.5", "--t": "1", flag: value}
+        assert main(["laplace", s3_file, *(f"{k}={v}" for k, v in args.items())]) == 2
+        captured = capsys.readouterr()
+        assert "schema error: ValueError" in captured.err and message in captured.err
+        assert not captured.out
+
+    def test_both_tolerances_zero_exit_two(self, s3_file, capsys):
+        assert main(["laplace", s3_file, "--x", "4,0.4", "--lam", "1,0.5", "--t", "1",
+                     "--rtol", "0", "--atol", "0"]) == 2
+        assert "schema error: ValueError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ["1e-300", "5e-324", "1e-15"])
+    def test_horizon_below_smallest_step(self, t, s3_file, capsys):
+        # one step of length t, cut to the span: the value is e^{-<x, lam>}
+        # to within t times the flow's speed
+        assert main(["laplace", s3_file, "--x", "4,0.4", "--lam", "1,0.5",
+                     "--t", t]) == 0
+        value = float(capsys.readouterr().out)
+        assert 0.0 < value <= 1.0
+        assert value == pytest.approx(math.exp(-4.2), rel=1e-12)
 
 
 class TestVerifyCommand:
@@ -300,6 +409,11 @@ class TestVerifyCommand:
         scen = tiny_scenario(tmp_path, cir_file, **overrides)
         assert main(["verify", check, "--scenario", scen]) == 2
         assert "schema error: InvalidConfig" in capsys.readouterr().err
+
+    def test_negative_budget_exit_two(self, capsys):
+        assert main(["verify", "mean", "--scenario", "S3", "--budget", "-5"]) == 2
+        assert "schema error: InvalidConfig: budget must be non-negative" \
+            in capsys.readouterr().err
 
     def test_budget_exceeded_exit_four(self, tmp_path, cir_file, capsys):
         scen = tiny_scenario(tmp_path, cir_file)

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cbi.errors import InvalidConfig, PreconditionViolated
 from cbi.measures import ALL, DiscreteAtoms, MeasureSum, TemperedPowerLawAxis, above
 from cbi.moments import mean
 from cbi.params import AdmissibleParams, derive
+from cbi.scenarios import load_scenario
 from cbi.simulate import (
-    _CHUNK_VALUES, COMPARISON_SLACK, CoupledStats, SimConfig, _euler, block_generator,
-    simulate_block, simulate_coupled, simulate_coupled_block, simulate_path,
+    _CHUNK_VALUES, COMPARISON_SLACK, CoupledStats, SimConfig, _euler, _float_step,
+    block_generator, simulate_block, simulate_coupled, simulate_coupled_block,
+    simulate_path,
 )
 
 
@@ -686,3 +689,159 @@ class TestChunkedImmigration:
             k = min(len(before), len(after))
             r = np.corrcoef(before[:k].ravel(), after[:k].ravel())[0, 1]
             assert abs(r) <= 4.0 / math.sqrt(before[:k].size)
+
+
+def array_step(x, z, A, b):
+    """The array lane's step on one row, statement by statement, with its
+    dot product summed left to right; returns (next state, max(x, 0))."""
+    X = np.array([x], dtype=float)
+    with np.errstate(all="ignore"):
+        Xp = np.maximum(X, np.zeros_like(X))
+        new = Xp[:, 0:1] * A[0]
+        for j in range(1, len(x)):
+            new = new + Xp[:, j:j + 1] * A[j]
+        new += b
+        new += X
+        if z is not None:
+            noise = np.sqrt(Xp)
+            noise *= np.array([z])
+            new += noise
+    return new[0], Xp[0]
+
+
+def any_floats(d):
+    return st.lists(st.floats(), min_size=d, max_size=d)
+
+
+@st.composite
+def step_inputs(draw):
+    d = draw(st.integers(1, 5))
+    coefficient = st.floats(allow_nan=False, allow_infinity=False)
+    A = draw(st.lists(coefficient, min_size=d * d, max_size=d * d))
+    b = draw(st.lists(coefficient, min_size=d, max_size=d))
+    z = draw(st.none() | any_floats(d))
+    return draw(any_floats(d)), z, A, b
+
+
+class TestFloatLane:
+    """A single path runs on Python floats through a generated step; a
+    coupled pair of two equal states runs the array lane on the same draws
+    (its marks never reject: each is below the shared bound), so the two
+    representations can be compared path for path."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(step_inputs())
+    # cancellation: (-1e16 + 1) + 1e16 is 0, (-1e16 + 1e16) + 1 is 1
+    @example(([1e16], [0.0], [-1.0], [1.0]))
+    @example(([math.nan, -0.0, 2.0], [1.0, -1.0, 0.5], [1.0] * 9, [0.0, -0.0, 1.0]))
+    def test_generated_step_is_array_step(self, inputs):
+        x, z, A, b = inputs
+        d = len(x)
+        step = _float_step(d, z is not None)(*A, *b)
+        got, bounds = step(list(x), z) if z is not None else step(list(x))
+        want, want_bounds = array_step(x, z, np.reshape(A, (d, d)), np.array(b))
+        # the bounds are np.maximum's, signed zeros included
+        assert np.array_equal(bounds, want_bounds, equal_nan=True)
+        assert np.array_equal(np.signbit(bounds), np.signbit(want_bounds))
+        got = np.array(got)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.all(np.isnan(got)[np.isnan(x)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            close = (got == want) | (np.abs(got - want) <= np.spacing(np.abs(want)))
+        assert np.all(close | np.isnan(want))
+
+    def test_one_step_source_per_dimension(self):
+        assert _float_step(2, True) is _float_step(2, True)
+        assert _float_step(2, True) is not _float_step(2, False)
+        assert _float_step(3, True)(*range(12)) is not _float_step(3, True)(*range(12))
+
+    @staticmethod
+    def run(p, x0, cfg, rng, k):
+        """One path through the kernel as k equal states: k = 1 is the
+        float lane, k = 2 the array lane. Returns its rows and jump log."""
+        rows = []
+        X = np.tile(np.asarray(x0, dtype=float), (k, 1, 1))
+        final, events = _euler(p, derive(p, cfg.eps_trunc), X,
+                               np.tile(p.beta, (k, 1, 1)), cfg, rng,
+                               lambda step, stack: rows.append(stack[0, 0].copy()))
+        assert np.array_equal(final[0, 0], rows[-1])
+        return np.array(rows), events[0]
+
+    @pytest.mark.parametrize("mode", ["raw", "clamp"])
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
+    def test_both_representations_agree(self, name, mode):
+        s = load_scenario(name)
+        cfg = SimConfig(T=s.t, dt=s.dt, eps_trunc=s.eps_trunc, positivity_mode=mode,
+                        record_jumps=True)
+        floats, float_jumps = self.run(s.params, s.x0, cfg, block_generator(s.seed, 0), 1)
+        arrays, array_jumps = self.run(s.params, s.x0, cfg, block_generator(s.seed, 0), 2)
+        assert len(floats) == cfg.n_steps + 1
+        assert np.all(np.abs(floats - arrays) <= 1e-14 * np.maximum(1.0, np.abs(arrays)))
+        if mode == "clamp":
+            assert np.all(floats >= 0.0)
+
+        def log(events):
+            return [(e.time, e.kind, e.type_index, e.size.tolist(), e.size_class)
+                    for e in events]
+
+        assert log(float_jumps) == log(array_jumps)
+        assert [e.u for e in float_jumps] == pytest.approx(
+            [e.u for e in array_jumps], rel=1e-14, abs=0)
+
+    def test_same_generator_calls_as_array_lane(self):
+        p = load_scenario("S3").params
+        cfg = SimConfig(T=1.0, dt=2.0 ** -8, record_jumps=True)
+        calls = []
+        for k in (1, 2):
+            rng = RecordingGenerator(block_generator(211, 0))
+            self.run(p, [4.0, 0.4], cfg, rng, k)
+            calls.append(rng.calls)
+        # the same draws with the same sizes; a Poisson mean is a clock
+        # increment less a gap, both of order one, and the clock scales by
+        # the state, which the lanes round apart by a few ulps
+        assert [(name, args) for name, args, _ in calls[0]] \
+            == [(name, args) for name, args, _ in calls[1]]
+        means = [[m for _, _, m in c] for c in calls]
+        assert means[0] == pytest.approx(means[1], rel=0, abs=1e-14)
+        assert any(name == "poisson" for name, _, _ in calls[0])
+
+    def test_one_path_block_snapshots_are_path_rows(self):
+        s = load_scenario("S3")
+        der = derive(s.params, s.eps_trunc)
+        cfg = SimConfig(T=s.t, dt=s.dt, eps_trunc=s.eps_trunc)
+        wanted = (0, 1, 17, 128, cfg.n_steps)
+        final, full, snaps, _ = simulate_block(s.params, der, [s.x0], cfg,
+                                               block_generator(5, 3), snapshot_steps=wanted)
+        path = simulate_path(s.params, der, s.x0, cfg, block_generator(5, 3))
+        assert full is None and sorted(snaps) == list(wanted)
+        for step in wanted:
+            assert snaps[step].shape == (1, 2)
+            assert np.array_equal(snaps[step][0], path.states[step])
+        assert np.array_equal(final[0], path.final)
+
+
+class RecordingGenerator:
+    """Generator proxy that logs every draw as (name, arguments, mean): the
+    arguments with arrays shown by shape, a float argument (a Poisson mean)
+    apart as the mean."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            shown, mean = [], None
+            for a in [*args, *(v for _, v in sorted(kwargs.items()))]:
+                if isinstance(a, np.ndarray):
+                    shown.append(a.shape)
+                elif isinstance(a, float):
+                    mean = a
+                else:
+                    shown.append(a)
+            self.calls.append((name, shown + sorted(kwargs), mean))
+            return method(*args, **kwargs)
+
+        return record
