@@ -16,12 +16,11 @@ from cbi.simulate import SimConfig, block_generator, simulate_coupled
 
 s3 = load_scenario("S3")
 p = s3.params
-der = s3.derived()
 
 # One coupled pair, beta' = beta + (1, 1): the gap opens and stays positive.
 cfg = SimConfig(T=1.0, dt=2.0 ** -10)
 lower, upper = simulate_coupled(
-    p, der, p.beta + np.array([1.0, 1.0]), [2.0, 1.0], [2.0, 1.0], cfg,
+    p, p.beta + np.array([1.0, 1.0]), [2.0, 1.0], [2.0, 1.0], cfg,
     block_generator(seed=31415, block_index=0))
 gap = upper.states - lower.states
 print("final gap:", gap[-1])

@@ -19,7 +19,7 @@ from .measures import (
 from .moments import mean
 from .montecarlo import (
     McEstimate, VerifyReport, estimate_laplace_grid, estimate_mean,
-    mean_error_halving_ratio, verify_comparison, verify_laplace, verify_mean,
+    verify_comparison, verify_laplace, verify_mean,
 )
 from .params import (
     AdmissibleParams, Check, DerivedParams, ValidationReport, derive, validate,

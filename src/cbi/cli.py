@@ -143,9 +143,8 @@ def _cmd_derive(opts) -> int:
 def _cmd_laplace(opts) -> int:
     p = _load_params(opts.params)
     _require_admissible(p)
-    der = derive(p)
     x, lam = _vector(opts.x), _vector(opts.lam)
-    value = riccati.laplace_transform(p, der, x, lam, opts.t,
+    value = riccati.laplace_transform(p, x, lam, opts.t,
                                       rtol=opts.rtol, atol=opts.atol)
     print(format_float(value))
     return EXIT_PASS
@@ -154,8 +153,7 @@ def _cmd_laplace(opts) -> int:
 def _cmd_mean(opts) -> int:
     p = _load_params(opts.params)
     _require_admissible(p)
-    der = derive(p)
-    value = moments.mean(p, der, _vector(opts.m0), opts.t)
+    value = moments.mean(p, _vector(opts.m0), opts.t)
     print(_csv_row(value))
     return EXIT_PASS
 
@@ -167,14 +165,13 @@ def _cmd_simulate(opts) -> int:
     _require_admissible(p)
     cfg = SimConfig(T=opts.T, dt=opts.dt, eps_trunc=opts.eps,
                     positivity_mode=opts.positivity, record_jumps=opts.record_jumps)
-    der = derive(p, eps_trunc=opts.eps)
     x0 = _vector(opts.x0)
     out_dir = Path(opts.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     template = _path_template(cfg.grid(), p.d)
     for k in range(opts.n):
         rng = block_generator(opts.seed, k)
-        path_obj = simulate_path(p, der, x0, cfg, rng)
+        path_obj = simulate_path(p, x0, cfg, rng)
         _write_path_csv(template, path_obj.states, out_dir / f"path_{k:05d}.csv")
         if opts.record_jumps:
             _write_jump_csv(path_obj, out_dir / f"jumps_{k:05d}.csv", p.d)

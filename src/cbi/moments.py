@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .params import AdmissibleParams, DerivedParams
+from .params import AdmissibleParams, derive
 
 # scaling-and-squaring stays accurate well past this; guard the absurd
 _NORM_LIMIT = 500.0
@@ -31,7 +31,7 @@ def integrated_expm(A, t: float):
     return full[:d, :d], full[:d, d:]
 
 
-def mean(p: AdmissibleParams, der: DerivedParams, m0, t: float):
+def mean(p: AdmissibleParams, m0, t: float):
     """E[X_t] given E[X_0] = m0."""
     m0 = np.asarray(m0, dtype=float)
     if m0.shape != (p.d,):
@@ -42,6 +42,8 @@ def mean(p: AdmissibleParams, der: DerivedParams, m0, t: float):
         raise ValueError("t must be finite and non-negative")
     if t == 0.0:
         return m0.copy()
+    # beta_tilde and B_tilde do not depend on the cutoff
+    der = derive(p)
     if t * np.linalg.norm(der.B_tilde, 1) > _NORM_LIMIT:
         raise OverflowError("||t B_tilde|| too large for a reliable matrix exponential")
     propagator, integral = integrated_expm(der.B_tilde, t)

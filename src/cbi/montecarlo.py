@@ -23,7 +23,7 @@ import numpy as np
 
 from . import moments, riccati
 from .errors import BudgetExceeded, InvalidConfig
-from .params import AdmissibleParams, DerivedParams, derive
+from .params import AdmissibleParams, derive
 from .simulate import (
     SimConfig, _check_x0, block_generator, simulate_block, simulate_coupled_block,
 )
@@ -163,7 +163,7 @@ def _zscores(err, stderr, allowance):
     return z
 
 
-def _estimate(p, x0, times, statistic, n_paths, cfg, seed, der, threads, budget):
+def _estimate(p, x0, times, statistic, n_paths, cfg, seed, threads, budget):
     """Sample means and standard errors of statistic(snapshots) over paths.
 
     statistic maps a block's (count, d) states at each of times (non-negative
@@ -186,13 +186,12 @@ def _estimate(p, x0, times, statistic, n_paths, cfg, seed, der, threads, budget)
     run_cfg = SimConfig(T=max(times), dt=cfg.dt, eps_trunc=cfg.eps_trunc,
                         positivity_mode=cfg.positivity_mode)
     _check_budget(n_paths, run_cfg.n_steps, budget)
-    der = der if der is not None and der.eps_trunc == cfg.eps_trunc \
-        else derive(p, eps_trunc=cfg.eps_trunc)
+    derive(p, cfg.eps_trunc)   # once, before the blocks share it
 
     def worker(index, count):
         rng = block_generator(seed, index)
         _, _, snapshots, _ = simulate_block(
-            p, der, np.tile(x0, (count, 1)), run_cfg, rng, snapshot_steps=steps)
+            p, np.tile(x0, (count, 1)), run_cfg, rng, snapshot_steps=steps)
         return _block_moments(statistic([snapshots[k] for k in steps]))
 
     partials = _run_blocks(worker, _blocks(n_paths), resolve_threads(threads))
@@ -200,16 +199,15 @@ def _estimate(p, x0, times, statistic, n_paths, cfg, seed, der, threads, budget)
 
 
 def estimate_mean(p: AdmissibleParams, x0, t: float, n_paths: int,
-                  cfg: SimConfig, seed: int, der: DerivedParams | None = None,
-                  threads=None, budget=None) -> McEstimate:
+                  cfg: SimConfig, seed: int, threads=None, budget=None) -> McEstimate:
     """Sample mean and standard error of X_t over independent paths."""
     value, stderr = _estimate(p, x0, [t], lambda snaps: snaps[0], n_paths, cfg,
-                              seed, der, threads, budget)
+                              seed, threads, budget)
     return McEstimate(value, stderr, n_paths, cfg.dt, seed)
 
 
-def estimate_laplace_grid(p, x0, points, n_paths, cfg, seed, der=None,
-                          threads=None, budget=None):
+def estimate_laplace_grid(p, x0, points, n_paths, cfg, seed, threads=None,
+                          budget=None):
     """Laplace statistics e^{-<lam, X_t^+>} at several (t, lam) points from
     one path sweep.
 
@@ -225,7 +223,7 @@ def estimate_laplace_grid(p, x0, points, n_paths, cfg, seed, der=None,
         return stats
 
     return _estimate(p, x0, [t for t, _ in points], statistic, n_paths, cfg,
-                     seed, der, threads, budget)
+                     seed, threads, budget)
 
 
 # --------------------------------------------------------------------------
@@ -251,10 +249,10 @@ def _report(quantity, scenario, analytic, value, stderr, bias_constant, start,
 def verify_mean(scenario, threads=None, budget=None) -> VerifyReport:
     """First-moment formula versus the Monte Carlo mean on one scenario."""
     start = time.perf_counter()
-    p, der = scenario.params, scenario.derived()
-    analytic = moments.mean(p, der, scenario.x0, scenario.t)
+    p = scenario.params
+    analytic = moments.mean(p, scenario.x0, scenario.t)
     est = estimate_mean(p, scenario.x0, scenario.t, scenario.n_paths,
-                        scenario.sim_config(), scenario.seed, der=der,
+                        scenario.sim_config(), scenario.seed,
                         threads=threads, budget=budget)
     return _report("mean", scenario, analytic, est.value, est.stderr,
                    scenario.bias_constant_mean, start)
@@ -267,22 +265,23 @@ def verify_laplace(scenario, threads=None, budget=None) -> VerifyReport:
         raise InvalidConfig(
             f"scenario {scenario.name} has no laplace_points block: nothing to verify")
     start = time.perf_counter()
-    p, der = scenario.params, scenario.derived()
-    analytic = riccati.laplace_grid(p, der, scenario.x0, points,
+    p = scenario.params
+    analytic = riccati.laplace_grid(p, scenario.x0, points,
                                     rtol=1e-10, atol=1e-12)
     values, stderrs = estimate_laplace_grid(
         p, scenario.x0, points, scenario.n_paths, scenario.sim_config(),
-        scenario.seed, der=der, threads=threads, budget=budget)
+        scenario.seed, threads=threads, budget=budget)
     return _report("laplace", scenario, analytic, values, stderrs,
                    scenario.bias_constant_laplace, start,
                    points=[{"t": t, "lam": [float(v) for v in lam]}
                            for t, lam in points])
 
 
-def _comparison_run(p, der, scenario, dt, threads, budget):
+def _comparison_run(p, scenario, dt, threads, budget):
     comp = scenario.comparison
     cfg = SimConfig(T=comp["T"], dt=dt, eps_trunc=scenario.eps_trunc)
     _check_budget(comp["n_paths"], cfg.n_steps, budget)
+    derive(p, cfg.eps_trunc)   # once, before the blocks share it
     beta_prime = p.beta + np.asarray(comp["beta_shift"], dtype=float)
     x0 = np.asarray(scenario.x0, dtype=float)
 
@@ -290,7 +289,7 @@ def _comparison_run(p, der, scenario, dt, threads, budget):
         rng = block_generator(comp["seed"], index)
         block = np.tile(x0, (count, 1))
         _, _, stats, _ = simulate_coupled_block(
-            p, der, beta_prime, block, block, cfg, rng)
+            p, beta_prime, block, block, cfg, rng)
         return stats
 
     results = _run_blocks(worker, _blocks(comp["n_paths"]), resolve_threads(threads))
@@ -318,10 +317,10 @@ def verify_comparison(scenario, threads=None, budget=None) -> VerifyReport:
         raise InvalidConfig(
             f"scenario {scenario.name} has no comparison block: nothing to verify")
     start = time.perf_counter()
-    p, der = scenario.params, scenario.derived()
+    p = scenario.params
     dt = scenario.comparison["dt"]
-    coarse = _comparison_run(p, der, scenario, dt, threads, budget)
-    fine = _comparison_run(p, der, scenario, dt / 2.0, threads, budget)
+    coarse = _comparison_run(p, scenario, dt, threads, budget)
+    fine = _comparison_run(p, scenario, dt / 2.0, threads, budget)
     passed = (coarse["fraction"] <= 0.01
               and fine["fraction"] <= coarse["fraction"] + 1e-12
               and coarse["means_ordered"] and fine["means_ordered"])
@@ -337,20 +336,3 @@ def verify_comparison(scenario, threads=None, budget=None) -> VerifyReport:
         details={"coarse": coarse, "fine": fine, "dt": dt,
                  "n_paths": scenario.comparison["n_paths"],
                  "seed": scenario.comparison["seed"]})
-
-
-def mean_error_halving_ratio(scenario, threads=None, budget=None):
-    """Per-seed-group ratios of mean errors at dt/2 versus dt (weak order 1)."""
-    p, der = scenario.params, scenario.derived()
-    rc = scenario.ratio_check
-    analytic = moments.mean(p, der, scenario.x0, scenario.t)
-    ratios = []
-    for seed in rc["seeds"]:
-        errs = []
-        for dt in (rc["dt"], rc["dt"] / 2.0):
-            cfg = SimConfig(T=scenario.t, dt=dt, eps_trunc=scenario.eps_trunc)
-            est = estimate_mean(p, scenario.x0, scenario.t, rc["n_paths"], cfg,
-                                seed, der=der, threads=threads, budget=budget)
-            errs.append(float(np.linalg.norm(est.value - analytic)))
-        ratios.append(errs[1] / errs[0])
-    return np.array(ratios)

@@ -10,7 +10,8 @@ reports each one as data; nothing admissibility-related throws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,10 +21,18 @@ from .measures import JumpMeasure, MomentKind
 
 DEFAULT_EPS_TRUNC = 1e-3
 
+# guards every tuple's derivation cache, so blocks on several threads derive
+# a (tuple, cutoff) pair once
+_derive_lock = threading.Lock()
+
 
 @dataclass(frozen=True)
 class AdmissibleParams:
-    """Parameter tuple (d, c, beta, B, nu, mu); measures may be None (zero)."""
+    """Parameter tuple (d, c, beta, B, nu, mu); measures may be None (zero).
+
+    c, beta and B are held as read-only copies, so the derivations cached
+    on the tuple by :func:`derive` cannot go stale.
+    """
 
     d: int
     c: np.ndarray
@@ -31,20 +40,20 @@ class AdmissibleParams:
     B: np.ndarray
     nu: JumpMeasure | None
     mu: tuple
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         d = int(self.d)
         if d < 1:
             raise DimensionMismatch("d must be a positive integer")
-        c = np.asarray(self.c, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        if c.shape != (d,):
-            raise DimensionMismatch(f"c must have shape ({d},), got {c.shape}")
-        if beta.shape != (d,):
-            raise DimensionMismatch(f"beta must have shape ({d},), got {beta.shape}")
-        if B.shape != (d, d):
-            raise DimensionMismatch(f"B must have shape ({d},{d}), got {B.shape}")
+        for name, shape in (("c", (d,)), ("beta", (d,)), ("B", (d, d))):
+            value = np.array(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise DimensionMismatch(f"{name} must have shape {shape}, got {value.shape}")
+            if not np.all(np.isfinite(value)):
+                raise InvalidConfig(f"{name} must be finite")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         mu = tuple(self.mu)
         if len(mu) != d:
             raise DimensionMismatch(f"expected {d} branching measures, got {len(mu)}")
@@ -54,9 +63,6 @@ class AdmissibleParams:
             if m is not None and m.dim != d:
                 raise DimensionMismatch(f"branching measure {k} dimension differs from d")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "B", B)
         object.__setattr__(self, "mu", mu)
 
 
@@ -108,8 +114,9 @@ class DerivedParams:
     D is the drift matrix pairing with compensated small jumps, B_hat the one
     pairing with all branching jumps simulated as actual events. The
     truncation-dependent fields cache, for the cutoff eps_trunc, the simulated
-    jump-rate masses, the mean of the discarded sub-cutoff jumps and the
-    effective drift matrix of the actual-event scheme.
+    jump-rate masses, the mean of the discarded sub-cutoff jumps, the
+    effective drift matrix of the actual-event scheme and the (leaf, region,
+    mass) parts the Euler scheme samples jump sizes from.
     """
 
     beta_tilde: np.ndarray
@@ -121,6 +128,8 @@ class DerivedParams:
     branching_rates: np.ndarray      # simulated mass of mu_j above its cutoff
     immigration_rate: float          # simulated mass of nu above its cutoff
     drift_matrix: np.ndarray         # B_tilde - simulated first moments
+    immigration_parts: tuple         # simulated parts of nu
+    branching_parts: tuple           # simulated parts of each mu_j
 
 
 def _measure_checks(m, label, kinds):
@@ -179,55 +188,56 @@ def validate(p: AdmissibleParams) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def simulated_region(component, eps):
-    """Sampling region per mixture component: full for finite activity."""
-    if component.is_finite_activity:
-        return measures.ALL
-    return measures.above(eps)
-
-
-def simulated_parts(m, eps):
-    """(leaf, region, mass) of each mixture leaf of m that the Euler scheme
-    simulates at cutoff eps: leaves with zero mass on their region are left
-    out, and a region of infinite mass raises InfiniteMass."""
-    parts = []
-    for leaf in m.components() if m is not None else ():
-        region = simulated_region(leaf, eps)
-        mass = leaf.mass(region)
-        if math.isinf(mass):
-            raise InfiniteMass("simulated jump region must have finite mass above the cutoff")
-        if mass > 0.0:
-            parts.append((leaf, region, mass))
-    return parts
-
-
 def _truncation_stats(m, d, eps):
-    """(simulated mass, simulated first-moment vector, discarded mean vector)."""
-    if m is None:
-        return 0.0, np.zeros(d), np.zeros(d)
+    """(simulated parts, simulated mass, simulated first-moment vector,
+    discarded mean vector) of m at cutoff eps.
+
+    The Euler scheme simulates each finite-activity leaf whole and each
+    other leaf above eps; a part is (leaf, region, mass) for each leaf of
+    positive mass on its region, and an infinite mass raises InfiniteMass.
+    """
+    parts = []
     rate = 0.0
     sim_mean = np.zeros(d)
     lost_mean = np.zeros(d)
-    for comp in m.components():
-        region = simulated_region(comp, eps)
-        rate += comp.mass(region)
+    for comp in m.components() if m is not None else ():
+        region = measures.ALL if comp.is_finite_activity else measures.above(eps)
+        mass = comp.mass(region)
+        if math.isinf(mass):
+            raise InfiniteMass("simulated jump region must have finite mass above the cutoff")
+        if mass > 0.0:
+            parts.append((comp, region, mass))
+        rate += mass
         sim_mean += np.array([comp.coord(i, region) for i in range(d)])
         if region is not measures.ALL:
             lost = measures.below(region.lo)
             lost_mean += np.array([comp.coord(i, lost) for i in range(d)])
-    return rate, sim_mean, lost_mean
+    return tuple(parts), rate, sim_mean, lost_mean
 
 
 def derive(p: AdmissibleParams, eps_trunc: float = DEFAULT_EPS_TRUNC) -> DerivedParams:
-    """Compute the modified drifts and the truncation caches for eps_trunc."""
+    """The modified drifts and the truncation caches of p for eps_trunc.
+
+    Each (p, eps_trunc) pair is derived once and cached on p; every caller
+    gets the same read-only result.
+    """
     if not 0.0 < eps_trunc <= 1.0:
         raise InvalidConfig("eps_trunc must lie in (0, 1]")
+    eps_trunc = float(eps_trunc)
+    with _derive_lock:
+        der = p._derived.get(eps_trunc)
+        if der is None:
+            der = p._derived[eps_trunc] = _derive(p, eps_trunc)
+    return der
+
+
+def _derive(p, eps_trunc):
     d = p.d
     beta_tilde = p.beta + measures.first_moment_vector(p.nu, measures.ALL, d)
 
-    B_tilde = p.B.astype(float).copy()
+    B_tilde = p.B.copy()
     D = np.zeros((d, d))
-    B_hat = p.B.astype(float).copy()
+    B_hat = p.B.copy()
     for j, m in enumerate(p.mu):
         for i in range(d):
             if m is not None:
@@ -241,22 +251,28 @@ def derive(p: AdmissibleParams, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Derived
     small_jump_mean = np.zeros((d, d))
     branching_rates = np.zeros(d)
     drift_matrix = B_tilde.copy()
+    branching_parts = []
     for j, m in enumerate(p.mu):
-        rate, sim_mean, lost_mean = _truncation_stats(m, d, eps_trunc)
+        parts, rate, sim_mean, lost_mean = _truncation_stats(m, d, eps_trunc)
+        branching_parts.append(parts)
         branching_rates[j] = rate
         small_jump_mean[:, j] = lost_mean
         drift_matrix[:, j] -= sim_mean
 
-    nu_rate, _, _ = _truncation_stats(p.nu, d, eps_trunc)
+    nu_parts, nu_rate, _, _ = _truncation_stats(p.nu, d, eps_trunc)
 
+    for a in (beta_tilde, B_tilde, D, B_hat, small_jump_mean, branching_rates, drift_matrix):
+        a.setflags(write=False)
     return DerivedParams(
         beta_tilde=beta_tilde,
         B_tilde=B_tilde,
         D=D,
         B_hat=B_hat,
-        eps_trunc=float(eps_trunc),
+        eps_trunc=eps_trunc,
         small_jump_mean=small_jump_mean,
         branching_rates=branching_rates,
         immigration_rate=nu_rate,
         drift_matrix=drift_matrix,
+        immigration_parts=nu_parts,
+        branching_parts=tuple(branching_parts),
     )

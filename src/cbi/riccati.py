@@ -25,7 +25,7 @@ import numpy as np
 
 from . import measures
 from .errors import StepSizeUnderflow
-from .params import AdmissibleParams, DerivedParams
+from .params import AdmissibleParams
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -56,12 +56,9 @@ _P = np.array([
 _MAX_STEPS = 1_000_000
 
 
-def phi(p: AdmissibleParams, der: DerivedParams, lam):
+def phi(p: AdmissibleParams, lam):
     """Branching mechanism vector phi(lam): c_i lam_i^2 - <B e_i, lam> plus
-    the (1 ^ z_i)-compensated jump integral of mu_i.
-
-    der is unused; phi takes the (p, der, ...) arguments of the flow solver.
-    """
+    the (1 ^ z_i)-compensated jump integral of mu_i."""
     lam = np.asarray(lam, dtype=float)
     out = np.empty(p.d)
     for i in range(p.d):
@@ -146,7 +143,9 @@ def _check_tolerances(rtol, atol):
         raise ValueError("rtol must be finite and non-negative, atol finite and positive")
 
 
-def solve_v(p: AdmissibleParams, der: DerivedParams, lam, T: float,
+# an overflowing flow ends in StepSizeUnderflow, which reports it; no warnings
+@np.errstate(over="ignore", invalid="ignore")
+def solve_v(p: AdmissibleParams, lam, T: float,
             rtol: float = 1e-8, atol: float = 1e-10) -> RiccatiSolution:
     """Integrate dv/dt = -phi(v), v(0) = lam, with the psi accumulator."""
     d = p.d
@@ -156,7 +155,7 @@ def solve_v(p: AdmissibleParams, der: DerivedParams, lam, T: float,
 
     def rhs(y):
         v = np.maximum(y[:d], 0.0)  # stages may undershoot by roundoff
-        return np.concatenate([-phi(p, der, v), [psi(p, v)]])
+        return np.concatenate([-phi(p, v), [psi(p, v)]])
 
     y = np.concatenate([lam, [0.0]])
     t = 0.0
@@ -242,13 +241,13 @@ def solve_v(p: AdmissibleParams, der: DerivedParams, lam, T: float,
     )
 
 
-def laplace_transform(p: AdmissibleParams, der: DerivedParams, x, lam, t: float,
+def laplace_transform(p: AdmissibleParams, x, lam, t: float,
                       rtol: float = 1e-8, atol: float = 1e-10) -> float:
     """E[e^{-<lam, X_t>} | X_0 = x] via the Riccati representation; in (0, 1]."""
-    return float(laplace_grid(p, der, x, [(t, lam)], rtol=rtol, atol=atol)[0])
+    return float(laplace_grid(p, x, [(t, lam)], rtol=rtol, atol=atol)[0])
 
 
-def laplace_grid(p: AdmissibleParams, der: DerivedParams, x, points,
+def laplace_grid(p: AdmissibleParams, x, points,
                  rtol: float = 1e-8, atol: float = 1e-10) -> np.ndarray:
     """The Laplace transform at every (t, lam) of points, aligned with points.
 
@@ -271,7 +270,7 @@ def laplace_grid(p: AdmissibleParams, der: DerivedParams, x, points,
         else:
             flows.setdefault(lam.tobytes(), (lam, []))[1].append((i, t))
     for lam, members in flows.values():
-        sol = solve_v(p, der, lam, max(t for _, t in members), rtol=rtol, atol=atol)
+        sol = solve_v(p, lam, max(t for _, t in members), rtol=rtol, atol=atol)
         for i, t in members:
             out[i] = math.exp(-float(x @ sol.v_at(t)) - sol.psi_at(t))
     return out

@@ -12,7 +12,7 @@ verification outcomes are reproducible bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -41,15 +41,12 @@ class Scenario:
     laplace_points: list          # [(t, lam array), ...]
     comparison: dict | None = None
     ratio_check: dict | None = None
-    _derived: DerivedParams | None = field(default=None, repr=False)
 
     def sim_config(self) -> SimConfig:
         return SimConfig(T=self.t, dt=self.dt, eps_trunc=self.eps_trunc)
 
     def derived(self) -> DerivedParams:
-        if self._derived is None:
-            self._derived = derive(self.params, eps_trunc=self.eps_trunc)
-        return self._derived
+        return derive(self.params, self.eps_trunc)
 
 
 def scenario_from_json(obj) -> Scenario:

@@ -10,7 +10,7 @@ jumps arrive state-independently. Infinite-activity components are truncated
 below eps_trunc; the discarded sub-cutoff branching martingale is dropped
 whole (mean zero), the discarded sub-cutoff immigration mean is a documented
 bias. Jump sizes are drawn by :func:`cbi.measures.sample_parts` from the
-leaves of :func:`cbi.params.simulated_parts`, at the rates ``derive`` caches.
+simulated parts of :func:`cbi.params.derive` at the cutoff of the SimConfig.
 
 One step kernel advances a stack of k block states that share all noise:
 k = 1 is a block of independent paths, k = 2 the coupled pair of
@@ -54,12 +54,14 @@ import numpy as np
 from . import params as params_mod
 from .errors import InvalidConfig, PreconditionViolated
 from .measures import sample_parts
-from .params import AdmissibleParams, DerivedParams
+from .params import AdmissibleParams
 
 COMPARISON_SLACK = 1e-12  # ordering violations below this are roundoff
 # pre-drawn Gaussian increments per chunk of steps: at most this many values
 # (256 KiB), no more than one Monte Carlo block's state
 _CHUNK_VALUES = 2 ** 15
+# Generator.poisson refuses a mean above int64 max - 10 sqrt(int64 max)
+_POISSON_MAX = 9.2e18
 
 
 @dataclass(frozen=True)
@@ -121,12 +123,6 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
         raise InvalidConfig(
             f"seed {seed} and block index {block_index} must lie in [0, 2**64)")
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _matched_derived(p, der, cfg):
-    if der.eps_trunc != cfg.eps_trunc:
-        der = params_mod.derive(p, eps_trunc=cfg.eps_trunc)
-    return der
 
 
 def _check_x0(x0, d):
@@ -223,7 +219,7 @@ def _add_floats(x, sizes):
             x[i] += v
 
 
-def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
+def _euler(p, X, beta, cfg, rng, observe=None, out=None):
     """Euler steps of a stack of k block states, shape (k, n, d), sharing all noise.
 
     k is 1 (a block of paths) or 2 (a coupled pair); beta has shape (k, 1, d).
@@ -262,18 +258,18 @@ def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
     sees the (k, n, d) stack at step 0 and after every step; the array it
     gets may be overwritten by a later step, so an observer copies whatever
     it keeps. Returns the final stack (never a view of out) and, with
-    cfg.record_jumps, per-path JumpEvent lists of state 0.
+    cfg.record_jumps, per-path JumpEvent lists of state 0. A Poisson mean
+    that numpy cannot draw from, or a non-finite final state, raises
+    OverflowError.
     """
-    der = _matched_derived(p, der, cfg)
+    der = params_mod.derive(p, cfg.eps_trunc)
     k, n, d = np.shape(X)
     n_steps = cfg.n_steps
     dt = cfg.dt
-    nu_parts, *mu_parts = [params_mod.simulated_parts(m, cfg.eps_trunc)
-                           for m in (p.nu, *p.mu)]
     # the types with simulated branching mass, each with its expected
     # candidates per unit of bound and step, and its gap
     branching = [(j, parts, der.branching_rates[j] * dt)
-                 for j, parts in enumerate(mu_parts) if parts]
+                 for j, parts in enumerate(der.branching_parts) if parts]
     gaps = rng.exponential(size=len(branching)).tolist() if branching else []
     # dt folded into contiguous constants: a product with the transposed view
     # runs three times slower
@@ -328,9 +324,11 @@ def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
             zc *= sig
             zrows = zc.reshape(m, d).tolist() if floats else list(zc)
         arrivals = {}
-        if nu_parts:
-            arrivals = _immigration_draw(
-                rng, nu_parts, n * der.immigration_rate * dt * m, m, n)
+        if der.immigration_parts:
+            mean = n * der.immigration_rate * dt * m
+            if not mean < _POISSON_MAX:
+                raise OverflowError("immigration rate overflowed")
+            arrivals = _immigration_draw(rng, der.immigration_parts, mean, m, n)
 
         for i in range(m):
             step = first + i
@@ -375,6 +373,8 @@ def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
                 if gap >= clock:
                     gaps[b] = gap - clock
                     continue
+                if not clock - gap < _POISSON_MAX:
+                    raise OverflowError("branching candidate rate overflowed")
                 total = 1 + int(rng.poisson(clock - gap))
                 gaps[b] = rng.exponential()
                 if n == 1:
@@ -419,13 +419,18 @@ def _euler(p, der, X, beta, cfg, rng, observe=None, out=None):
     if floats:
         if out is not None:
             out[...] = np.array(kept).reshape(out.shape)
-        return np.array(x).reshape(1, 1, d), events
-    X = X.reshape(k, n, d)
-    return (X if out is None else X.copy()), events
+        X = np.array(x).reshape(1, 1, d)
+    else:
+        X = X.reshape(k, n, d) if out is None else X.reshape(k, n, d).copy()
+    # a step keeps a non-finite coordinate non-finite (clamp maps -inf to
+    # 0), so the final state shows whether any step overflowed
+    if not np.isfinite(X).all():
+        raise OverflowError("the Euler state overflowed")
+    return X, events
 
 
-def simulate_block(p: AdmissibleParams, der: DerivedParams, x0, cfg: SimConfig,
-                   rng, keep_full: bool = False, snapshot_steps=()):
+def simulate_block(p: AdmissibleParams, x0, cfg: SimConfig, rng,
+                   keep_full: bool = False, snapshot_steps=()):
     """Simulate a block of paths sharing one random stream.
 
     Returns (final_states, full_states_or_None, snapshots, events) where
@@ -443,15 +448,14 @@ def simulate_block(p: AdmissibleParams, der: DerivedParams, x0, cfg: SimConfig,
             if step in wanted:
                 snapshots[step] = stack[0].copy()
 
-    X, events = _euler(p, der, X[None], p.beta[None, None, :], cfg, rng, observe,
+    X, events = _euler(p, X[None], p.beta[None, None, :], cfg, rng, observe,
                        None if full is None else full[:, None])
     return X[0], full, snapshots, events
 
 
-def simulate_path(p: AdmissibleParams, der: DerivedParams, x0, cfg: SimConfig,
-                  rng) -> Path:
+def simulate_path(p: AdmissibleParams, x0, cfg: SimConfig, rng) -> Path:
     """Single trajectory on the regular grid, optionally logging jump events."""
-    _, full, _, events = simulate_block(p, der, np.asarray(x0, dtype=float)[None, :],
+    _, full, _, events = simulate_block(p, np.asarray(x0, dtype=float)[None, :],
                                         cfg, rng, keep_full=True)
     jumps = tuple(events[0]) if events is not None else None
     return Path(grid=cfg.grid(), states=full[:, 0, :], jumps=jumps)
@@ -488,9 +492,8 @@ class CoupledStats:
             self.diff_sq_sum[step] += (diff ** 2).sum(axis=0)
 
 
-def simulate_coupled_block(p: AdmissibleParams, der: DerivedParams, beta_prime,
-                           x0, x0_prime, cfg: SimConfig, rng,
-                           keep_full: bool = False):
+def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
+                           cfg: SimConfig, rng, keep_full: bool = False):
     """Simulate (X, X') sharing noise, with beta <= beta_prime and X0 <= X0'.
 
     Branching candidates are drawn per step with the dominating intensity
@@ -526,17 +529,16 @@ def simulate_coupled_block(p: AdmissibleParams, der: DerivedParams, beta_prime,
             full[:, step] = stack
 
     betas = np.stack([p.beta, beta_prime])[:, None, :]
-    X, _ = _euler(p, der, np.stack([X, Xq]), betas, cfg, rng, observe)
+    X, _ = _euler(p, np.stack([X, Xq]), betas, cfg, rng, observe)
     return X[0], X[1], stats, full
 
 
-def simulate_coupled(p: AdmissibleParams, der: DerivedParams, beta_prime,
-                     x0, x0_prime, cfg: SimConfig, rng):
+def simulate_coupled(p: AdmissibleParams, beta_prime, x0, x0_prime, cfg: SimConfig, rng):
     """Coupled pair of single trajectories; returns (Path, Path)."""
     x0 = np.asarray(x0, dtype=float)[None, :]
     x0_prime = np.asarray(x0_prime, dtype=float)[None, :]
     _, _, _, full = simulate_coupled_block(
-        p, der, beta_prime, x0, x0_prime, cfg, rng, keep_full=True)
+        p, beta_prime, x0, x0_prime, cfg, rng, keep_full=True)
     grid = cfg.grid()
     return (Path(grid=grid, states=full[0][:, 0, :]),
             Path(grid=grid, states=full[1][:, 0, :]))

@@ -12,15 +12,13 @@ import time
 import numpy as np
 
 from cbi.cli import main
-from cbi.montecarlo import (
-    mean_error_halving_ratio, verify_comparison, verify_laplace, verify_mean,
-)
-from cbi.params import AdmissibleParams, derive
+from cbi.montecarlo import verify_comparison, verify_laplace, verify_mean
+from cbi.params import AdmissibleParams
 from cbi.riccati import cir_closed_form_v, laplace_transform, solve_v
 from cbi.scenarios import load_scenario
 from cbi.simulate import SimConfig, block_generator, simulate_coupled_block, simulate_path
 
-from helpers import random_discrete_params
+from helpers import mean_error_halving_ratio, random_discrete_params
 
 
 def report(name, passed, elapsed, detail=""):
@@ -37,14 +35,13 @@ def test_a1_laplace_identities():
     worst_t0, worst_cons = 0.0, 0.0
     for _ in range(50):
         p = random_discrete_params(rng)
-        der = derive(p)
         x = rng.uniform(0.0, 3.0, p.d)
         lam = rng.uniform(0.0, 3.0, p.d)
         t = rng.uniform(0.1, 2.0)
         worst_t0 = max(worst_t0, abs(
-            laplace_transform(p, der, x, lam, 0.0) - math.exp(-float(x @ lam))))
+            laplace_transform(p, x, lam, 0.0) - math.exp(-float(x @ lam))))
         worst_cons = max(worst_cons, abs(
-            laplace_transform(p, der, x, np.zeros(p.d), t) - 1.0))
+            laplace_transform(p, x, np.zeros(p.d), t) - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst_t0 <= 1e-12 and worst_cons <= 1e-12 and elapsed < 10.0
     report("A1", ok, elapsed, f"t0-identity {worst_t0:.2e}, conservativity {worst_cons:.2e}")
@@ -55,9 +52,8 @@ def test_a2_cir_oracle():
     worst = 0.0
     for c, b in [(1.0, 0.0), (1.0, -1.0), (0.5, 0.3)]:
         p = AdmissibleParams(d=1, c=[c], beta=[0.0], B=[[b]], nu=None, mu=(None,))
-        der = derive(p)
         for lam in (0.1, 1.0, 10.0):
-            sol = solve_v(p, der, [lam], T=5.0, rtol=1e-10, atol=1e-12)
+            sol = solve_v(p, [lam], T=5.0, rtol=1e-10, atol=1e-12)
             for t in (0.1, 0.5, 1.0, 2.0, 5.0):
                 want = cir_closed_form_v(c, b, lam, t)
                 worst = max(worst, abs(sol.v_at(t)[0] - want) / want)
@@ -72,12 +68,11 @@ def test_a3_flow_property():
     worst = 0.0
     for _ in range(100):
         p = random_discrete_params(rng)
-        der = derive(p)
         lam = rng.uniform(0.0, 2.5, p.d)
         s, t = rng.uniform(1e-3, 2.0, size=2)
-        v_direct = solve_v(p, der, lam, T=s + t).v_at(s + t)
-        v_s = np.maximum(solve_v(p, der, lam, T=s).v_at(s), 0.0)
-        v_comp = solve_v(p, der, v_s, T=t).v_at(t)
+        v_direct = solve_v(p, lam, T=s + t).v_at(s + t)
+        v_s = np.maximum(solve_v(p, lam, T=s).v_at(s), 0.0)
+        v_comp = solve_v(p, v_s, T=t).v_at(t)
         worst = max(worst, float(np.max(np.abs(v_direct - v_comp))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 60.0
@@ -123,11 +118,10 @@ def test_a6_comparison_theorem():
     # jump-free deterministic sub-case: exactly zero violations
     p = AdmissibleParams(d=2, c=[0.0, 0.0], beta=[0.2, 0.1],
                          B=[[-0.6, 0.2], [0.1, -0.7]], nu=None, mu=(None, None))
-    der = derive(p)
     cfg = SimConfig(T=1.0, dt=2.0 ** -10)
     x0 = np.tile([1.0, 0.5], (64, 1))
     _, _, stats, _ = simulate_coupled_block(
-        p, der, p.beta + np.array([1.0, 1.0]), x0, x0, cfg, block_generator(6001, 0))
+        p, p.beta + np.array([1.0, 1.0]), x0, x0, cfg, block_generator(6001, 0))
     ok &= stats.violations == 0
     elapsed = time.perf_counter() - start
     ok &= elapsed < 180.0
@@ -141,7 +135,7 @@ def test_a7_degenerate_exactness():
     p = AdmissibleParams(d=2, c=[0.0, 0.0], beta=[1.0, 0.25],
                          B=[[0.0, 0.0], [0.0, 0.0]], nu=None, mu=(None, None))
     cfg = SimConfig(T=1.0, dt=2.0 ** -8)
-    path = simulate_path(p, derive(p), [0.5, 2.0], cfg, block_generator(7001, 0))
+    path = simulate_path(p, [0.5, 2.0], cfg, block_generator(7001, 0))
     want = np.array([0.5, 2.0])[None, :] + path.grid[:, None] * np.array([1.0, 0.25])
     worst = float(np.max(np.abs(path.states - want)))
     elapsed = time.perf_counter() - start

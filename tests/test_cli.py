@@ -211,6 +211,61 @@ class TestSimulateInputs:
         assert not list(tmp_path.glob("out/*.csv"))
 
 
+
+class TestNonFiniteParams:
+    """A non-finite entry of c, beta or B is an input error (exit 2) for
+    every command that reads a parameter file."""
+
+    ARGS = {
+        "validate": [],
+        "simulate": ["--x0", "1,1", "--T", "0.25", "--dt", "0.0625", "--seed", "1"],
+        "laplace": ["--x", "1,1", "--lam", "1,1", "--t", "1"],
+    }
+
+    # json writes the floats as the tokens Infinity and NaN
+    @pytest.mark.parametrize("command", ["validate", "simulate", "laplace"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "inf"])
+    @pytest.mark.parametrize("field", ["c", "beta", "B"])
+    def test_exit_two(self, field, value, command, tmp_path, capsys):
+        params = json.loads(json.dumps(PAIR))
+        (params["B"][1] if field == "B" else params[field])[1] = value
+        path = write_params(tmp_path, "params.json", params)
+        out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, path, *self.ARGS[command], *out]) == 2
+        captured = capsys.readouterr()
+        assert f"schema error: InvalidConfig: {field} must be finite" in captured.err
+        assert "admissible" not in captured.out
+        assert not list(tmp_path.glob("out/*.csv"))
+
+
+class TestNumericOverflow:
+    """A state or a rate that overflows is a numeric failure (exit 4),
+    reported without a traceback or a numpy warning."""
+
+    HUGE_ATOM = {"family": "discrete", "atoms": [{"z": [1.0], "w": 1e308}]}
+
+    @pytest.mark.parametrize("command, params, message", [
+        ("simulate", dict(CIR, B=[[1e308]]), "the Euler state overflowed"),
+        ("simulate", dict(CIR, nu=HUGE_ATOM), "immigration rate overflowed"),
+        ("simulate", dict(CIR, mu=[HUGE_ATOM]), "branching candidate rate overflowed"),
+        ("laplace", dict(CIR, B=[[1e308]]), "StepSizeUnderflow"),
+    ])
+    def test_exit_four(self, command, params, message, tmp_path, capsys):
+        path = write_params(tmp_path, "huge.json", params)
+        args = (["--x0", "1", "--T", "1", "--dt", "0.25", "--seed", "1",
+                 "--out", str(tmp_path / "out")] if command == "simulate"
+                else ["--x", "1", "--lam", "1", "--t", "1"])
+        assert main(["validate", path]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, path, *args]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: " in err and message in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not list(tmp_path.glob("out/*.csv"))
+
 def reference_path_csv(path_obj) -> str:
     """The path file written one format_float call per value."""
     d = path_obj.states.shape[1]

@@ -1,12 +1,20 @@
 """Parameter validation and derived quantities."""
 
+import dataclasses
+import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from cbi import measures
-from cbi.errors import DimensionMismatch
-from cbi.measures import DiscreteAtoms, MomentKind, TemperedPowerLawAxis
+from cbi.errors import DimensionMismatch, InvalidConfig
+from cbi.measures import DiscreteAtoms, MeasureSum, MomentKind, TemperedPowerLawAxis
 from cbi.params import AdmissibleParams, derive, validate
+from cbi.scenarios import load_scenario
+from cbi.simulate import SimConfig, block_generator, simulate_block
 
 from helpers import origin_refinement_diverges, random_discrete_params
 
@@ -68,6 +76,17 @@ class TestValidate:
                              nu=DiscreteAtoms(2, [(np.array([1.0, 0.0]), 1.0)]),
                              mu=(None,))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["c", "beta", "B"])
+    def test_non_finite_entry_raises(self, field, bad):
+        values = {"c": [1.0, 1.0], "beta": [0.5, 0.5], "B": [[-1.0, 0.0], [0.0, -1.0]]}
+        target = values[field]
+        if field == "B":
+            target = target[1]
+        target[1] = bad
+        with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+            AdmissibleParams(d=2, nu=None, mu=(None, None), **values)
+
     def test_report_serializes(self):
         report = validate(cir_params())
         blob = report.to_json()
@@ -115,9 +134,10 @@ class TestDerive:
             np.testing.assert_allclose(der.drift_matrix, der.B_hat, rtol=0, atol=1e-12)
 
     def test_derive_deterministic_bitwise(self):
-        rng = np.random.default_rng(3)
-        p = random_discrete_params(rng)
-        a, b = derive(p), derive(p)
+        # two equal tuples built independently: each derives on its own
+        a = derive(random_discrete_params(np.random.default_rng(3)))
+        b = derive(random_discrete_params(np.random.default_rng(3)))
+        assert a is not b
         assert np.array_equal(a.beta_tilde, b.beta_tilde)
         assert np.array_equal(a.B_tilde, b.B_tilde)
         assert np.array_equal(a.D, b.D)
@@ -146,3 +166,75 @@ class TestDerive:
         # drift column j is B_tilde minus the simulated first moment
         sim = mu.coord(0, measures.above(1e-2))
         assert der.drift_matrix[0, 0] == pytest.approx(der.B_tilde[0, 0] - sim, rel=1e-12)
+
+    def test_leaf_without_simulated_mass_keeps_its_discarded_mean(self):
+        p = s3_with_vanishing_leaf()
+        leaf = p.mu[0].components()[1]
+        assert leaf.mass(measures.above(1e-3)) == 0.0
+        der = derive(p)
+        assert [part[0] for part in der.branching_parts[0]] == [p.mu[0].components()[0]]
+        assert der.small_jump_mean[0, 0] == pytest.approx(
+            leaf.coord(0, measures.below(1e-3)), rel=1e-12)
+        assert der.small_jump_mean[0, 0] > 0.0
+
+
+def s3_with_vanishing_leaf():
+    """S3's tuple with a tempered leaf added to mu_1 whose mass above the
+    default cutoff underflows to 0: deriving it takes quadrature, while the
+    Euler scheme never samples it."""
+    p = load_scenario("S3").params
+    leaf = TemperedPowerLawAxis(2, 0, alpha=0.5, theta=1e6, scale=1.0)
+    return dataclasses.replace(p, mu=(MeasureSum([p.mu[0], leaf]), p.mu[1]))
+
+
+class TestDeriveCache:
+    def test_each_tuple_and_cutoff_derived_once(self, monkeypatch):
+        calls = []
+        for name in ("quad_strict", "nquad_strict"):
+            def counted(*args, _inner=getattr(measures, name), **kwargs):
+                calls.append(name)
+                time.sleep(1e-3)   # a slow quadrature lets the other thread run
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(measures, name, counted)
+        derive(s3_with_vanishing_leaf())
+        once = len(calls)
+        assert once > 0
+
+        # S3 blocks on two threads, started together, share one derivation
+        calls.clear()
+        p = s3_with_vanishing_leaf()
+        cfg = SimConfig(T=2.0 ** -6, dt=2.0 ** -8)
+        start = threading.Barrier(2)
+
+        def block(index):
+            start.wait()
+            return simulate_block(p, np.tile([4.0, 0.4], (8, 1)), cfg,
+                                  block_generator(5, index))
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(block, range(2)))
+        assert len(calls) == once
+        assert derive(p) is derive(p)
+        assert len(calls) == once
+
+        # a second cutoff gets its own derivation, once
+        coarse = derive(p, 0.05)
+        assert coarse is not derive(p) and coarse.eps_trunc == 0.05
+        assert len(calls) > once
+        seen = len(calls)
+        assert derive(p, 0.05) is coarse
+        assert len(calls) == seen
+
+    def test_later_mutation_of_inputs_changes_nothing(self):
+        c, beta, B = np.array([1.0]), np.array([0.5]), np.array([[-1.0]])
+        p = AdmissibleParams(d=1, c=c, beta=beta, B=B, nu=None, mu=(None,))
+        der = derive(p)
+        c[0], beta[0], B[0, 0] = 9.0, 9.0, 9.0
+        assert (p.c[0], p.beta[0], p.B[0, 0]) == (1.0, 0.5, -1.0)
+        assert derive(p) is der
+        assert (der.beta_tilde[0], der.B_tilde[0, 0]) == (0.5, -1.0)
+        fresh = derive(AdmissibleParams(d=1, c=c, beta=beta, B=B, nu=None, mu=(None,)))
+        assert fresh.B_tilde[0, 0] == 9.0
+        for field in ("c", "beta", "B"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, field)[0] = 1

@@ -68,7 +68,6 @@ class TestNonFiniteStates:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejected_before_any_draw(self, bad):
         p = self.instance()
-        der = derive(p)
         cfg = SimConfig(T=0.25, dt=2.0 ** -6)
         good = np.array([[1.0, 0.5], [2.0, 1.0]])
         worse = good.copy()
@@ -76,10 +75,10 @@ class TestNonFiniteStates:
         rng = block_generator(109, 0)
         before = repr(rng.bit_generator.state)
         calls = [
-            lambda: simulate_path(p, der, worse[1], cfg, rng),
-            lambda: simulate_block(p, der, worse, cfg, rng),
-            lambda: simulate_coupled_block(p, der, p.beta, worse, good + 1.0, cfg, rng),
-            lambda: simulate_coupled_block(p, der, p.beta, good, worse, cfg, rng),
+            lambda: simulate_path(p, worse[1], cfg, rng),
+            lambda: simulate_block(p, worse, cfg, rng),
+            lambda: simulate_coupled_block(p, p.beta, worse, good + 1.0, cfg, rng),
+            lambda: simulate_coupled_block(p, p.beta, good, worse, cfg, rng),
         ]
         for call in calls:
             with pytest.raises(PreconditionViolated, match="finite"):
@@ -91,14 +90,14 @@ class TestDeterministicLimits:
     def test_constant_drift_is_exact(self):
         p = make(beta=(1.0,))
         cfg = SimConfig(T=1.0, dt=2.0 ** -5)
-        path = simulate_path(p, derive(p), [0.5], cfg, block_generator(1, 0))
+        path = simulate_path(p, [0.5], cfg, block_generator(1, 0))
         want = 0.5 + path.grid
         assert np.max(np.abs(path.states[:, 0] - want)) <= 1e-12
 
     def test_no_dynamics_constant_path(self):
         p = make()
         cfg = SimConfig(T=1.0, dt=2.0 ** -4)
-        path = simulate_path(p, derive(p), [0.7], cfg, block_generator(2, 0))
+        path = simulate_path(p, [0.7], cfg, block_generator(2, 0))
         assert np.all(path.states == 0.7)
 
     def test_coupled_linear_difference_recursion(self):
@@ -109,7 +108,7 @@ class TestDeterministicLimits:
         cfg = SimConfig(T=1.0, dt=2.0 ** -6)
         shift = np.array([0.3, 0.5])
         _, _, stats, full = simulate_coupled_block(
-            p, der, p.beta + shift, [[1.0, 1.0]], [[1.0, 1.0]], cfg,
+            p, p.beta + shift, [[1.0, 1.0]], [[1.0, 1.0]], cfg,
             block_generator(3, 0), keep_full=True)
         diff = full[1][:, 0, :] - full[0][:, 0, :]
         expect = np.zeros(2)
@@ -131,11 +130,11 @@ class TestJumpScheme:
         assert der.B_tilde[0, 0] == 0.0
         cfg = SimConfig(T=1.0, dt=2.0 ** -7)
         n = 40_000
-        final, _, _, _ = simulate_block(p, der, np.full((n, 1), 1.0), cfg,
+        final, _, _, _ = simulate_block(p, np.full((n, 1), 1.0), cfg,
                                         block_generator(11, 0))
         est = final[:, 0].mean()
         se = final[:, 0].std(ddof=1) / math.sqrt(n)
-        want = mean(p, der, [1.0], 1.0)[0]
+        want = mean(p, [1.0], 1.0)[0]
         assert want == 1.0
         assert abs(est - want) <= 3.0 * se
 
@@ -143,20 +142,19 @@ class TestJumpScheme:
         mu = DiscreteAtoms(1, [(np.array([0.5]), 0.6), (np.array([2.0]), 0.3)])
         nu = DiscreteAtoms(1, [(np.array([0.8]), 0.5)])
         p = make(c=(0.0,), beta=(0.2,), B=((-0.9,),), nu=nu, mu=(mu,))
-        der = derive(p)
         cfg = SimConfig(T=1.0, dt=2.0 ** -8)
         n = 60_000
-        final, _, _, _ = simulate_block(p, der, np.full((n, 1), 1.5), cfg,
+        final, _, _, _ = simulate_block(p, np.full((n, 1), 1.5), cfg,
                                         block_generator(17, 0))
         est = final[:, 0].mean()
         se = final[:, 0].std(ddof=1) / math.sqrt(n)
-        want = mean(p, der, [1.5], 1.0)[0]
+        want = mean(p, [1.5], 1.0)[0]
         assert abs(est - want) <= 3.0 * se + 2.0 * cfg.dt
 
     def test_clamp_mode_nonnegative(self):
         p = make(c=(1.5,), beta=(0.05,), B=((-2.0,),))
         cfg = SimConfig(T=1.0, dt=2.0 ** -6, positivity_mode="clamp")
-        _, full, _, _ = simulate_block(p, derive(p), np.full((500, 1), 0.02), cfg,
+        _, full, _, _ = simulate_block(p, np.full((500, 1), 0.02), cfg,
                                        block_generator(23, 0), keep_full=True)
         assert np.all(full >= 0.0)
 
@@ -164,24 +162,34 @@ class TestJumpScheme:
         mu = TemperedPowerLawAxis(1, 0, alpha=0.7, theta=1.0, scale=0.5)
         p = make(mu=(mu,))
         cfg = SimConfig(T=1.0, dt=2.0 ** -6, eps_trunc=0.05, record_jumps=True)
-        der = derive(p, eps_trunc=0.05)
-        path = simulate_path(p, der, [2.0], cfg, block_generator(29, 0))
+        path = simulate_path(p, [2.0], cfg, block_generator(29, 0))
         assert path.jumps  # jump activity is near-certain at this rate
         for ev in path.jumps:
             assert np.linalg.norm(ev.size) >= 0.05
             assert ev.kind == "branching" and ev.u is not None and ev.u >= 0.0
+
+    def test_block_uses_the_derivation_of_its_cutoff(self):
+        # the default cutoff's derivation is cached first; a block at
+        # eps_trunc = 0.05 still samples above 0.05 only
+        mu = TemperedPowerLawAxis(1, 0, alpha=0.7, theta=1.0, scale=0.5)
+        p = make(mu=(mu,))
+        assert derive(p).eps_trunc == 1e-3
+        cfg = SimConfig(T=1.0, dt=2.0 ** -6, eps_trunc=0.05, record_jumps=True)
+        _, _, _, events = simulate_block(p, np.full((20, 1), 2.0), cfg,
+                                         block_generator(29, 1))
+        sizes = [ev.size[0] for evs in events for ev in evs]
+        assert sizes and min(sizes) >= 0.05
 
     def test_bit_reproducible(self):
         mu = DiscreteAtoms(2, [(np.array([0.4, 0.2]), 0.5)])
         nu = DiscreteAtoms(2, [(np.array([0.3, 0.0]), 0.4)])
         p = make(d=2, c=(0.6, 0.4), beta=(0.2, 0.1),
                  B=((-1.0, 0.2), (0.1, -0.8)), nu=nu, mu=(mu, mu))
-        der = derive(p)
         cfg = SimConfig(T=0.5, dt=2.0 ** -6)
-        a = simulate_path(p, der, [1.0, 0.5], cfg, block_generator(31, 7))
-        b = simulate_path(p, der, [1.0, 0.5], cfg, block_generator(31, 7))
+        a = simulate_path(p, [1.0, 0.5], cfg, block_generator(31, 7))
+        b = simulate_path(p, [1.0, 0.5], cfg, block_generator(31, 7))
         assert np.array_equal(a.states, b.states)
-        c = simulate_path(p, der, [1.0, 0.5], cfg, block_generator(31, 8))
+        c = simulate_path(p, [1.0, 0.5], cfg, block_generator(31, 8))
         assert not np.array_equal(a.states, c.states)
 
 
@@ -195,8 +203,7 @@ class TestMixtureJumps:
         mix = MeasureSum([atoms, tempered])
         p = make(beta=(0.5,), B=((-1.0,),), nu=mix, mu=(mix,))
         cfg = SimConfig(T=1.0, dt=2.0 ** -6, eps_trunc=eps, record_jumps=True)
-        _, _, _, events = simulate_block(p, derive(p, eps_trunc=eps),
-                                         np.ones((200, 1)), cfg, block_generator(37, 0))
+        _, _, _, events = simulate_block(p, np.ones((200, 1)), cfg, block_generator(37, 0))
         sizes = np.array([ev.size[0] for evs in events for ev in evs])
         from_atoms = np.isin(sizes, [0.01, 0.3])
         assert np.all(sizes[~from_atoms] >= eps)
@@ -216,30 +223,27 @@ class TestCoupling:
 
     def test_identical_inputs_identical_paths(self):
         p = self.coupled_instance()
-        der = derive(p)
         cfg = SimConfig(T=0.5, dt=2.0 ** -7)
-        a, b = simulate_coupled(p, der, p.beta, [1.0, 0.5], [1.0, 0.5], cfg,
+        a, b = simulate_coupled(p, p.beta, [1.0, 0.5], [1.0, 0.5], cfg,
                                 block_generator(37, 0))
         assert np.array_equal(a.states, b.states)
 
     def test_ordering_preconditions(self):
         p = self.coupled_instance()
-        der = derive(p)
         cfg = SimConfig(T=0.5, dt=2.0 ** -6)
         with pytest.raises(PreconditionViolated):
-            simulate_coupled(p, der, p.beta - 0.1, [1.0, 0.5], [1.0, 0.5], cfg,
+            simulate_coupled(p, p.beta - 0.1, [1.0, 0.5], [1.0, 0.5], cfg,
                              block_generator(41, 0))
         with pytest.raises(PreconditionViolated):
-            simulate_coupled(p, der, p.beta, [1.0, 0.5], [0.5, 0.5], cfg,
+            simulate_coupled(p, p.beta, [1.0, 0.5], [0.5, 0.5], cfg,
                              block_generator(41, 0))
 
     def test_pure_jump_coupling_has_no_violations(self):
         p = self.coupled_instance()
         p = AdmissibleParams(d=2, c=[0.0, 0.0], beta=p.beta, B=p.B, nu=p.nu, mu=p.mu)
-        der = derive(p)
         cfg = SimConfig(T=1.0, dt=2.0 ** -7)
         _, _, stats, _ = simulate_coupled_block(
-            p, der, p.beta + np.array([1.0, 1.0]),
+            p, p.beta + np.array([1.0, 1.0]),
             np.tile([1.0, 0.5], (2000, 1)), np.tile([1.0, 0.5], (2000, 1)),
             cfg, block_generator(43, 0))
         assert stats.violations == 0
@@ -248,20 +252,18 @@ class TestCoupling:
     def test_violation_counter_detects_diffusive_crossings(self):
         # near-zero states on a coarse grid: shared-noise Euler steps do cross
         p = make(c=(2.0,), beta=(0.0,), B=((0.0,),))
-        der = derive(p)
         cfg = SimConfig(T=1.0, dt=2.0 ** -4)
         x0 = np.full((4000, 1), 0.02)
         _, _, stats, _ = simulate_coupled_block(
-            p, der, p.beta, x0, x0 + 1e-6, cfg, block_generator(55, 0))
+            p, p.beta, x0, x0 + 1e-6, cfg, block_generator(55, 0))
         assert stats.violations > 0
         assert stats.worst > 1e-12
 
     def test_diffusive_coupling_rare_violations_and_ordered_means(self):
         p = self.coupled_instance()
-        der = derive(p)
         cfg = SimConfig(T=1.0, dt=2.0 ** -8)
         _, _, stats, _ = simulate_coupled_block(
-            p, der, p.beta + np.array([1.0, 1.0]),
+            p, p.beta + np.array([1.0, 1.0]),
             np.tile([1.0, 0.5], (2000, 1)), np.tile([1.0, 0.5], (2000, 1)),
             cfg, block_generator(47, 0))
         assert stats.violations / stats.triples <= 0.01
@@ -304,32 +306,30 @@ class TestKernelBuffers:
 
     def test_x0_unchanged(self):
         p = self.instance()
-        der = derive(p)
         cfg = SimConfig(T=0.25, dt=2.0 ** -6)
         x0 = np.tile([1.0, 0.5], (50, 1))
         x0_prime = x0 + 0.1
         kept, kept_prime = x0.copy(), x0_prime.copy()
-        simulate_block(p, der, x0, cfg, block_generator(83, 0))
-        simulate_coupled_block(p, der, p.beta + 0.5, x0, x0_prime, cfg,
+        simulate_block(p, x0, cfg, block_generator(83, 0))
+        simulate_coupled_block(p, p.beta + 0.5, x0, x0_prime, cfg,
                                block_generator(83, 1))
         assert np.array_equal(x0, kept)
         assert np.array_equal(x0_prime, kept_prime)
 
     def test_snapshots_and_full_states_are_copies(self):
         p = self.instance()
-        der = derive(p)
         cfg = SimConfig(T=0.25, dt=2.0 ** -6)
         x0 = np.tile([1.0, 0.5], (50, 1))
         wanted = (0, 1, 2, 7, cfg.n_steps)
         final, full, snaps, _ = simulate_block(
-            p, der, x0, cfg, block_generator(89, 0), keep_full=True,
+            p, x0, cfg, block_generator(89, 0), keep_full=True,
             snapshot_steps=wanted)
         assert sorted(snaps) == list(wanted)
         for step in wanted:
             assert np.array_equal(snaps[step], full[step])
         assert np.array_equal(full[-1], final)
         assert not np.array_equal(full[1], full[2])
-        _, again, _, _ = simulate_block(p, der, x0, cfg, block_generator(89, 0),
+        _, again, _, _ = simulate_block(p, x0, cfg, block_generator(89, 0),
                                         keep_full=True)
         snaps[1] += 1.0
         final += 1.0
@@ -338,19 +338,18 @@ class TestKernelBuffers:
     def test_final_state_does_not_alias_full_states(self):
         p = self.instance()
         cfg = SimConfig(T=0.25, dt=2.0 ** -6)
-        final, full, _, _ = simulate_block(p, derive(p), np.tile([1.0, 0.5], (50, 1)),
+        final, full, _, _ = simulate_block(p, np.tile([1.0, 0.5], (50, 1)),
                                            cfg, block_generator(91, 0), keep_full=True)
         assert np.array_equal(final, full[-1])
         assert not np.shares_memory(final, full)
 
     def test_path_is_row_of_one_path_block(self):
         p = self.instance()
-        der = derive(p)
         # immigration alone expects 0.7 * 16 = 11.2 jumps: a path without
         # any jump has probability below e^-11.2 < 2e-5 at every seed
         cfg = SimConfig(T=16.0, dt=2.0 ** -6, record_jumps=True)
-        path = simulate_path(p, der, [1.0, 0.5], cfg, block_generator(93, 0))
-        final, full, _, events = simulate_block(p, der, [[1.0, 0.5]], cfg,
+        path = simulate_path(p, [1.0, 0.5], cfg, block_generator(93, 0))
+        final, full, _, events = simulate_block(p, [[1.0, 0.5]], cfg,
                                                 block_generator(93, 0), keep_full=True)
         assert np.array_equal(path.states, full[:, 0])
         assert np.array_equal(path.final, final[0])
@@ -362,11 +361,10 @@ class TestKernelBuffers:
         # the statistics rebuilt from the kept states match the recorded ones
         # only if every kept step holds its own values
         p = self.instance()
-        der = derive(p)
         cfg = SimConfig(T=0.25, dt=2.0 ** -6)
         x0 = np.tile([1.0, 0.5], (50, 1))
         a, b, stats, full = simulate_coupled_block(
-            p, der, p.beta + 0.5, x0, x0 + 0.1, cfg, block_generator(97, 0),
+            p, p.beta + 0.5, x0, x0 + 0.1, cfg, block_generator(97, 0),
             keep_full=True)
         assert np.array_equal(full[0, -1], a) and np.array_equal(full[1, -1], b)
         rebuilt = empty_stats(50, cfg.n_steps + 1, 2)
@@ -404,7 +402,7 @@ TINY = 1e-200
 def _run_stack(p, states, cfg, rng):
     """Kernel run of one block from the given (possibly raw-negative) states."""
     X = np.asarray(states, dtype=float)[None, :, None]
-    return _euler(p, derive(p, cfg.eps_trunc), X, p.beta[None, None, :], cfg, rng,
+    return _euler(p, X, p.beta[None, None, :], cfg, rng,
                   lambda step, stack: None)
 
 
@@ -555,7 +553,7 @@ class TestPoissonCallGuard:
         p = self.instance()
         cfg = SimConfig(T=self.T, dt=self.DT)
         rng = CountingGenerator(block_generator(73, n))
-        _, full, _, _ = simulate_block(p, derive(p), np.tile([1.0, 0.5], (n, 1)), cfg,
+        _, full, _, _ = simulate_block(p, np.tile([1.0, 0.5], (n, 1)), cfg,
                                        rng, keep_full=True)
         self.check(rng, p, n, full[:, None])
 
@@ -565,7 +563,7 @@ class TestPoissonCallGuard:
         cfg = SimConfig(T=self.T, dt=self.DT)
         rng = CountingGenerator(block_generator(79, n))
         x0 = np.tile([1.0, 0.5], (n, 1))
-        _, _, _, full = simulate_coupled_block(p, derive(p), p.beta + 0.5, x0, x0 + 0.1,
+        _, _, _, full = simulate_coupled_block(p, p.beta + 0.5, x0, x0 + 0.1,
                                                cfg, rng, keep_full=True)
         self.check(rng, p, n, np.moveaxis(full, 0, 1))
 
@@ -626,7 +624,7 @@ class TestCarriedGaps:
         state = np.array([1.5, 0.1])
         p = self.tiny_types(rate)
         cfg = SimConfig(T=12_500.0, dt=dt, record_jumps=True)
-        path = simulate_path(p, derive(p), state, cfg, block_generator(103, 0))
+        path = simulate_path(p, state, cfg, block_generator(103, 0))
         assert np.array_equal(path.final, state)
         steps = cfg.n_steps
         assert steps >= 10 ** 5
@@ -653,7 +651,7 @@ class TestCarriedGaps:
         cfg = SimConfig(T=2.0, dt=0.125, record_jumps=True)
         X = np.tile(np.asarray(states, dtype=float), (k, 1, 1))
         rng = ZeroGaps(block_generator(107, k))
-        final, events = _euler(p, derive(p), X, np.zeros((k, 1, 2)), cfg, rng)
+        final, events = _euler(p, X, np.zeros((k, 1, 2)), cfg, rng)
         assert np.array_equal(final, X)
         assert rng.poisson_calls == cfg.n_steps
         positive = np.asarray(states)[:, 0] > 0.0
@@ -672,7 +670,7 @@ class TestChunkedImmigration:
         cfg = SimConfig(T=250 * 0.125, dt=0.125)
         m = _CHUNK_VALUES // n
         assert m == 8 and cfg.n_steps % m   # 31 whole chunks and a short one
-        _, full, _, _ = simulate_block(p, derive(p), np.zeros((n, 1)), cfg,
+        _, full, _, _ = simulate_block(p, np.zeros((n, 1)), cfg,
                                        block_generator(101, 0), keep_full=True)
         counts = np.diff(full[:, :, 0], axis=0)
         assert np.array_equal(counts, np.round(counts))
@@ -761,7 +759,7 @@ class TestFloatLane:
         float lane, k = 2 the array lane. Returns its rows and jump log."""
         rows = []
         X = np.tile(np.asarray(x0, dtype=float), (k, 1, 1))
-        final, events = _euler(p, derive(p, cfg.eps_trunc), X,
+        final, events = _euler(p, X,
                                np.tile(p.beta, (k, 1, 1)), cfg, rng,
                                lambda step, stack: rows.append(stack[0, 0].copy()))
         assert np.array_equal(final[0, 0], rows[-1])
@@ -807,12 +805,11 @@ class TestFloatLane:
 
     def test_one_path_block_snapshots_are_path_rows(self):
         s = load_scenario("S3")
-        der = derive(s.params, s.eps_trunc)
         cfg = SimConfig(T=s.t, dt=s.dt, eps_trunc=s.eps_trunc)
         wanted = (0, 1, 17, 128, cfg.n_steps)
-        final, full, snaps, _ = simulate_block(s.params, der, [s.x0], cfg,
+        final, full, snaps, _ = simulate_block(s.params, [s.x0], cfg,
                                                block_generator(5, 3), snapshot_steps=wanted)
-        path = simulate_path(s.params, der, s.x0, cfg, block_generator(5, 3))
+        path = simulate_path(s.params, s.x0, cfg, block_generator(5, 3))
         assert full is None and sorted(snaps) == list(wanted)
         for step in wanted:
             assert snaps[step].shape == (1, 2)

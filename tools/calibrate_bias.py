@@ -32,29 +32,33 @@ def headroom(bias, se, dt):
 
 
 def calibrate(name, n_paths, threads):
+    """(C_mean, C_laplace) of one scenario, rounded as the file stores them."""
     s = load_scenario(name)
-    p, der = s.params, s.derived()
-    cfg = s.sim_config()
+    p, cfg = s.params, s.sim_config()
 
-    analytic = moments.mean(p, der, s.x0, s.t)
-    est = estimate_mean(p, s.x0, s.t, n_paths, cfg, CAL_SEED, der=der,
-                        threads=threads)
+    analytic = moments.mean(p, s.x0, s.t)
+    est = estimate_mean(p, s.x0, s.t, n_paths, cfg, CAL_SEED, threads=threads)
     bias = np.abs(est.value - analytic)
     c_mean = max(0.25, headroom(bias, est.stderr, s.dt))
     print(f"{name}: mean bias {bias} se {est.stderr} -> C_mean {c_mean:.3f}")
 
     c_laplace = 0.25
     if s.laplace_points:
-        exact = riccati.laplace_grid(p, der, s.x0, s.laplace_points,
+        exact = riccati.laplace_grid(p, s.x0, s.laplace_points,
                                      rtol=1e-10, atol=1e-12)
         values, ses = estimate_laplace_grid(p, s.x0, s.laplace_points, n_paths,
-                                            cfg, CAL_SEED, der=der, threads=threads)
+                                            cfg, CAL_SEED, threads=threads)
         lbias = np.abs(values - exact)
         c_laplace = max(0.1, headroom(lbias, ses, s.dt))
         print(f"{name}: laplace bias {lbias} -> C_laplace {c_laplace:.3f}")
+    return round(c_mean, 3), round(c_laplace, 3)
 
-    s.bias_constant_mean = round(c_mean, 3)
-    s.bias_constant_laplace = round(c_laplace, 3)
+
+def write_constants(name, c_mean, c_laplace):
+    """Rewrite the bundled scenario file of name with the given constants."""
+    s = load_scenario(name)
+    s.bias_constant_mean = c_mean
+    s.bias_constant_laplace = c_laplace
     out = Path(__file__).resolve().parents[1] / "src" / "cbi" / "data" / "scenarios" / f"{name}.json"
     out.write_text(dumps_canonical(scenario_to_json(s)) + "\n")
     print(f"{name}: wrote {out}")
@@ -67,7 +71,7 @@ def main():
     ap.add_argument("--scenarios", nargs="*", default=list(BUNDLED_NAMES))
     args = ap.parse_args()
     for name in args.scenarios:
-        calibrate(name, args.n_paths, args.threads)
+        write_constants(name, *calibrate(name, args.n_paths, args.threads))
 
 
 if __name__ == "__main__":
