@@ -28,6 +28,7 @@ parallel workers; sampling takes an explicit numpy Generator.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import gammainc, gammaincc
 
-from ._quadrature import quad_strict, nquad_strict
+from ._quadrature import ABS_TOL, REL_TOL, quad_strict, nquad_strict
 from .errors import EmptyRegion, InfiniteMass
 
 INF = float("inf")
@@ -123,27 +124,19 @@ class JumpMeasure:
     def coord_minus_delta_plus(self, i: int, j: int) -> float:
         raise NotImplementedError
 
-    # exponential integrands
-    def exp_branching(self, lam, i: int) -> float:
+    # exponential integrands; lam is one vector (d,) or a stack (m, d), the
+    # result a float or an (m,) array; lam is not checked here
+    def exp_branching(self, lam, i: int):
         raise NotImplementedError
 
-    def exp_branching_full(self, lam) -> float:
+    def exp_branching_full(self, lam):
         raise NotImplementedError
 
-    def exp_immigration(self, lam) -> float:
+    def exp_immigration(self, lam):
         raise NotImplementedError
 
     def sample_n(self, region: Region, n: int, rng) -> np.ndarray:
         raise NotImplementedError
-
-
-def _as_lam(lam, dim):
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (dim,):
-        raise ValueError(f"lambda must have shape ({dim},), got {lam.shape}")
-    if np.any(lam < 0):
-        raise ValueError("lambda must be componentwise non-negative")
-    return lam
 
 
 # --------------------------------------------------------------------------
@@ -211,25 +204,30 @@ class DiscreteAtoms(JumpMeasure):
         delta = 1.0 if i == j else 0.0
         return self._wsum(np.maximum(self._z[:, i] - delta, 0.0))
 
+    @functools.cached_property
+    def _exp_constants(self):
+        """-z^T and (1 ^ z_i) per type, built at the first exponential
+        integral rather than with the measure."""
+        zt = np.ascontiguousarray(self._z.T)
+        return -zt, np.minimum(1.0, zt)
+
+    # each row of lam against every atom: (..., atoms) values, summed with
+    # the weights; an empty atom list sums to 0
     def exp_branching(self, lam, i):
-        lam = _as_lam(lam, self.dim)
-        if len(self._w) == 0 or not np.any(lam):
-            return 0.0
-        vals = np.exp(-self._z @ lam) - 1.0 + lam[i] * np.minimum(1.0, self._z[:, i])
-        return self._wsum(vals)
+        neg_zt, wedge = self._exp_constants
+        lam = np.asarray(lam, dtype=float)
+        vals = np.exp(lam @ neg_zt)
+        vals -= 1.0
+        vals += lam[..., i, None] * wedge[i]
+        return vals @ self._w
 
     def exp_branching_full(self, lam):
-        lam = _as_lam(lam, self.dim)
-        if len(self._w) == 0 or not np.any(lam):
-            return 0.0
-        inner = self._z @ lam
-        return self._wsum(np.exp(-inner) - 1.0 + inner)
+        inner = np.asarray(lam, dtype=float) @ self._exp_constants[0]
+        return (np.exp(inner) - 1.0 - inner) @ self._w
 
     def exp_immigration(self, lam):
-        lam = _as_lam(lam, self.dim)
-        if len(self._w) == 0 or not np.any(lam):
-            return 0.0
-        return self._wsum(1.0 - np.exp(-self._z @ lam))
+        lam = np.asarray(lam, dtype=float)
+        return (1.0 - np.exp(lam @ self._exp_constants[0])) @ self._w
 
     def _cdf(self, region):
         """(normalised CDF, locations) of the atoms inside region, cached."""
@@ -353,26 +351,22 @@ class ProductExponential(JumpMeasure):
             return self.r * math.exp(-th) / th
         return self.r / th
 
+    def _laplace(self, lam):
+        """Laplace transform prod_k theta_k / (theta_k + lam_k) of each row."""
+        return np.multiply.reduce(self.theta / (self.theta + lam), axis=-1)
+
     def exp_branching(self, lam, i):
-        lam = _as_lam(lam, self.dim)
-        if not np.any(lam):
-            return 0.0
-        prod = float(np.prod(self.theta / (self.theta + lam)))
+        lam = np.asarray(lam, dtype=float)
         th = self.theta[i]
-        return self.r * (prod - 1.0 + lam[i] * (1.0 - math.exp(-th)) / th)
+        return self.r * (self._laplace(lam) - 1.0
+                         + lam[..., i] * (1.0 - math.exp(-th)) / th)
 
     def exp_branching_full(self, lam):
-        lam = _as_lam(lam, self.dim)
-        if not np.any(lam):
-            return 0.0
-        prod = float(np.prod(self.theta / (self.theta + lam)))
-        return self.r * (prod - 1.0 + float(np.sum(lam / self.theta)))
+        lam = np.asarray(lam, dtype=float)
+        return self.r * (self._laplace(lam) - 1.0 + np.sum(lam / self.theta, axis=-1))
 
     def exp_immigration(self, lam):
-        lam = _as_lam(lam, self.dim)
-        if not np.any(lam):
-            return 0.0
-        return self.r * (1.0 - float(np.prod(self.theta / (self.theta + lam))))
+        return self.r * (1.0 - self._laplace(np.asarray(lam, dtype=float)))
 
     def sample_n(self, region, n, rng):
         scale = 1.0 / self.theta
@@ -399,6 +393,15 @@ class ProductExponential(JumpMeasure):
 # --------------------------------------------------------------------------
 # tempered power law on one axis
 # --------------------------------------------------------------------------
+
+def _exp_remainder(x):
+    """e^-x - 1 + x for x >= 0; below 1e-3 by its Taylor series, because
+    expm1(-x) + x cancels about -log10(x) of its digits there."""
+    if x < 1e-3:
+        return x * x * (1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x * (
+            1 / 720 - x / 5040)))))
+    return math.expm1(-x) + x
+
 
 class TemperedPowerLawAxis(JumpMeasure):
     """Density C z^(-1-alpha) e^(-theta z) dz carried by one coordinate axis.
@@ -442,16 +445,38 @@ class TemperedPowerLawAxis(JumpMeasure):
         cuts = {lo, hi}
         if lo < 1.0 < hi:
             cuts.add(1.0)
+        top = min(1.0, hi)
         if lo > 0.0:
             # split steep power-law ranges by decades so QAGS stays happy
             point = lo * 10.0
-            while point < min(1.0, hi):
+            while point < top:
                 cuts.add(point)
                 point *= 10.0
+        else:
+            # a sharply tempered density holds its mass within a few 1/theta
+            # of the origin, which one QAGS piece over [0, top) can miss:
+            # split by decades down to that scale
+            scale = 1.0 / self.theta
+            point = top / 10.0
+            while point > scale:
+                cuts.add(point)
+                point /= 10.0
+            if scale < top:
+                cuts.add(scale)
         pieces = sorted(cuts)
         total = 0.0
+
+        def f(z):
+            return g(z) * self._density_1d(z)
+
         for a, b in zip(pieces[:-1], pieces[1:]):
-            total += quad_strict(lambda z: g(z) * self._density_1d(z), a, b)
+            value = quad_strict(f, a, b)
+            size = abs(value)
+            # the absolute floor of the quadrature caps the relative accuracy
+            # of a tiny piece: integrate it once more scaled to unit size
+            if 0.0 < size < ABS_TOL / REL_TOL:
+                value = size * quad_strict(lambda z: f(z) / size, a, b)
+            total += value
         return total
 
     def mass(self, region):
@@ -480,38 +505,33 @@ class TemperedPowerLawAxis(JumpMeasure):
             return self._radial(lambda z: z - 1.0, 1.0, INF, INF)
         return self._radial(lambda z: z, 0.0, INF, 1.0)
 
+    def _per_row(self, lam, value):
+        """value(la) at the own-axis entry la of lam, one quadrature per row
+        of a stack; la = 0 gives 0 without one."""
+        la = np.asarray(lam, dtype=float)[..., self.axis]
+        if la.ndim == 0:
+            return value(float(la)) if la else 0.0
+        return np.array([value(a) if a else 0.0 for a in la.tolist()])
+
+    def _one_minus_exp(self, la):
+        # 1 - e^(-la z) >= 0, order z near 0
+        return self._radial(lambda z: -math.expm1(-la * z), 0.0, INF, 1.0)
+
     def exp_branching(self, lam, i):
-        lam = _as_lam(lam, self.dim)
-        la = lam[self.axis]
-        if not np.any(lam):
-            return 0.0
         if i == self.axis:
             # e^(-la z) - 1 + la (1 ^ z) ~ la^2 z^2 / 2 near 0
-            if la == 0.0:
-                return 0.0
-            val = self._radial(
-                lambda z: math.expm1(-la * z) + la * min(1.0, z), 0.0, INF, 2.0
-            )
-            return val
-        # cross-type integrand e^(-la z) - 1 <= 0, order z near 0
-        if la == 0.0:
-            return 0.0
-        val = self._radial(lambda z: -math.expm1(-la * z), 0.0, INF, 1.0)
-        return -val
+            return self._per_row(lam, lambda la: self._radial(
+                lambda z: _exp_remainder(la * z) if z < 1.0 else math.expm1(-la * z) + la,
+                0.0, INF, 2.0))
+        # the cross-type integrand is e^(-la z) - 1 <= 0
+        return self._per_row(lam, lambda la: -self._one_minus_exp(la))
 
     def exp_branching_full(self, lam):
-        lam = _as_lam(lam, self.dim)
-        la = lam[self.axis]
-        if la == 0.0:
-            return 0.0
-        return self._radial(lambda z: math.expm1(-la * z) + la * z, 0.0, INF, 2.0)
+        return self._per_row(lam, lambda la: self._radial(
+            lambda z: _exp_remainder(la * z), 0.0, INF, 2.0))
 
     def exp_immigration(self, lam):
-        lam = _as_lam(lam, self.dim)
-        la = lam[self.axis]
-        if la == 0.0:
-            return 0.0
-        return self._radial(lambda z: -math.expm1(-la * z), 0.0, INF, 1.0)
+        return self._per_row(lam, self._one_minus_exp)
 
     def _sampler(self, region):
         key = (region.lo, region.hi)
@@ -599,14 +619,15 @@ class MeasureSum(JumpMeasure):
     def coord_minus_delta_plus(self, i, j):
         return self._sum(lambda c: c.coord_minus_delta_plus(i, j))
 
+    # the exponential integrands of a stack are arrays: summed, not float()ed
     def exp_branching(self, lam, i):
-        return self._sum(lambda c: c.exp_branching(lam, i))
+        return sum(c.exp_branching(lam, i) for c in self._components)
 
     def exp_branching_full(self, lam):
-        return self._sum(lambda c: c.exp_branching_full(lam))
+        return sum(c.exp_branching_full(lam) for c in self._components)
 
     def exp_immigration(self, lam):
-        return self._sum(lambda c: c.exp_immigration(lam))
+        return sum(c.exp_immigration(lam) for c in self._components)
 
     def sample_n(self, region, n, rng):
         parts = [(c, region, c.mass(region)) for c in self._components]
@@ -679,17 +700,21 @@ def first_moment_vector(m: JumpMeasure | None, region: Region, dim: int) -> np.n
     return np.array([m.coord(i, region) for i in range(dim)])
 
 
-def exp_branching_integral(m: JumpMeasure, lam, i: int) -> float:
-    """int (e^{-<lam,z>} - 1 + lam_i (1 ^ z_i)) m(dz)."""
+def exp_branching_integral(m: JumpMeasure, lam, i: int):
+    """int (e^{-<lam,z>} - 1 + lam_i (1 ^ z_i)) m(dz) of each row of lam.
+
+    lam is one non-negative vector (d,), giving a float, or a stack (m, d),
+    giving an (m,) array; it is not checked. The same holds for the two
+    functions below."""
     return m.exp_branching(lam, i)
 
 
-def exp_branching_integral_full(m: JumpMeasure, lam) -> float:
+def exp_branching_integral_full(m: JumpMeasure, lam):
     """int (e^{-<lam,z>} - 1 + <lam,z>) m(dz), the fully compensated variant."""
     return m.exp_branching_full(lam)
 
 
-def exp_immigration_integral(m: JumpMeasure, lam) -> float:
+def exp_immigration_integral(m: JumpMeasure, lam):
     """int (1 - e^{-<lam,z>}) m(dz); non-negative and monotone in lam."""
     return m.exp_immigration(lam)
 

@@ -9,6 +9,7 @@ reports each one as data; nothing admissibility-related throws.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -64,6 +65,11 @@ class AdmissibleParams:
                 raise DimensionMismatch(f"branching measure {k} dimension differs from d")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "mu", mu)
+
+    @functools.cached_property
+    def has_diffusion(self) -> bool:
+        """Whether some c_i > 0; computed at first use, c being read-only."""
+        return bool(np.any(self.c > 0))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,15 @@ lam. phi_i combines the diffusion coefficient, the i-th column of B and the
 branching jump integral; psi combines the immigration drift and measure. The
 solver is an explicit embedded Runge-Kutta 5(4) pair (Dormand-Prince) with PI
 step-size control, an augmented quadrature component accumulating psi along
-the flow, and quartic dense output built from the stages. Roundoff can push a
-truly non-negative component slightly below zero; such components are clamped
-to zero when within 10x the absolute tolerance and the step is rejected and
-halved otherwise.
+the flow, and quartic dense output built from the stages. It integrates a
+stack of m starting points lam at once: one ODE of m (d + 1) components
+whose flows share every step, each step accepted only when the error norm of
+every row is at most 1, so a row is solved at least as finely as on its own.
+lam is checked once per solve; phi and psi evaluate the whole stack per
+right-hand side, and the last stage is the next step's first (FSAL).
+Roundoff can push a truly non-negative component slightly below zero; such
+components are clamped to zero when within 10x the absolute tolerance and the
+step is rejected and halved otherwise.
 """
 
 from __future__ import annotations
@@ -58,22 +63,25 @@ _MAX_STEPS = 1_000_000
 
 def phi(p: AdmissibleParams, lam):
     """Branching mechanism vector phi(lam): c_i lam_i^2 - <B e_i, lam> plus
-    the (1 ^ z_i)-compensated jump integral of mu_i."""
+    the (1 ^ z_i)-compensated jump integral of mu_i.
+
+    lam is one vector (d,) or a stack (m, d), and the result has its shape;
+    lam is not checked here (see :func:`solve_v`)."""
     lam = np.asarray(lam, dtype=float)
-    out = np.empty(p.d)
-    for i in range(p.d):
-        jump = (measures.exp_branching_integral(p.mu[i], lam, i)
-                if p.mu[i] is not None else 0.0)
-        out[i] = p.c[i] * lam[i] ** 2 - float(p.B[:, i] @ lam) + jump
+    out = p.c * lam ** 2 - lam @ p.B
+    for i, mu in enumerate(p.mu):
+        if mu is not None:
+            out[..., i] += measures.exp_branching_integral(mu, lam, i)
     return out
 
 
-def psi(p: AdmissibleParams, lam) -> float:
-    """Immigration mechanism <beta, lam> + int (1 - e^{-<lam,z>}) nu(dz) >= 0."""
+def psi(p: AdmissibleParams, lam):
+    """Immigration mechanism <beta, lam> + int (1 - e^{-<lam,z>}) nu(dz) >= 0:
+    a float for one vector lam (d,), an (m,) array for a stack (m, d)."""
     lam = np.asarray(lam, dtype=float)
-    value = float(p.beta @ lam)
+    value = lam @ p.beta
     if p.nu is not None:
-        value += measures.exp_immigration_integral(p.nu, lam)
+        value = value + measures.exp_immigration_integral(p.nu, lam)
     return value
 
 
@@ -82,7 +90,10 @@ class RiccatiSolution:
     """Adaptive-grid solution of the Riccati flow with quartic dense output.
 
     grid holds the accepted step endpoints, v the flow values there and
-    psi_accum the accumulated immigration integral int_0^t psi(v(s)) ds.
+    psi_accum the accumulated immigration integral int_0^t psi(v(s)) ds. For
+    a stack of m starting points lambda0 (m, d), v has shape (n + 1, m, d),
+    psi_accum (n + 1, m), and v_at and psi_at return one row per point; for
+    one vector lambda0 (d,) the stack axis is absent.
     """
 
     lambda0: np.ndarray
@@ -90,8 +101,8 @@ class RiccatiSolution:
     v: np.ndarray
     psi_accum: np.ndarray
     interpolant_order: int
-    _y0s: np.ndarray   # (n_steps, d+1) step-start states
-    _qs: np.ndarray    # (n_steps, d+1, 4) dense polynomial coefficients
+    _y0s: np.ndarray   # (n_steps, [m,] d+1) step-start states
+    _qs: np.ndarray    # (n_steps, [m,] d+1, 4) dense polynomial coefficients
 
     @property
     def T(self) -> float:
@@ -104,7 +115,7 @@ class RiccatiSolution:
         t = min(t, self.T)
         k = int(np.searchsorted(self.grid, t, side="right") - 1)
         if k >= len(self.grid) - 1:  # t == T
-            return np.concatenate([self.v[-1], [self.psi_accum[-1]]])
+            return np.concatenate([self.v[-1], self.psi_accum[-1][..., None]], axis=-1)
         h = self.grid[k + 1] - self.grid[k]
         theta = (t - self.grid[k]) / h
         powers = theta ** np.arange(1, 5)
@@ -112,11 +123,13 @@ class RiccatiSolution:
 
     def v_at(self, t):
         """Flow value v(t, lambda0) via the dense interpolant."""
-        return self._eval(t)[:-1]
+        return self._eval(t)[..., :-1]
 
-    def psi_at(self, t) -> float:
-        """Accumulated immigration integral at time t."""
-        return float(self._eval(t)[-1])
+    def psi_at(self, t):
+        """Accumulated immigration integral at time t: a float, or one value
+        per row of a stacked lambda0."""
+        value = self._eval(t)[..., -1]
+        return float(value) if value.ndim == 0 else value
 
 
 def _check_vector(name, value, d):
@@ -124,6 +137,10 @@ def _check_vector(name, value, d):
     value = np.asarray(value, dtype=float)
     if value.shape != (d,):
         raise ValueError(f"{name} must have shape ({d},)")
+    return _check_entries(name, value)
+
+
+def _check_entries(name, value):
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite")
     if np.any(value < 0):
@@ -143,38 +160,60 @@ def _check_tolerances(rtol, atol):
         raise ValueError("rtol must be finite and non-negative, atol finite and positive")
 
 
+def _row_norms(x):
+    """Root mean square of each row of the (m, d+1) array x."""
+    return np.sqrt(np.mean(x * x, axis=1))
+
+
 # an overflowing flow ends in StepSizeUnderflow, which reports it; no warnings
 @np.errstate(over="ignore", invalid="ignore")
 def solve_v(p: AdmissibleParams, lam, T: float,
             rtol: float = 1e-8, atol: float = 1e-10) -> RiccatiSolution:
-    """Integrate dv/dt = -phi(v), v(0) = lam, with the psi accumulator."""
+    """Integrate dv/dt = -phi(v), v(0) = lam, with the psi accumulator.
+
+    lam is one vector (d,) or a stack (m, d) of starting points, integrated
+    together on one sequence of steps (see the module docstring).
+    """
     d = p.d
-    lam = _check_vector("lambda", lam, d)
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim not in (1, 2) or lam.shape[-1] != d or lam.size == 0:
+        raise ValueError(f"lambda must have shape ({d},) or (m, {d})")
+    lam = _check_entries("lambda", lam)
     _check_time("T", T)
     _check_tolerances(rtol, atol)
+    m = 1 if lam.ndim == 1 else lam.shape[0]
+    rows = (m, d + 1)
 
     def rhs(y):
-        v = np.maximum(y[:d], 0.0)  # stages may undershoot by roundoff
-        return np.concatenate([-phi(p, v), [psi(p, v)]])
+        # stages may undershoot by roundoff; the psi component is never read
+        v = np.maximum(y.reshape(rows)[:, :d], 0.0)
+        f = np.empty(rows)
+        np.negative(phi(p, v), out=f[:, :d])
+        f[:, d] = psi(p, v)
+        return f.reshape(-1)
 
-    y = np.concatenate([lam, [0.0]])
+    y = np.zeros(rows)
+    y[:, :d] = lam
+    y = y.reshape(-1)
     t = 0.0
     f0 = rhs(y)
 
     scale0 = atol + rtol * np.abs(y)
-    d0 = math.sqrt(float(np.mean((y / scale0) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale0) ** 2)))
-    h = min(T, 0.01 * d0 / d1 if d1 > 1e-12 else T / 100.0)
+    d0 = _row_norms((y / scale0).reshape(rows))
+    d1 = _row_norms((f0 / scale0).reshape(rows))
+    h_rows = np.full(m, T / 100.0)
+    fast = d1 > 1e-12
+    h_rows[fast] = 0.01 * d0[fast] / d1[fast]
+    h = min(T, float(h_rows.min()))
     h = max(h, 1e-8 * T)
 
     grid = [0.0]
-    vs = [lam.copy()]
-    accum = [0.0]
+    ys = [y.copy()]
     y0s, qs = [], []
 
     err_prev = 1e-4
     n_stages = 7
-    K = np.empty((n_stages, d + 1))
+    K = np.empty((n_stages, y.size))
     steps = 0
     clamp_threshold = 10.0 * atol
     h_min = max(1e-14, 1e-13 * T)
@@ -193,36 +232,37 @@ def solve_v(p: AdmissibleParams, lam, T: float,
         for s in range(1, n_stages):
             y_stage = y + h * (_A[s] @ K[:s])
             K[s] = rhs(y_stage)
-        y_new = y + h * (_B5 @ K)
+        # the last stage sits at the fifth-order solution (_A[6] is _B5)
+        y_new = y_stage
         err_vec = h * (_ERR @ K)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        err = float(np.max(_row_norms((err_vec / scale).reshape(rows))))
 
         if err > 1.0:
             h *= max(0.1, 0.9 * err ** -0.2)
             continue
 
-        v_new = y_new[:d]
+        v_new = y_new.reshape(rows)[:, :d]
         negative = v_new < 0.0
         if np.any(negative):
             worst = float(-v_new[negative].min())
             if worst <= clamp_threshold:
-                y_new = y_new.copy()
-                y_new[:d] = np.maximum(v_new, 0.0)
+                np.maximum(v_new, 0.0, out=v_new)
             else:
                 h *= 0.5
                 continue
 
-        y0s.append(y.copy())
-        qs.append(K.T @ _P)  # (d+1, 4); evaluation multiplies by h
+        y0s.append(y)
+        qs.append(K.T @ _P)  # (m (d+1), 4); evaluation multiplies by h
 
         t += h
         y = y_new
         grid.append(t)
-        vs.append(y[:d].copy())
-        accum.append(float(y[d]))
+        ys.append(y)
 
-        f0 = rhs(y)  # FSAL would reuse K[6]; recompute to honour clamping
+        # FSAL: K[6] is rhs at y_new, and rhs reads only max(v, 0), which
+        # the clamp above leaves unchanged
+        f0 = K[6].copy()
         if err == 0.0:
             factor = 5.0
         else:
@@ -230,14 +270,16 @@ def solve_v(p: AdmissibleParams, lam, T: float,
         err_prev = max(err, 1e-4)
         h *= factor
 
+    shape = rows if lam.ndim == 2 else (d + 1,)
+    states = np.array(ys).reshape(-1, *shape)
     return RiccatiSolution(
         lambda0=lam.copy(),
         grid=np.array(grid),
-        v=np.array(vs),
-        psi_accum=np.array(accum),
+        v=states[..., :d],
+        psi_accum=states[..., d],
         interpolant_order=4,
-        _y0s=np.array(y0s),
-        _qs=np.array(qs),
+        _y0s=np.array(y0s).reshape(-1, *shape),
+        _qs=np.array(qs).reshape(-1, *shape, 4),
     )
 
 
@@ -251,9 +293,10 @@ def laplace_grid(p: AdmissibleParams, x, points,
                  rtol: float = 1e-8, atol: float = 1e-10) -> np.ndarray:
     """The Laplace transform at every (t, lam) of points, aligned with points.
 
-    Each distinct lam is solved once, to its largest t; its earlier t read the
-    dense output, which agrees with a solve to that t within the tolerances.
-    Every input is checked before the first solve.
+    Every distinct lam is one row of a single stacked solve to the largest t;
+    each (t, lam) reads the dense output of its row, which agrees with a
+    separate solve to that t within the tolerances. Every input is checked
+    before the solve.
     """
     x = _check_vector("x", x, p.d)
     _check_tolerances(rtol, atol)
@@ -261,18 +304,21 @@ def laplace_grid(p: AdmissibleParams, x, points,
     for t, _ in points:
         _check_time("t", t)
     out = np.empty(len(points))
-    flows = {}   # lam bytes -> (lam, [(index, t), ...])
+    rows = {}      # lam bytes -> row of the stacked solve
+    members = []   # (index, row, t)
     for i, (t, lam) in enumerate(points):
         if t == 0.0:
             out[i] = math.exp(-float(x @ lam))
         elif not np.any(lam):
             out[i] = 1.0
         else:
-            flows.setdefault(lam.tobytes(), (lam, []))[1].append((i, t))
-    for lam, members in flows.values():
-        sol = solve_v(p, lam, max(t for _, t in members), rtol=rtol, atol=atol)
-        for i, t in members:
-            out[i] = math.exp(-float(x @ sol.v_at(t)) - sol.psi_at(t))
+            members.append((i, rows.setdefault(lam.tobytes(), len(rows)), t))
+    if members:
+        lams = np.frombuffer(b"".join(rows), dtype=float).reshape(len(rows), p.d)
+        sol = solve_v(p, lams, max(t for _, _, t in members), rtol=rtol, atol=atol)
+        for i, row, t in members:
+            y = sol._eval(t)[row]
+            out[i] = math.exp(-float(x @ y[:-1]) - float(y[-1]))
     return out
 
 

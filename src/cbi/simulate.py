@@ -92,7 +92,14 @@ class SimConfig:
         return n
 
     def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_steps + 1)
+        """The time grid, built once per config and read-only."""
+        return self._grid
+
+    @functools.cached_property
+    def _grid(self):
+        grid = np.linspace(0.0, self.T, self.n_steps + 1)
+        grid.setflags(write=False)
+        return grid
 
 
 @dataclass(frozen=True)
@@ -219,6 +226,9 @@ def _add_floats(x, sizes):
             x[i] += v
 
 
+# an overflowing array state ends in the final-state check's OverflowError,
+# which reports it; no numpy warnings on the way
+@np.errstate(over="ignore", invalid="ignore")
 def _euler(p, X, beta, cfg, rng, observe=None, out=None):
     """Euler steps of a stack of k block states, shape (k, n, d), sharing all noise.
 
@@ -274,7 +284,7 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
     # dt folded into contiguous constants: a product with the transposed view
     # runs three times slower
     drift_dt = np.ascontiguousarray(dt * der.drift_matrix.T)
-    use_diffusion = bool(np.any(p.c > 0))
+    use_diffusion = p.has_diffusion
     chunk = max(1, min(n_steps, _CHUNK_VALUES // (n * d)))
     if use_diffusion:
         sig = np.sqrt(2.0 * p.c * dt)
@@ -472,24 +482,19 @@ class CoupledStats:
     diff_sum: np.ndarray | None = None     # (n_steps+1, d) sums of X' - X
     diff_sq_sum: np.ndarray | None = None
 
-    def record(self, step, diff):
-        """Add one grid point's (n, d) differences X' - X."""
-        if not diff.size:
+    def record(self, first, diffs):
+        """Add the differences X' - X at grid points first, first + 1, ...,
+        held as (d, points, n): each (type, point) row of paths contiguous."""
+        if not diffs.size:
             return
-        lo = float(diff.min())
+        lo = float(diffs.min())
         if lo < -COMPARISON_SLACK:
-            self.violations += int(np.count_nonzero(diff < -COMPARISON_SLACK))
-        self.triples += diff.size
+            self.violations += int(np.count_nonzero(diffs < -COMPARISON_SLACK))
+        self.triples += diffs.size
         self.worst = max(self.worst, -lo)
-        if diff.shape[1] > 1:
-            # sum(axis=0) adds row by row here, as einsum does without the
-            # strided loop and the temporaries
-            self.diff_sum[step] += np.einsum("ij->j", diff)
-            self.diff_sq_sum[step] += np.einsum("ij,ij->j", diff, diff)
-        else:
-            # one contiguous column, which sum(axis=0) adds pairwise
-            self.diff_sum[step] += diff.sum(axis=0)
-            self.diff_sq_sum[step] += (diff ** 2).sum(axis=0)
+        points = slice(first, first + diffs.shape[1])
+        self.diff_sum[points] += diffs.sum(axis=2).T
+        self.diff_sq_sum[points] += (diffs * diffs).sum(axis=2).T
 
 
 def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
@@ -521,10 +526,15 @@ def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
                          diff_sq_sum=np.zeros((n_steps + 1, d)))
     full = np.empty((2, n_steps + 1, n, d)) if keep_full else None
 
-    diff = np.empty((n, d))
+    # the differences of a chunk of grid points, recorded together
+    m = max(1, min(n_steps + 1, _CHUNK_VALUES // (n * d)))
+    diffs = np.empty((d, m, n))
 
     def observe(step, stack):
-        stats.record(step, np.subtract(stack[1], stack[0], out=diff))
+        row = step % m
+        np.subtract(stack[1].T, stack[0].T, out=diffs[:, row])
+        if row == m - 1 or step == n_steps:
+            stats.record(step - row, diffs[:, :row + 1])
         if keep_full:
             full[:, step] = stack
 

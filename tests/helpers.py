@@ -77,6 +77,60 @@ def product_exp_shell_oracle_2d(r, theta, g, lo, hi, n=2001):
     return float(wr @ vals @ wp)
 
 
+def upper_gamma(s, x):
+    """Upper incomplete gamma Gamma(s, x) for x > 0 and non-integer s > -2,
+    by Gamma(s, x) = (Gamma(s + 1, x) - x^s e^-x) / s below s = 0."""
+    from scipy.special import gamma, gammaincc
+
+    if s > 0:
+        return gamma(s) * gammaincc(s, x)
+    return (upper_gamma(s + 1.0, x) - x ** s * math.exp(-x)) / s
+
+
+def _binomial_tail(alpha, x):
+    """(1 + x)^alpha - 1 - alpha x without cancellation for small x."""
+    if x > 0.5:
+        return (1.0 + x) ** alpha - 1.0 - alpha * x
+    total, coef, power, k = 0.0, alpha * (alpha - 1.0) / 2.0, x * x, 2
+    while True:
+        term = coef * power
+        total += term
+        if abs(term) <= 1e-18 * abs(total):
+            return total
+        coef *= (alpha - k) / (k + 1.0)
+        power *= x
+        k += 1
+
+
+def tempered_closed_forms(alpha, theta, scale, lam):
+    """Closed forms for C z^(-1-alpha) e^(-theta z) dz on one axis, alpha in
+    (0, 1) or (1, 2), at the own-axis lam > 0 (Rosinski, SPA 117, 2007):
+    coord over (0, 1), [1, inf) and everything, the immigration exponent
+    int (1 - e^(-lam z)), and the branching exponents on the own axis
+    int (e^(-lam z) - 1 + lam (1 ^ z)) and across axes int (e^(-lam z) - 1).
+    A divergent integral is +-inf."""
+    from scipy.special import gamma, gammainc
+
+    C, a, th = scale, alpha, theta
+    x = lam / th
+    large = C * th ** (a - 1.0) * upper_gamma(1.0 - a, th)
+    # int (e^(-lam z) - 1 + lam z), and the part of lam z above 1 removed
+    full = C * gamma(-a) * th ** a * _binomial_tail(a, x)
+    above_one = C * (th ** (a - 1.0) * upper_gamma(1.0 - a, th)
+                     - th ** a * upper_gamma(-a, th))
+    if a < 1.0:
+        small = C * th ** (a - 1.0) * gamma(1.0 - a) * gammainc(1.0 - a, th)
+        immigration = -C * gamma(-a) * th ** a * math.expm1(a * math.log1p(x))
+    else:
+        small = immigration = math.inf
+    return {
+        "coord_small": small, "coord_large": large, "coord": small + large,
+        "immigration": immigration,
+        "branching_own": full - lam * above_one,
+        "branching_cross": -immigration,
+    }
+
+
 def cir_v_oracle(c, b, lam, t):
     """Closed-form Riccati flow for v' = b v - c v^2, v(0) = lam."""
     if lam == 0.0:

@@ -9,7 +9,7 @@ import pytest
 
 from cbi.cli import _path_template, _write_jump_csv, _write_path_csv, main
 from cbi.config import dumps_canonical, format_float, params_to_json, parse_float
-from cbi.scenarios import load_scenario
+from cbi.scenarios import load_scenario, scenario_to_json
 from cbi.simulate import JumpEvent, Path
 
 CIR = {
@@ -265,6 +265,19 @@ class TestNumericOverflow:
         assert "numeric failure: " in err and message in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not list(tmp_path.glob("out/*.csv"))
+
+    def test_verify_comparison_exit_four(self, tmp_path, capsys):
+        # the coupled pairs run the array lane of the Euler kernel (n > 1)
+        blob = scenario_to_json(load_scenario("S3"))
+        blob["params"]["B"][0][0] = 1e308
+        blob["comparison"]["n_paths"] = 50
+        path = write_params(tmp_path, "S3-huge.json", blob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "comparison", "--scenario", path]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: OverflowError" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
 def reference_path_csv(path_obj) -> str:
     """The path file written one format_float call per value."""

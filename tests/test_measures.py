@@ -10,13 +10,14 @@ from cbi import measures
 from cbi.errors import EmptyRegion, InfiniteMass
 from cbi.measures import (
     ALL, LARGE_JUMPS, SMALL_JUMPS, DiscreteAtoms, MeasureSum, MomentKind,
-    ProductExponential, TemperedPowerLawAxis, above, below,
+    ProductExponential, Region, TemperedPowerLawAxis, above, below,
 )
 from cbi.params import derive, validate
 from cbi.scenarios import load_scenario
 
 from helpers import (
-    origin_refinement_diverges, product_exp_shell_oracle_2d, tpl_radial_oracle,
+    origin_refinement_diverges, product_exp_shell_oracle_2d, tempered_closed_forms,
+    tpl_radial_oracle,
 )
 
 # a few integrals at the package's quadrature policy (relative 1e-10,
@@ -252,6 +253,42 @@ def simpson_exp(r, theta, g, lo=0.0, hi=None):
         return g(z) * r * theta * np.exp(-theta * z)
 
     return simpson(f, lo, upper, 40001)
+
+
+class TestTemperedClosedForms:
+    """Quadrature of a tempered leaf against the tempered-stable closed forms,
+    down to tempering scales 1/theta far below the unit split."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("theta", [1.0, 1e2, 1e4, 1e6])
+    def test_matches_closed_forms(self, alpha, theta):
+        m = TemperedPowerLawAxis(2, 0, alpha=alpha, theta=theta, scale=0.7)
+        lams = (0.5, 3.0)
+        want = [tempered_closed_forms(alpha, theta, 0.7, la) for la in lams]
+
+        def close(got, exact):
+            assert got == pytest.approx(exact, rel=1e-10, abs=0)
+
+        close(m.coord(0, SMALL_JUMPS), want[0]["coord_small"])
+        close(m.coord(0, LARGE_JUMPS), want[0]["coord_large"])
+        close(m.coord(0, ALL), want[0]["coord"])
+        # one vector, then the two as a stack, each row its own quadrature
+        stack = np.array([[la, 0.25] for la in lams])
+        for key, fn in (("immigration", m.exp_immigration),
+                        ("branching_own", lambda lam: m.exp_branching(lam, 0)),
+                        ("branching_cross", lambda lam: m.exp_branching(lam, 1))):
+            close(fn(stack[0]), want[0][key])
+            got = fn(stack)
+            assert got.shape == (2,)
+            for value, exact in zip(got, want):
+                close(value, exact[key])
+
+    def test_sharp_tempering_keeps_its_mass(self):
+        m = TemperedPowerLawAxis(1, 0, alpha=0.5, theta=1e6, scale=1.0)
+        want = math.sqrt(math.pi) * 1e-3   # C Gamma(1/2) theta^(-1/2)
+        assert m.coord(0, Region(0.0, 1.0)) == pytest.approx(want, rel=1e-10)
+        assert m.exp_immigration([1.0]) == pytest.approx(
+            tempered_closed_forms(0.5, 1e6, 1.0, 1.0)["immigration"], rel=1e-10)
 
 
 class TestExpIntegrals:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cbi import riccati
-from cbi.measures import DiscreteAtoms
+from cbi import measures, riccati
+from cbi.measures import DiscreteAtoms, MeasureSum, ProductExponential, TemperedPowerLawAxis
 from cbi.params import AdmissibleParams
 from cbi.riccati import (
     cir_closed_form_v, laplace_grid, laplace_transform, phi, psi, solve_v,
@@ -204,8 +204,7 @@ class TestLaplaceGrid:
 
         monkeypatch.setattr(riccati, "solve_v", counting_solve_v)
         got = laplace_grid(p, s.x0, s.laplace_points, rtol=1e-10, atol=1e-12)
-        distinct = {np.asarray(lam, dtype=float).tobytes() for _, lam in s.laplace_points}
-        assert len(solves) == len(distinct)
+        assert len(solves) == 1   # one stacked solve for the whole grid
         want = [laplace_transform(p, s.x0, lam, t, rtol=1e-10, atol=1e-12)
                 for t, lam in s.laplace_points]
         assert got == pytest.approx(want, rel=1e-9, abs=0)
@@ -217,13 +216,92 @@ class TestLaplaceGrid:
         got = laplace_grid(p, x, points)
         assert got[1] == math.exp(-1.3 * 0.8)
         assert got[2] == 1.0
-        # the largest t of a lambda is read at the end of its solve
-        assert got[0] == laplace_transform(p, x, [0.5], 1.0)
-        assert got[4] == laplace_transform(p, x, [0.9], 2.0)
-        assert got[3] == pytest.approx(laplace_transform(p, x, [0.5], 0.3),
-                                       rel=1e-9, abs=0)
+        # every lambda rides on the one solve to the largest t
+        for i, (t, lam) in ((0, (1.0, [0.5])), (3, (0.3, [0.5])), (4, (2.0, [0.9]))):
+            assert got[i] == pytest.approx(laplace_transform(p, x, lam, t),
+                                           rel=1e-9, abs=0)
         with pytest.raises(ValueError):
             laplace_grid(p, x, [(1.0, [0.5]), (-0.1, [0.5])])
+
+
+def mixed_params():
+    """d = 2 with every family: mixtures, product exponentials, a tempered
+    immigration leaf and a tempered branching leaf on its own axis."""
+    atoms = DiscreteAtoms(2, [(np.array([0.3, 0.1]), 0.4), (np.array([0.0, 1.2]), 0.2)])
+    return AdmissibleParams(
+        d=2, c=[0.3, 0.0], beta=[0.2, 0.5], B=[[-1.0, 0.3], [0.2, -0.8]],
+        nu=MeasureSum([ProductExponential(0.5, [2.0, 3.0]),
+                       TemperedPowerLawAxis(2, 0, alpha=0.6, theta=2.0, scale=0.3)]),
+        mu=(MeasureSum([atoms, ProductExponential(0.2, [1.0, 4.0])]),
+            TemperedPowerLawAxis(2, 1, alpha=1.5, theta=1.0, scale=0.2)))
+
+
+class TestBatchedFlow:
+    def test_stacked_mechanisms_equal_rows(self):
+        rng = np.random.default_rng(404)
+        instances = [mixed_params()] + [random_discrete_params(rng) for _ in range(20)]
+        for p in instances:
+            lams = rng.uniform(0.0, 3.0, size=(4, p.d))
+            lams[1] = 0.0
+            lams[2, 0] = 0.0
+            stacked, rows = phi(p, lams), np.array([phi(p, lam) for lam in lams])
+            assert stacked.shape == (4, p.d)
+            np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-15)
+            stacked, rows = psi(p, lams), np.array([psi(p, lam) for lam in lams])
+            assert stacked.shape == (4,)
+            np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-15)
+
+    def test_grid_matches_per_point_on_random_instances(self):
+        rng = np.random.default_rng(2027)
+        for _ in range(50):
+            p = random_discrete_params(rng)
+            x = rng.uniform(0.0, 2.0, size=p.d)
+            points = [(float(t), lam) for t, lam in zip(
+                rng.uniform(0.05, 2.0, size=3), rng.uniform(0.0, 3.0, size=(3, p.d)))]
+            got = laplace_grid(p, x, points, rtol=1e-10, atol=1e-12)
+            want = [laplace_transform(p, x, lam, t, rtol=1e-10, atol=1e-12)
+                    for t, lam in points]
+            assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_stack_rows_solved_as_finely_as_alone(self):
+        # every row's error norm gates the shared step, so a stack takes at
+        # least the steps of its hardest row
+        p = load_scenario("S3").params
+        lams = np.array([[0.4, 0.2], [1.0, 0.5], [0.2, 1.0]])
+        stacked = solve_v(p, lams, T=1.0, rtol=1e-10, atol=1e-12)
+        assert stacked.v.shape == (len(stacked.grid), 3, 2)
+        assert stacked.psi_accum.shape == (len(stacked.grid), 3)
+        alone = [solve_v(p, lam, T=1.0, rtol=1e-10, atol=1e-12) for lam in lams]
+        assert len(stacked.grid) >= max(len(sol.grid) for sol in alone)
+        for row, sol in enumerate(alone):
+            assert np.array_equal(stacked.v[0, row], lams[row])
+            np.testing.assert_allclose(stacked.v_at(0.37)[row], sol.v_at(0.37), rtol=1e-9)
+            assert stacked.psi_at(1.0)[row] == pytest.approx(sol.psi_at(1.0), rel=1e-9)
+
+    def test_bad_stack_shapes(self):
+        p = load_scenario("S3").params
+        for lam in ([[1.0, 0.5, 0.2]], np.zeros((0, 2)), np.ones((2, 2, 2)),
+                    [[1.0, -0.5]], [[1.0, np.nan]]):
+            with pytest.raises(ValueError, match="lambda"):
+                solve_v(p, lam, T=1.0)
+
+    def test_tempered_grid_uses_quadrature(self, monkeypatch):
+        p = mixed_params()
+        calls = []
+        quad = measures.quad_strict
+
+        def counting(*args):
+            calls.append(args[1:])
+            return quad(*args)
+
+        monkeypatch.setattr(measures, "quad_strict", counting)
+        x = np.array([1.0, 0.5])
+        points = [(0.3, [0.5, 0.2]), (0.3, [1.0, 1.0]), (0.15, [0.5, 0.2])]
+        got = laplace_grid(p, x, points)
+        assert calls
+        want = [laplace_transform(p, x, lam, t) for t, lam in points]
+        assert got == pytest.approx(want, rel=1e-7, abs=0)
+        assert np.all((got > 0.0) & (got < 1.0))
 
 
 class TestDenseOutputConsistency:

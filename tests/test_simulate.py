@@ -38,6 +38,17 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             SimConfig(T=1.0, dt=0.1, positivity_mode="projective")
 
+    def test_grid_built_once_and_read_only(self):
+        cfg = SimConfig(T=1.0, dt=0.25)
+        grid = cfg.grid()
+        assert grid is cfg.grid()
+        assert np.array_equal(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        p = make(d=1, c=(0.5,), B=((-1.0,),))
+        path = simulate_path(p, [1.0], cfg, block_generator(5, 0))
+        assert path.grid is grid
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_horizon_and_step(self, bad):
         with pytest.raises(InvalidConfig):
@@ -274,14 +285,17 @@ class TestCoupling:
 
 
 def reference_record(stats, step, diff):
-    """CoupledStats.record written with temporaries and plain reductions."""
+    """CoupledStats.record of one grid point's (n, d) differences, written
+    with temporaries and plain reductions; each type's differences are
+    summed as one contiguous row of paths, as record sums them."""
     gap = np.minimum(diff, 0.0)
     stats.violations += int(np.count_nonzero(diff < -COMPARISON_SLACK))
     stats.triples += diff.size
     worst = float(-gap.min()) if gap.size else 0.0
     stats.worst = max(stats.worst, worst)
-    stats.diff_sum[step] += diff.sum(axis=0)
-    stats.diff_sq_sum[step] += (diff ** 2).sum(axis=0)
+    rows = np.ascontiguousarray(diff.T)
+    stats.diff_sum[step] += rows.sum(axis=1)
+    stats.diff_sq_sum[step] += (rows ** 2).sum(axis=1)
 
 
 def empty_stats(n, steps, d):
@@ -373,6 +387,32 @@ class TestKernelBuffers:
         assert_same_stats(stats, rebuilt)
 
 
+    def test_coupled_stats_flushed_per_chunk(self):
+        # 2^15 // (n d) = 3 grid points per chunk: five full chunks and a
+        # last one of two points, each reduced once
+        p = self.instance()
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        n = 5000
+        x0 = np.tile([1.0, 0.5], (n, 1))
+        records = []
+        record = CoupledStats.record
+
+        def spy(stats, first, diffs):
+            records.append((first, diffs.shape[1]))
+            record(stats, first, diffs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CoupledStats, "record", spy)
+            _, _, stats, full = simulate_coupled_block(
+                p, p.beta + 0.5, x0, x0 + 0.1, cfg, block_generator(98, 0),
+                keep_full=True)
+        assert records == [(0, 3), (3, 3), (6, 3), (9, 3), (12, 3), (15, 2)]
+        rebuilt = empty_stats(n, cfg.n_steps + 1, 2)
+        for step in range(cfg.n_steps + 1):
+            reference_record(rebuilt, step, full[1, step] - full[0, step])
+        assert_same_stats(stats, rebuilt)
+
+
 class TestCoupledStatsRecord:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 9, 1000, 16384])
@@ -380,8 +420,9 @@ class TestCoupledStatsRecord:
         rng = np.random.default_rng(n * 10 + d)
         steps = 6
         got, want = empty_stats(n, steps, d), empty_stats(n, steps, d)
-        for step in range(steps):
-            for _ in range(2):
+        for _ in range(2):
+            diffs = np.empty((d, steps, n))   # the kernel's chunk layout
+            for step in range(steps):
                 scale = 10.0 ** rng.uniform(-14, 3, (n, 1))
                 diff = rng.standard_normal((n, d)) * scale
                 if step == 0:
@@ -389,8 +430,11 @@ class TestCoupledStatsRecord:
                 elif step == 1:
                     diff[::2] = 0.0           # zeros and tiny negatives
                     diff[1::3] = -COMPARISON_SLACK / 2
-                got.record(step, diff)
+                diffs[:, step] = diff.T
                 reference_record(want, step, diff)
+            # chunks of 3, 2 and 1 grid points, each a view like the kernel's
+            for first, last in ((0, 3), (3, 5), (5, 6)):
+                got.record(first, diffs[:, first:last])
         assert_same_stats(got, want)
 
 
