@@ -12,9 +12,8 @@ from .errors import (
 )
 from .measures import (
     ALL, LARGE_JUMPS, SMALL_JUMPS, DiscreteAtoms, JumpMeasure, MeasureSum,
-    MomentKind, ProductExponential, Region, TemperedPowerLawAxis, above, below,
+    ProductExponential, Region, TemperedPowerLawAxis, above, below,
     exp_branching_integral, exp_branching_integral_full, exp_immigration_integral,
-    moment_integral, sample, total_mass,
 )
 from .moments import mean
 from .montecarlo import (

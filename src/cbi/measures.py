@@ -18,6 +18,13 @@ Regions are shells in the Euclidean norm, {z : lo <= ||z|| < hi}; the public
 region vocabulary is ALL, SMALL_JUMPS (||z|| < 1), LARGE_JUMPS (||z|| >= 1),
 above(eps) and below(eps).
 
+Every family exposes the same region integrals of 1, z_i, ||z|| and ||z||^2
+and the kinked integrals int (1 ^ z_i) and int (z_i - delta_ij)^+; each
+returns +inf exactly when it diverges. The paper's admissibility conditions
+and modified drifts are sums of these, composed in :mod:`cbi.params`.
+Every numeric field of a family, and the norm of every atom, must be
+finite; a non-finite one raises ValueError at construction.
+
 Mixtures are sampled by :func:`sample_parts`, the one place that picks a
 mixture leaf by mass, for :class:`MeasureSum` and the Euler scheme alike.
 
@@ -27,7 +34,6 @@ parallel workers; sampling takes an explicit numpy Generator.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import threading
@@ -75,20 +81,6 @@ def above(eps: float) -> Region:
 def below(eps: float) -> Region:
     """Region ||z|| < eps (plumbing for truncation corrections)."""
     return Region(0.0, float(eps))
-
-
-class MomentKind(enum.Enum):
-    """Moment integrals required by parameter validation and derivation."""
-
-    ONE_WEDGE_NORM = "one_wedge_norm"            # int (1 ^ ||z||)
-    NORM_LARGE = "norm_large"                    # int ||z|| 1{||z||>=1}
-    COORD_LARGE = "coord_large"                  # int z_i 1{||z||>=1}
-    COORD_SMALL = "coord_small"                  # int z_i 1{||z||<1}
-    COORD_MINUS_DELTA_PLUS = "coord_minus_delta_plus"  # int (z_i - delta_ij)^+
-    ONE_WEDGE_COORD = "one_wedge_coord"          # int (1 ^ z_i)
-    NORM_SQ_SMALL = "norm_sq_small"              # int ||z||^2 1{||z||<1}
-    COORD = "coord"                              # int z_i
-    NORM_SQ_WEDGE_NORM = "norm_sq_wedge_norm"    # int (||z|| ^ ||z||^2)
 
 
 # --------------------------------------------------------------------------
@@ -163,13 +155,17 @@ class DiscreteAtoms(JumpMeasure):
                 raise ValueError(f"atom location must have shape ({self.dim},)")
             if np.any(z < 0) or not np.any(z > 0):
                 raise ValueError("atom locations must lie in U_d")
-            if not w > 0:
-                raise ValueError("atom weights must be strictly positive")
+            if not 0 < w < INF:
+                raise ValueError("atom weights must be finite and strictly positive")
             locs.append(z)
             weights.append(float(w))
         self._z = np.array(locs, dtype=float).reshape(len(locs), self.dim)
         self._w = np.array(weights, dtype=float)
-        self._norms = np.linalg.norm(self._z, axis=1)
+        with np.errstate(over="ignore"):
+            self._norms = np.linalg.norm(self._z, axis=1)
+        # an atom without a finite norm would fall outside every region
+        if not np.all(np.isfinite(self._norms)):
+            raise ValueError("atom locations must be finite, with a finite norm")
         self._cdf_cache = {}
         self._cdf_lock = threading.Lock()
 
@@ -285,6 +281,8 @@ class ProductExponential(JumpMeasure):
             raise ValueError("rates must be a non-empty vector")
         if np.any(rates <= 0) or not mass > 0:
             raise ValueError("mass and rates must be strictly positive")
+        if not (np.all(np.isfinite(rates)) and math.isfinite(mass)):
+            raise ValueError("mass and rates must be finite")
         self.dim = rates.size
         self.r = float(mass)
         self.theta = rates
@@ -421,6 +419,8 @@ class TemperedPowerLawAxis(JumpMeasure):
             raise ValueError("axis out of range")
         if not (alpha > 0 and theta > 0 and scale > 0):
             raise ValueError("alpha, theta and scale must be strictly positive")
+        if not all(map(math.isfinite, (alpha, theta, scale))):
+            raise ValueError("alpha, theta and scale must be finite")
         self.alpha = float(alpha)
         self.theta = float(theta)
         self.scale = float(scale)
@@ -660,46 +660,8 @@ def sample_parts(parts, n, rng):
 # module-level operations
 # --------------------------------------------------------------------------
 
-def total_mass(m: JumpMeasure, region: Region = ALL) -> float:
-    """Mass of m restricted to region; +inf exactly when the integral diverges."""
-    return m.mass(region)
-
-
-def moment_integral(m: JumpMeasure, kind: MomentKind, i: int | None = None,
-                    j: int | None = None) -> float:
-    """Evaluate one of the validation/derivation moment integrals.
-
-    Exact for DiscreteAtoms and separable ProductExponential kinds, adaptive
-    quadrature otherwise; returns +inf when the integral diverges.
-    """
-    if kind is MomentKind.ONE_WEDGE_NORM:
-        return m.norm_moment(SMALL_JUMPS) + m.mass(LARGE_JUMPS)
-    if kind is MomentKind.NORM_LARGE:
-        return m.norm_moment(LARGE_JUMPS)
-    if kind is MomentKind.COORD_LARGE:
-        return m.coord(i, LARGE_JUMPS)
-    if kind is MomentKind.COORD_SMALL:
-        return m.coord(i, SMALL_JUMPS)
-    if kind is MomentKind.COORD_MINUS_DELTA_PLUS:
-        return m.coord_minus_delta_plus(i, j)
-    if kind is MomentKind.ONE_WEDGE_COORD:
-        return m.one_wedge_coord(i)
-    if kind is MomentKind.NORM_SQ_SMALL:
-        return m.norm_sq_moment(SMALL_JUMPS)
-    if kind is MomentKind.COORD:
-        return m.coord(i, ALL)
-    if kind is MomentKind.NORM_SQ_WEDGE_NORM:
-        return m.norm_sq_moment(SMALL_JUMPS) + m.norm_moment(LARGE_JUMPS)
-    raise ValueError(f"unknown moment kind {kind}")
-
-
-def first_moment_vector(m: JumpMeasure | None, region: Region, dim: int) -> np.ndarray:
-    """Vector of coordinate first moments over the region; zero measure allowed."""
-    if m is None:
-        return np.zeros(dim)
-    return np.array([m.coord(i, region) for i in range(dim)])
-
-
+# riccati reaches the exponential integrals through these functions, which
+# the benchmark's tracer (perfbench/tracing.py) times by name
 def exp_branching_integral(m: JumpMeasure, lam, i: int):
     """int (e^{-<lam,z>} - 1 + lam_i (1 ^ z_i)) m(dz) of each row of lam.
 
@@ -717,14 +679,3 @@ def exp_branching_integral_full(m: JumpMeasure, lam):
 def exp_immigration_integral(m: JumpMeasure, lam):
     """int (1 - e^{-<lam,z>}) m(dz); non-negative and monotone in lam."""
     return m.exp_immigration(lam)
-
-
-def sample(m: JumpMeasure, region: Region, rng, size: int | None = None):
-    """Draw from m restricted to region and normalised.
-
-    Returns a (d,) point, or an (size, d) array when size is given.
-    """
-    n = 1 if size is None else int(size)
-    draws = m.sample_n(region, n, rng)
-    return draws[0] if size is None else draws
-

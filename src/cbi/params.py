@@ -5,6 +5,10 @@ immigration drift beta, the essentially non-negative interaction matrix B,
 one immigration measure nu and one branching measure mu_i per type. The
 validator evaluates every defining integrability condition numerically and
 reports each one as data; nothing admissibility-related throws.
+
+The paper's conditions and modified drifts are region integrals of the jump
+measures, composed here from the methods of the measure families, e.g.
+int (1 ^ ||z||) nu as nu.norm_moment(SMALL_JUMPS) + nu.mass(LARGE_JUMPS).
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import measures
 from .errors import DimensionMismatch, InfiniteMass, InvalidConfig
-from .measures import JumpMeasure, MomentKind
+from .measures import ALL, LARGE_JUMPS, SMALL_JUMPS, JumpMeasure, above, below
 
 DEFAULT_EPS_TRUNC = 1e-3
 
@@ -138,12 +141,11 @@ class DerivedParams:
     branching_parts: tuple           # simulated parts of each mu_j
 
 
-def _measure_checks(m, label, kinds):
-    checks = []
-    for name, kind, idx, citation in kinds:
-        value = measures.moment_integral(m, kind, *idx)
-        checks.append(Check(f"{label}.{name}", bool(np.isfinite(value)), value, citation))
-    return checks
+def _measure_checks(label, conditions):
+    """One Check per (name, integral value, citation); an integral passes
+    when it is finite."""
+    return [Check(f"{label}.{name}", bool(np.isfinite(value)), value, citation)
+            for name, value, citation in conditions]
 
 
 def validate(p: AdmissibleParams) -> ValidationReport:
@@ -167,29 +169,30 @@ def validate(p: AdmissibleParams) -> ValidationReport:
         "B must have non-negative off-diagonal entries",
     ))
 
-    if p.nu is not None:
-        checks.extend(_measure_checks(p.nu, "nu", [
-            ("small_jump_integrable", MomentKind.ONE_WEDGE_NORM, (),
+    nu = p.nu
+    if nu is not None:
+        checks.extend(_measure_checks("nu", [
+            ("small_jump_integrable", nu.norm_moment(SMALL_JUMPS) + nu.mass(LARGE_JUMPS),
              "int (1 ^ ||z||) nu(dz) must be finite"),
-            ("large_jump_first_moment", MomentKind.NORM_LARGE, (),
+            ("large_jump_first_moment", nu.norm_moment(LARGE_JUMPS),
              "int ||z|| 1{||z||>=1} nu(dz) must be finite"),
         ]))
     for i, m in enumerate(p.mu):
         if m is None:
             continue
-        kinds = [
-            ("small_jump_second_moment", MomentKind.NORM_SQ_SMALL, (),
+        conditions = [
+            ("small_jump_second_moment", m.norm_sq_moment(SMALL_JUMPS),
              "int ||z||^2 1{||z||<1} mu_i(dz) must be finite"),
-            ("large_jump_first_moment", MomentKind.NORM_LARGE, (),
+            ("large_jump_first_moment", m.norm_moment(LARGE_JUMPS),
              "int ||z|| 1{||z||>=1} mu_i(dz) must be finite"),
         ]
         for j in range(d):
             if j != i:
-                kinds.append((
-                    f"cross_coordinate_integrable[{j}]", MomentKind.ONE_WEDGE_COORD, (j,),
+                conditions.append((
+                    f"cross_coordinate_integrable[{j}]", m.one_wedge_coord(j),
                     f"int (1 ^ z_{j}) mu_{i}(dz) must be finite for off-type coordinates",
                 ))
-        checks.extend(_measure_checks(m, f"mu[{i}]", kinds))
+        checks.extend(_measure_checks(f"mu[{i}]", conditions))
 
     return ValidationReport(tuple(checks))
 
@@ -207,7 +210,7 @@ def _truncation_stats(m, d, eps):
     sim_mean = np.zeros(d)
     lost_mean = np.zeros(d)
     for comp in m.components() if m is not None else ():
-        region = measures.ALL if comp.is_finite_activity else measures.above(eps)
+        region = ALL if comp.is_finite_activity else above(eps)
         mass = comp.mass(region)
         if math.isinf(mass):
             raise InfiniteMass("simulated jump region must have finite mass above the cutoff")
@@ -215,8 +218,8 @@ def _truncation_stats(m, d, eps):
             parts.append((comp, region, mass))
         rate += mass
         sim_mean += np.array([comp.coord(i, region) for i in range(d)])
-        if region is not measures.ALL:
-            lost = measures.below(region.lo)
+        if region is not ALL:
+            lost = below(region.lo)
             lost_mean += np.array([comp.coord(i, lost) for i in range(d)])
     return tuple(parts), rate, sim_mean, lost_mean
 
@@ -239,20 +242,22 @@ def derive(p: AdmissibleParams, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Derived
 
 def _derive(p, eps_trunc):
     d = p.d
-    beta_tilde = p.beta + measures.first_moment_vector(p.nu, measures.ALL, d)
+    # beta_tilde = beta + int z nu(dz)
+    beta_tilde = p.beta + (np.zeros(d) if p.nu is None
+                           else np.array([p.nu.coord(i, ALL) for i in range(d)]))
 
+    # column j adds int (z_i - delta_ij)^+ mu_j to B_tilde; D is B_tilde less
+    # int z_i 1{||z||>=1} mu_j, and B_hat_jj loses int (1 ^ z_j) mu_j
     B_tilde = p.B.copy()
-    D = np.zeros((d, d))
+    D = p.B.copy()
     B_hat = p.B.copy()
     for j, m in enumerate(p.mu):
+        if m is None:
+            continue
         for i in range(d):
-            if m is not None:
-                B_tilde[i, j] += measures.moment_integral(
-                    m, MomentKind.COORD_MINUS_DELTA_PLUS, i, j)
-            large = measures.moment_integral(m, MomentKind.COORD_LARGE, i) if m else 0.0
-            D[i, j] = B_tilde[i, j] - large
-        if m is not None:
-            B_hat[j, j] -= measures.moment_integral(m, MomentKind.ONE_WEDGE_COORD, j)
+            B_tilde[i, j] += m.coord_minus_delta_plus(i, j)
+            D[i, j] = B_tilde[i, j] - m.coord(i, LARGE_JUMPS)
+        B_hat[j, j] -= m.one_wedge_coord(j)
 
     small_jump_mean = np.zeros((d, d))
     branching_rates = np.zeros(d)

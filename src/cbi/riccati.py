@@ -32,8 +32,8 @@ from . import measures
 from .errors import StepSizeUnderflow
 from .params import AdmissibleParams
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau; the flow is autonomous, so the stage times
+# 0, 1/5, 3/10, 4/5, 8/9, 1, 1 never enter
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -91,16 +91,14 @@ class RiccatiSolution:
 
     grid holds the accepted step endpoints, v the flow values there and
     psi_accum the accumulated immigration integral int_0^t psi(v(s)) ds. For
-    a stack of m starting points lambda0 (m, d), v has shape (n + 1, m, d),
+    a stack of m starting points lam (m, d), v has shape (n + 1, m, d),
     psi_accum (n + 1, m), and v_at and psi_at return one row per point; for
-    one vector lambda0 (d,) the stack axis is absent.
+    one vector lam (d,) the stack axis is absent.
     """
 
-    lambda0: np.ndarray
     grid: np.ndarray
     v: np.ndarray
     psi_accum: np.ndarray
-    interpolant_order: int
     _y0s: np.ndarray   # (n_steps, [m,] d+1) step-start states
     _qs: np.ndarray    # (n_steps, [m,] d+1, 4) dense polynomial coefficients
 
@@ -122,12 +120,12 @@ class RiccatiSolution:
         return self._y0s[k] + h * (self._qs[k] @ powers)
 
     def v_at(self, t):
-        """Flow value v(t, lambda0) via the dense interpolant."""
+        """Flow value v(t, lam) via the dense interpolant."""
         return self._eval(t)[..., :-1]
 
     def psi_at(self, t):
         """Accumulated immigration integral at time t: a float, or one value
-        per row of a stacked lambda0."""
+        per row of a stacked lam."""
         value = self._eval(t)[..., -1]
         return float(value) if value.ndim == 0 else value
 
@@ -273,11 +271,9 @@ def solve_v(p: AdmissibleParams, lam, T: float,
     shape = rows if lam.ndim == 2 else (d + 1,)
     states = np.array(ys).reshape(-1, *shape)
     return RiccatiSolution(
-        lambda0=lam.copy(),
         grid=np.array(grid),
         v=states[..., :d],
         psi_accum=states[..., d],
-        interpolant_order=4,
         _y0s=np.array(y0s).reshape(-1, *shape),
         _qs=np.array(qs).reshape(-1, *shape, 4),
     )

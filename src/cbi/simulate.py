@@ -189,9 +189,9 @@ def _float_step(d, diffusion):
 
     make(a0_0, ..., a{d-1}_{d-1}, b0, ..., b{d-1}) binds the entries of
     A = dt * drift_matrix.T, row by row, and of b = dt * beta, and returns
-    step(x, z) (step(x) without diffusion). From the list x it takes the
-    left-endpoint part p_i = max(x_i, 0), which keeps NaN and maps -0.0 to
-    0.0 as np.maximum does, and returns the next state
+    step(x, z=None), which reads z only with diffusion. From the list x it
+    takes the left-endpoint part p_i = max(x_i, 0), which keeps NaN and maps
+    -0.0 to 0.0 as np.maximum does, and returns the next state
     ((sum_j p_j * A_ji + b_i) + x_i) + sqrt(p_i) * z_i, summed in the array
     step's order, as a new list together with the tuple p. The source is
     generated from d and diffusion only, as dataclasses generates __init__;
@@ -201,7 +201,7 @@ def _float_step(d, diffusion):
     names = [f"a{j}_{i}" for j in ix for i in ix] + [f"b{i}" for i in ix]
     xs, ps = ("".join(f"{v}{i}, " for i in ix) for v in "xp")
     lines = [f"def make({', '.join(names)}):",
-             f"    def step(x{', z' if diffusion else ''}):",
+             "    def step(x, z=None):",
              f"        {xs}= x"]
     if diffusion:
         lines.append(f"        {''.join(f'z{i}, ' for i in ix)}= z")
@@ -289,6 +289,8 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
     if use_diffusion:
         sig = np.sqrt(2.0 * p.c * dt)
         z = np.empty((chunk, n, d))
+    else:
+        zrows = [None] * chunk
     clamp = cfg.positivity_mode == "clamp"
     events = tuple([] for _ in range(n)) if cfg.record_jumps else None
     floats = k * n == 1
@@ -309,7 +311,7 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
             sig = np.broadcast_to(sig, (n, d)).copy()
         if out is None:
             X = np.array(X, dtype=float, order="C").reshape(k * n, d)
-            swap = (X, np.empty_like(X))
+            rows = [X, np.empty_like(X)]
         else:
             out[0] = X
             rows = list(out.reshape(n_steps + 1, k * n, d))
@@ -344,9 +346,9 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
             step = first + i
             if floats:
                 # the bounds of all types are the left-endpoint floats
-                x, bounds = advance(x, zrows[i]) if use_diffusion else advance(x)
+                x, bounds = advance(x, zrows[i])
             else:
-                X_new = swap[(step + 1) & 1] if out is None else rows[step + 1]
+                X_new = rows[(step + 1) % len(rows)]
                 np.maximum(X, zero, out=Xp)
                 np.dot(Xp, drift_dt, out=X_new)
                 X_new += beta_dt
@@ -356,9 +358,6 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
                     noise_k *= zrows[i]
                     X_new += noise
                 X3 = X_new.reshape(k, n, d)
-                if branching and n == 1:
-                    # the coupled pair of one path: the bounds as floats
-                    bounds = Xp.max(axis=0).tolist()
 
             if i in arrivals:
                 owners, sizes = arrivals[i]
@@ -372,7 +371,7 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
                          owners, sizes, None)
 
             for b, (j, parts, rate_dt) in enumerate(branching):
-                if n == 1:
+                if floats:
                     top = bounds[j]
                 else:
                     bound = Xp[:, j] if k == 1 else np.maximum(Xp3[0, :, j], Xp3[1, :, j])

@@ -196,6 +196,27 @@ def phi_compensated(p, lam):
     return out
 
 
+def norm_cube_bound(m):
+    """An upper bound on int ||z||^3 m(dz), 0 for the zero measure: exact for
+    atoms and tempered leaves, and for a product exponential the third moment
+    of ||z||_1 >= ||z||, from the cumulants (n-1)! sum_k theta_k^-n of a sum
+    of independent exponentials."""
+    from cbi.measures import DiscreteAtoms, ProductExponential
+
+    total = 0.0
+    for leaf in m.components() if m is not None else ():
+        if isinstance(leaf, DiscreteAtoms):
+            total += sum(w * float(np.linalg.norm(z)) ** 3 for z, w in leaf.atoms)
+        elif isinstance(leaf, ProductExponential):
+            k1, k2, k3 = (math.factorial(n - 1) * float(np.sum(leaf.theta ** -float(n)))
+                          for n in (1, 2, 3))
+            total += leaf.r * (k3 + 3.0 * k2 * k1 + k1 ** 3)
+        else:
+            a = leaf.alpha
+            total += leaf.scale * math.gamma(3.0 - a) * leaf.theta ** (a - 3.0)
+    return total
+
+
 def mean_error_halving_ratio(scenario, threads=None, budget=None):
     """Per-seed ratios of the Monte Carlo mean's error at dt/2 to that at dt
     against the closed form: about 1/2 for a scheme of weak order one."""

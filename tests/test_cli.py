@@ -213,8 +213,9 @@ class TestSimulateInputs:
 
 
 class TestNonFiniteParams:
-    """A non-finite entry of c, beta or B is an input error (exit 2) for
-    every command that reads a parameter file."""
+    """A non-finite entry of c, beta or B, or a non-finite number in a
+    measure field, is an input error (exit 2) for every command that reads
+    a parameter file."""
 
     ARGS = {
         "validate": [],
@@ -222,20 +223,45 @@ class TestNonFiniteParams:
         "laplace": ["--x", "1,1", "--lam", "1,1", "--t", "1"],
     }
 
+    @staticmethod
+    def measure(field, value):
+        """(key, measure object) with value in the named field."""
+        tempered = {"family": "tempered_power_law", "axis": 1,
+                    "alpha": 0.5, "theta": 1.0, "scale": 1.0}
+        if field in tempered:
+            return "mu", dict(tempered, **{field: value})
+        return {
+            "atom_z": ("nu", {"family": "discrete", "atoms": [{"z": [value, 0.5], "w": 1.0}]}),
+            "atom_w": ("nu", {"family": "discrete", "atoms": [{"z": [1.0, 0.5], "w": value}]}),
+            "mass": ("mu", {"family": "product_exponential", "mass": value, "rates": [1.0, 2.0]}),
+            "rates": ("mu", {"family": "product_exponential", "mass": 1.0, "rates": [value, 2.0]}),
+        }[field]
+
     # json writes the floats as the tokens Infinity and NaN
     @pytest.mark.parametrize("command", ["validate", "simulate", "laplace"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, "inf"])
-    @pytest.mark.parametrize("field", ["c", "beta", "B"])
+    @pytest.mark.parametrize("field", ["c", "beta", "B", "atom_z", "atom_w", "mass",
+                                       "rates", "alpha", "theta", "scale"])
     def test_exit_two(self, field, value, command, tmp_path, capsys):
         params = json.loads(json.dumps(PAIR))
-        (params["B"][1] if field == "B" else params[field])[1] = value
+        if field in ("c", "beta", "B"):
+            (params["B"][1] if field == "B" else params[field])[1] = value
+            message = f"schema error: InvalidConfig: {field} must be finite"
+        else:
+            key, measure = self.measure(field, value)
+            if key == "nu":
+                params["nu"] = measure
+            else:
+                params["mu"][0] = measure
+            message = "schema error: SchemaError: bad measure object"
         path = write_params(tmp_path, "params.json", params)
         out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([command, path, *self.ARGS[command], *out]) == 2
         captured = capsys.readouterr()
-        assert f"schema error: InvalidConfig: {field} must be finite" in captured.err
+        assert message in captured.err
+        assert "Traceback" not in captured.err
         assert "admissible" not in captured.out
         assert not list(tmp_path.glob("out/*.csv"))
 

@@ -1,6 +1,7 @@
 """Measure families: exact sums, closed forms, quadrature and sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cbi import measures
 from cbi.errors import EmptyRegion, InfiniteMass
 from cbi.measures import (
-    ALL, LARGE_JUMPS, SMALL_JUMPS, DiscreteAtoms, MeasureSum, MomentKind,
+    ALL, LARGE_JUMPS, SMALL_JUMPS, DiscreteAtoms, MeasureSum,
     ProductExponential, Region, TemperedPowerLawAxis, above, below,
 )
 from cbi.params import derive, validate
@@ -41,65 +42,74 @@ def atom1(z, w, dim=1):
 
 class TestTotalMass:
     def test_single_atom_large_jumps(self):
-        assert measures.total_mass(atom1(2.0, 3.0), LARGE_JUMPS) == 3.0
+        assert atom1(2.0, 3.0).mass(LARGE_JUMPS) == 3.0
 
     def test_product_exponential_all(self):
         m = ProductExponential(5.0, [1.0])
-        assert measures.total_mass(m, ALL) == 5.0
+        assert m.mass(ALL) == 5.0
 
     def test_tempered_power_law_above_eps_vs_simpson(self):
         m = TemperedPowerLawAxis(1, 0, alpha=0.5, theta=1.0, scale=1.0)
-        got = measures.total_mass(m, above(0.01))
+        got = m.mass(above(0.01))
         want = tpl_radial_oracle(0.5, 1.0, 1.0, lambda z: np.ones_like(z), 0.01, np.inf)
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_infinite_at_origin(self):
         m = TemperedPowerLawAxis(1, 0, alpha=0.5, theta=1.0, scale=1.0)
-        assert measures.total_mass(m, ALL) == np.inf
-        assert measures.total_mass(m, SMALL_JUMPS) == np.inf
+        assert m.mass(ALL) == np.inf
+        assert m.mass(SMALL_JUMPS) == np.inf
+
+
+# the paper's kinked integrals, composed from the region integrals
+def one_wedge_norm(m):
+    """int (1 ^ ||z||) m(dz)"""
+    return m.norm_moment(SMALL_JUMPS) + m.mass(LARGE_JUMPS)
+
+
+def norm_sq_wedge_norm(m):
+    """int (||z|| ^ ||z||^2) m(dz)"""
+    return m.norm_sq_moment(SMALL_JUMPS) + m.norm_moment(LARGE_JUMPS)
 
 
 class TestMomentIntegral:
     def test_coord_minus_delta_plus_single_atom(self):
         m = atom1(2.0, 3.0)
-        got = measures.moment_integral(m, MomentKind.COORD_MINUS_DELTA_PLUS, 0, 0)
+        got = m.coord_minus_delta_plus(0, 0)
         assert got == (2.0 - 1.0) * 3.0
 
     def test_norm_sq_small_single_atom(self):
         m = atom1(0.5, 1.0)
-        assert measures.moment_integral(m, MomentKind.NORM_SQ_SMALL) == 0.25
+        assert m.norm_sq_moment(SMALL_JUMPS) == 0.25
 
     def test_coord_off_axis_vanishes(self):
         m = TemperedPowerLawAxis(2, 1, alpha=0.5, theta=2.0, scale=1.0)
-        assert measures.moment_integral(m, MomentKind.COORD, 0) == 0.0
+        assert m.coord(0, ALL) == 0.0
         atoms = DiscreteAtoms(2, [(np.array([0.0, 1.5]), 2.0)])
-        assert measures.moment_integral(atoms, MomentKind.COORD, 0) == 0.0
+        assert atoms.coord(0, ALL) == 0.0
 
     def test_divergent_kinds_return_inf(self):
         # immigration-style tail: (1 ^ ||z||) diverges once alpha >= 1
         m = TemperedPowerLawAxis(1, 0, alpha=1.5, theta=1.0, scale=1.0)
-        assert measures.moment_integral(m, MomentKind.ONE_WEDGE_NORM) == np.inf
-        assert measures.moment_integral(m, MomentKind.COORD, 0) == np.inf
+        assert one_wedge_norm(m) == np.inf
+        assert m.coord(0, ALL) == np.inf
         # own-axis second moment stays finite below alpha = 2
-        assert np.isfinite(measures.moment_integral(m, MomentKind.NORM_SQ_SMALL))
+        assert np.isfinite(m.norm_sq_moment(SMALL_JUMPS))
         m2 = TemperedPowerLawAxis(1, 0, alpha=2.5, theta=1.0, scale=1.0)
-        assert measures.moment_integral(m2, MomentKind.NORM_SQ_SMALL) == np.inf
+        assert m2.norm_sq_moment(SMALL_JUMPS) == np.inf
 
     def test_divergence_matches_refinement_probe(self):
         # the shrinking-cutoff probe is the independent oracle for +inf results
-        for alpha, kind in [(1.5, MomentKind.ONE_WEDGE_NORM),
-                            (2.5, MomentKind.NORM_SQ_SMALL),
-                            (0.5, MomentKind.ONE_WEDGE_NORM)]:
+        for alpha, wedge in [(1.5, True), (2.5, False), (0.5, True)]:
             m = TemperedPowerLawAxis(1, 0, alpha=alpha, theta=1.0, scale=1.0)
 
-            def restricted(a, _m=m, _kind=kind):
-                if _kind is MomentKind.ONE_WEDGE_NORM:
+            def restricted(a, _m=m, _wedge=wedge):
+                if _wedge:
                     return (_m.norm_moment(measures.Region(a, 1.0))
                             + _m.mass(LARGE_JUMPS))
                 return _m.norm_sq_moment(measures.Region(a, 1.0))
 
             diverges = origin_refinement_diverges(restricted)
-            value = measures.moment_integral(m, kind)
+            value = one_wedge_norm(m) if wedge else m.norm_sq_moment(SMALL_JUMPS)
             assert diverges == bool(np.isinf(value))
 
 
@@ -109,45 +119,43 @@ class TestQuadratureAgainstSimpson:
     def test_tempered_power_law_all_finite_kinds(self):
         alpha, theta, scale = 0.6, 1.3, 0.7
         m = TemperedPowerLawAxis(1, 0, alpha=alpha, theta=theta, scale=scale)
-        # (kind, integrand on its support, support bounds)
+        # (integral, integrand on its support, support bounds)
         cases = [
-            (MomentKind.ONE_WEDGE_NORM, lambda z: np.minimum(1.0, z), 0.0, np.inf),
-            (MomentKind.NORM_LARGE, lambda z: z, 1.0, np.inf),
-            (MomentKind.COORD, lambda z: z, 0.0, np.inf),
-            (MomentKind.NORM_SQ_SMALL, lambda z: z * z, 0.0, 1.0),
-            (MomentKind.NORM_SQ_WEDGE_NORM, lambda z: np.minimum(z, z * z), 0.0, np.inf),
+            (one_wedge_norm(m), lambda z: np.minimum(1.0, z), 0.0, np.inf),
+            (m.norm_moment(LARGE_JUMPS), lambda z: z, 1.0, np.inf),
+            (m.coord(0, ALL), lambda z: z, 0.0, np.inf),
+            (m.norm_sq_moment(SMALL_JUMPS), lambda z: z * z, 0.0, 1.0),
+            (norm_sq_wedge_norm(m), lambda z: np.minimum(z, z * z), 0.0, np.inf),
         ]
-        for kind, g, lo, hi in cases:
-            got = measures.moment_integral(m, kind, 0)
+        for k, (got, g, lo, hi) in enumerate(cases):
             want = tpl_radial_oracle(alpha, theta, scale, g, lo, hi)
-            assert got == pytest.approx(want, rel=1e-6), kind
+            assert got == pytest.approx(want, rel=1e-6), k
 
     def test_product_exponential_1d_closed_forms(self):
         r, th = 0.9, 1.7
         m = ProductExponential(r, [th])
         cases = [
-            (MomentKind.ONE_WEDGE_NORM, lambda z: np.minimum(1.0, z), 0.0, None),
-            (MomentKind.NORM_LARGE, lambda z: z, 1.0, None),
-            (MomentKind.COORD_SMALL, lambda z: z, 0.0, 1.0),
-            (MomentKind.ONE_WEDGE_COORD, lambda z: np.minimum(1.0, z), 0.0, None),
-            (MomentKind.NORM_SQ_SMALL, lambda z: z * z, 0.0, 1.0),
+            (one_wedge_norm(m), lambda z: np.minimum(1.0, z), 0.0, None),
+            (m.norm_moment(LARGE_JUMPS), lambda z: z, 1.0, None),
+            (m.coord(0, SMALL_JUMPS), lambda z: z, 0.0, 1.0),
+            (m.one_wedge_coord(0), lambda z: np.minimum(1.0, z), 0.0, None),
+            (m.norm_sq_moment(SMALL_JUMPS), lambda z: z * z, 0.0, 1.0),
         ]
-        for kind, g, lo, hi in cases:
-            got = measures.moment_integral(m, kind, 0)
+        for k, (got, g, lo, hi) in enumerate(cases):
             want = simpson_exp(r, th, g, lo, hi)
-            assert got == pytest.approx(want, rel=1e-6), kind
+            assert got == pytest.approx(want, rel=1e-6), k
 
     def test_product_exponential_2d_norm_kinds(self):
         r, theta = 1.4, (1.1, 2.3)
         m = ProductExponential(r, theta)
-        got = measures.moment_integral(m, MomentKind.NORM_SQ_SMALL)
+        got = m.norm_sq_moment(SMALL_JUMPS)
         want = product_exp_shell_oracle_2d(
             r, theta, lambda a, b: a * a + b * b, 0.0, 1.0)
         assert got == pytest.approx(want, rel=1e-6)
-        got = measures.moment_integral(m, MomentKind.COORD_LARGE, 0)
+        got = m.coord(0, LARGE_JUMPS)
         want = product_exp_shell_oracle_2d(r, theta, lambda a, b: a, 1.0, np.inf)
         assert got == pytest.approx(want, rel=1e-6)
-        got = measures.moment_integral(m, MomentKind.NORM_LARGE)
+        got = m.norm_moment(LARGE_JUMPS)
         want = product_exp_shell_oracle_2d(
             r, theta, lambda a, b: np.hypot(a, b), 1.0, np.inf)
         assert got == pytest.approx(want, rel=1e-6)
@@ -161,7 +169,7 @@ class TestQuadratureAgainstSimpson:
                 r, theta, lambda a, b: np.hypot(a, b), region.lo, region.hi)
             assert got == pytest.approx(want, rel=1e-6), region
         for i in range(2):
-            got = measures.moment_integral(m, MomentKind.COORD_SMALL, i)
+            got = m.coord(i, SMALL_JUMPS)
             want = product_exp_shell_oracle_2d(
                 r, theta, lambda a, b, _i=i: (a, b)[_i], 0.0, 1.0)
             assert got == pytest.approx(want, rel=1e-6), i
@@ -360,13 +368,13 @@ class TestSampling:
         m = atom1(2.0, 3.0)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert np.array_equal(measures.sample(m, ALL, rng), [2.0])
+            assert np.array_equal(m.sample_n(ALL, 1, rng), [[2.0]])
 
     def test_two_atoms_bernoulli_frequency(self):
         m = DiscreteAtoms(1, [(np.array([1.0]), 1.0), (np.array([3.0]), 3.0)])
         rng = np.random.default_rng(123)
         n = 100_000
-        draws = measures.sample(m, ALL, rng, size=n)
+        draws = m.sample_n(ALL, n, rng)
         freq = np.mean(draws[:, 0] == 3.0)
         se = math.sqrt(0.75 * 0.25 / n)
         assert abs(freq - 0.75) <= 3.0 * se
@@ -424,22 +432,22 @@ class TestSampling:
     def test_product_exponential_region_rejection(self):
         m = ProductExponential(2.0, [1.0, 0.7])
         rng = np.random.default_rng(5)
-        draws = measures.sample(m, LARGE_JUMPS, rng, size=2000)
+        draws = m.sample_n(LARGE_JUMPS, 2000, rng)
         assert np.all(np.linalg.norm(draws, axis=1) >= 1.0)
 
     def test_tempered_power_law_requires_cutoff(self):
         m = TemperedPowerLawAxis(1, 0, alpha=0.5, theta=1.0, scale=1.0)
         rng = np.random.default_rng(9)
         with pytest.raises(InfiniteMass):
-            measures.sample(m, ALL, rng)
-        draws = measures.sample(m, above(0.05), rng, size=1000)
+            m.sample_n(ALL, 1, rng)
+        draws = m.sample_n(above(0.05), 1000, rng)
         assert np.all(draws[:, 0] >= 0.05)
 
     def test_empty_region(self):
         m = atom1(0.5, 1.0)
         rng = np.random.default_rng(1)
         with pytest.raises(EmptyRegion):
-            measures.sample(m, LARGE_JUMPS, rng)
+            m.sample_n(LARGE_JUMPS, 1, rng)
 
     @pytest.mark.parametrize("measure,region", [
         (ProductExponential(1.5, [1.2]), measures.Region(0.5, 4.0)),
@@ -452,12 +460,22 @@ class TestSampling:
     def test_empirical_mean_matches_restricted_moment(self, measure, region):
         rng = np.random.default_rng(2024)
         n = 100_000
-        draws = measures.sample(measure, region, rng, size=n)
-        mass = measures.total_mass(measure, region)
+        draws = measure.sample_n(region, n, rng)
+        mass = measure.mass(region)
         want = measure.coord(0, region) / mass
         got = draws[:, 0].mean()
         se = draws[:, 0].std(ddof=1) / math.sqrt(n)
         assert abs(got - want) <= 4.0 * se
+
+
+class TestConstruction:
+    def test_atom_norm_must_be_finite(self):
+        # finite coordinates whose norm overflows: the atom would fall
+        # outside every norm region, ALL included
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite norm"):
+                DiscreteAtoms(2, [(np.array([1e308, 0.5]), 1.0)])
 
 
 class TestMixture:
@@ -465,8 +483,8 @@ class TestMixture:
         a = atom1(2.0, 3.0)
         e = ProductExponential(5.0, [1.0])
         m = MeasureSum([a, e])
-        assert measures.total_mass(m, ALL) == pytest.approx(8.0)
-        got = measures.moment_integral(m, MomentKind.COORD, 0)
+        assert m.mass(ALL) == pytest.approx(8.0)
+        got = m.coord(0, ALL)
         assert got == pytest.approx(2.0 * 3.0 + 5.0, rel=1e-14)
 
     def test_nested_mixtures_flatten(self):

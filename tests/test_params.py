@@ -11,7 +11,9 @@ import pytest
 
 from cbi import measures
 from cbi.errors import DimensionMismatch, InvalidConfig
-from cbi.measures import DiscreteAtoms, MeasureSum, MomentKind, TemperedPowerLawAxis
+from cbi.measures import (
+    ALL, LARGE_JUMPS, DiscreteAtoms, MeasureSum, TemperedPowerLawAxis,
+)
 from cbi.params import AdmissibleParams, derive, validate
 from cbi.scenarios import load_scenario
 from cbi.simulate import SimConfig, block_generator, simulate_block
@@ -123,10 +125,10 @@ class TestDerive:
             d = p.d
             for j, m in enumerate(p.mu):
                 for i in range(d):
-                    large = measures.moment_integral(m, MomentKind.COORD_LARGE, i)
+                    large = m.coord(i, LARGE_JUMPS)
                     assert der.D[i, j] + large == pytest.approx(
                         der.B_tilde[i, j], rel=1e-12, abs=1e-12)
-                    full = measures.moment_integral(m, MomentKind.COORD, i)
+                    full = m.coord(i, ALL)
                     if i != j:
                         assert der.B_hat[i, j] + full == pytest.approx(
                             der.B_tilde[i, j], rel=1e-12, abs=1e-12)

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from cbi import measures, riccati
-from cbi.measures import DiscreteAtoms, MeasureSum, ProductExponential, TemperedPowerLawAxis
-from cbi.params import AdmissibleParams
+from cbi._quadrature import REL_TOL
+from cbi.measures import (
+    ALL, DiscreteAtoms, MeasureSum, ProductExponential, TemperedPowerLawAxis,
+)
+from cbi.params import AdmissibleParams, derive
 from cbi.riccati import (
     cir_closed_form_v, laplace_grid, laplace_transform, phi, psi, solve_v,
 )
 from cbi.scenarios import load_scenario
 
 from helpers import (
-    cir_log_laplace_oracle, cir_v_oracle, phi_compensated, random_discrete_params,
+    cir_log_laplace_oracle, cir_v_oracle, norm_cube_bound, phi_compensated,
+    random_discrete_params,
 )
 
 
@@ -302,6 +306,53 @@ class TestBatchedFlow:
         want = [laplace_transform(p, x, lam, t) for t, lam in points]
         assert got == pytest.approx(want, rel=1e-7, abs=0)
         assert np.all((got > 0.0) & (got < 1.0))
+
+
+class TestZeroLambdaIdentities:
+    """At lam = 0 the affine transform formula ties the mechanisms to the
+    modified drifts of derive (Duffie, Filipovic & Schachermayer, Ann. Appl.
+    Probab. 13, 2003): d phi_j / d lam_i (0) = -B_tilde_ij and
+    grad psi(0) = beta_tilde. The two sides reach the measures through
+    separate code, the exponential integrals and the region integrals."""
+
+    EPS = 1e-4
+
+    @classmethod
+    def tolerance(cls, m, ref):
+        """Bound on |2 D(eps) - D(2 eps) - f'(0)|, D(h) = f(h) / h, f(0) = 0,
+        for f(h) a mechanism along e_i whose jump part integrates against m;
+        ref is the derived value of f'(0).
+
+        - Truncation: the Taylor remainders h^3 f^(3)(xi) / 6 leave at most
+          eps^2 sup |f^(3)|, and |f^(3)| <= int ||z||^3 m(dz).
+        - Rounding: each value carries a few ulps (4u) of the order-one
+          terms that cancel in it, 1 plus the finite-activity mass; the
+          difference multiplies that by 2.5 / eps.
+        - Quadrature (tempered leaves): the relative tolerance REL_TOL of
+          both sides, at most 6 REL_TOL |f'(0)|.
+        """
+        eps = cls.EPS
+        leaves = m.components() if m is not None else ()
+        mass = sum(leaf.mass(ALL) for leaf in leaves if leaf.is_finite_activity)
+        return (eps ** 2 * norm_cube_bound(m)
+                + 2.5 * 4.0 * np.finfo(float).eps * (1.0 + mass) / eps
+                + 6.0 * REL_TOL * np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5", "mixed"])
+    def test_jacobians_match_derived_drifts(self, name):
+        p = mixed_params() if name == "mixed" else load_scenario(name).params
+        d, eps = p.d, self.EPS
+        # one-sided steps eps e_i, then 2 eps e_i: one stacked call each
+        lam = np.concatenate([eps * np.eye(d), 2.0 * eps * np.eye(d)])
+        phis, psis = phi(p, lam), psi(p, lam)
+        jac = (2.0 * phis[:d] - 0.5 * phis[d:]) / eps   # [i, j] = d phi_j / d lam_i
+        grad = (2.0 * psis[:d] - 0.5 * psis[d:]) / eps
+        der = derive(p)
+        for j in range(d):
+            err = np.abs(jac[:, j] + der.B_tilde[:, j])
+            assert np.all(err <= self.tolerance(p.mu[j], der.B_tilde[:, j])), (j, err)
+        err = np.abs(grad - der.beta_tilde)
+        assert np.all(err <= self.tolerance(p.nu, der.beta_tilde)), err
 
 
 class TestDenseOutputConsistency:
