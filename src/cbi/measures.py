@@ -10,9 +10,11 @@ Three parametric families are supported, plus finite mixtures of them:
   incomplete-gamma difference, leaving one (d-1)-dimensional angular
   quadrature for d >= 2.
 * :class:`TemperedPowerLawAxis` -- density C z^(-1-alpha) e^(-theta z) on a
-  single coordinate axis; infinite activity at the origin is allowed and every
-  integral reduces to one-dimensional adaptive quadrature with exact
-  power-counting divergence detection.
+  single coordinate axis; infinite activity at the origin is allowed. Its
+  region integrals are one-dimensional adaptive quadratures with exact
+  power-counting divergence detection, its exponential integrals are the
+  tempered-stable closed forms, and its restrictions to regions away from
+  the origin are sampled exactly by rejection.
 
 Regions are shells in the Euclidean norm, {z : lo <= ||z|| < hi}; the public
 region vocabulary is ALL, SMALL_JUMPS (||z|| < 1), LARGE_JUMPS (||z|| >= 1),
@@ -20,7 +22,8 @@ above(eps) and below(eps).
 
 Every family exposes the same region integrals of 1, z_i, ||z|| and ||z||^2
 and the kinked integrals int (1 ^ z_i) and int (z_i - delta_ij)^+; each
-returns +inf exactly when it diverges. The paper's admissibility conditions
+returns +inf exactly when it diverges, and raises OverflowError when it
+converges but its value overflows. The paper's admissibility conditions
 and modified drifts are sums of these, composed in :mod:`cbi.params`.
 Every numeric field of a family, and the norm of every atom, must be
 finite; a non-finite one raises ValueError at construction.
@@ -40,7 +43,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gammainc, gammaincc
 
 from ._quadrature import ABS_TOL, REL_TOL, quad_strict, nquad_strict
@@ -131,6 +133,25 @@ class JumpMeasure:
         raise NotImplementedError
 
 
+def _convergent(value):
+    """value of an integral that converges by construction: an infinite (or
+    NaN) one overflowed, and raises OverflowError rather than reading as a
+    divergence."""
+    if not math.isfinite(value):
+        raise OverflowError("a convergent jump-measure integral overflowed")
+    return value
+
+
+def _convergent_integral(method):
+    """A region or kinked integral of a finite-activity family, checked by
+    :func:`_convergent`; an overflowing density scale or shell integrand
+    gives inf or NaN."""
+    @functools.wraps(method)
+    def checked(*args):
+        return _convergent(method(*args))
+    return checked
+
+
 # --------------------------------------------------------------------------
 # discrete atoms
 # --------------------------------------------------------------------------
@@ -173,6 +194,7 @@ class DiscreteAtoms(JumpMeasure):
     def atoms(self):
         return [(self._z[k].copy(), self._w[k]) for k in range(len(self._w))]
 
+    @_convergent_integral
     def _wsum(self, values, region=None):
         if len(self._w) == 0:
             return 0.0
@@ -321,28 +343,34 @@ class ProductExponential(JumpMeasure):
             return integrand()
         return nquad_strict(integrand, [(0.0, 0.5 * math.pi)] * (d - 1))
 
+    @_convergent_integral
     def mass(self, region):
         if region.lo == 0.0 and region.hi == INF:
             return self.r
         return self._shell_integral(region, 0)
 
+    @_convergent_integral
     def coord(self, i, region):
         if region.lo == 0.0 and region.hi == INF:
             return self.r / self.theta[i]
         return self._shell_integral(region, 1, i)
 
+    @_convergent_integral
     def norm_moment(self, region):
         return self._shell_integral(region, 1)
 
+    @_convergent_integral
     def norm_sq_moment(self, region):
         if region.lo == 0.0 and region.hi == INF:
             return self.r * float(np.sum(2.0 / self.theta ** 2))
         return self._shell_integral(region, 2)
 
+    @_convergent_integral
     def one_wedge_coord(self, i):
         th = self.theta[i]
         return self.r * (1.0 - math.exp(-th)) / th
 
+    @_convergent_integral
     def coord_minus_delta_plus(self, i, j):
         th = self.theta[i]
         if i == j:
@@ -392,13 +420,23 @@ class ProductExponential(JumpMeasure):
 # tempered power law on one axis
 # --------------------------------------------------------------------------
 
-def _exp_remainder(x):
-    """e^-x - 1 + x for x >= 0; below 1e-3 by its Taylor series, because
-    expm1(-x) + x cancels about -log10(x) of its digits there."""
-    if x < 1e-3:
-        return x * x * (1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x * (
-            1 / 720 - x / 5040)))))
-    return math.expm1(-x) + x
+def _binomial_remainder(alpha, x):
+    """((1 + x)^alpha - 1 - alpha x) / (alpha (alpha - 1)) of an array x >= 0:
+    up to x = 1/2 its binomial series x^2/2 + ..., free of the closed form's
+    cancellation there, above it ((1 + x) E - x) / alpha with E = expm1((alpha
+    - 1) log1p(x)) / (alpha - 1), no pole at alpha = 1, where E = log1p(x)."""
+    low = x <= 0.5
+    xs = np.where(low, x, 0.0)
+    term = series = 0.5 * xs * xs
+    n = 2
+    while np.any(np.abs(term) > 1e-17 * series):
+        term = term * ((alpha - n) / (n + 1)) * xs
+        series = series + term
+        n += 1
+    xh = np.where(low, 1.0, x)
+    log = np.log1p(xh)
+    e = log if alpha == 1.0 else np.expm1((alpha - 1.0) * log) / (alpha - 1.0)
+    return np.where(low, series, ((1.0 + xh) * e - xh) / alpha)
 
 
 class TemperedPowerLawAxis(JumpMeasure):
@@ -408,6 +446,11 @@ class TemperedPowerLawAxis(JumpMeasure):
     representable so that validation can report the resulting divergences as
     data. Total mass is infinite at the origin for every alpha > 0, so
     sampling is only defined on regions bounded away from 0.
+
+    The exponential integrals are closed-form in x = la / theta, la the
+    own-axis entry of each row of lam (Rosinski, SPA 117, 2007); the own-axis
+    branching exponent is int (e^(-la z) - 1 + la z) less la int (z - 1)^+,
+    the one quadrature per leaf.
     """
 
     is_finite_activity = False
@@ -424,11 +467,6 @@ class TemperedPowerLawAxis(JumpMeasure):
         self.alpha = float(alpha)
         self.theta = float(theta)
         self.scale = float(scale)
-        self._sampler_cache = {}
-        self._sampler_lock = threading.Lock()
-
-    def _density_1d(self, z):
-        return self.scale * z ** (-1.0 - self.alpha) * np.exp(-self.theta * z)
 
     def _radial(self, g, lo, hi, origin_power):
         """Integral of g(z) against the radial density over [lo, hi).
@@ -467,7 +505,7 @@ class TemperedPowerLawAxis(JumpMeasure):
         total = 0.0
 
         def f(z):
-            return g(z) * self._density_1d(z)
+            return g(z) * (self.scale * z ** (-1.0 - self.alpha) * np.exp(-self.theta * z))
 
         for a, b in zip(pieces[:-1], pieces[1:]):
             value = quad_strict(f, a, b)
@@ -477,7 +515,7 @@ class TemperedPowerLawAxis(JumpMeasure):
             if 0.0 < size < ABS_TOL / REL_TOL:
                 value = size * quad_strict(lambda z: f(z) / size, a, b)
             total += value
-        return total
+        return _convergent(total)
 
     def mass(self, region):
         return self._radial(lambda z: 1.0, region.lo, region.hi, 0.0)
@@ -505,73 +543,61 @@ class TemperedPowerLawAxis(JumpMeasure):
             return self._radial(lambda z: z - 1.0, 1.0, INF, INF)
         return self._radial(lambda z: z, 0.0, INF, 1.0)
 
-    def _per_row(self, lam, value):
-        """value(la) at the own-axis entry la of lam, one quadrature per row
-        of a stack; la = 0 gives 0 without one."""
-        la = np.asarray(lam, dtype=float)[..., self.axis]
-        if la.ndim == 0:
-            return value(float(la)) if la else 0.0
-        return np.array([value(a) if a else 0.0 for a in la.tolist()])
+    @functools.cached_property
+    def _excess_over_one(self):
+        """int (z - 1)^+, taken at the first own-axis branching exponent."""
+        return self.coord_minus_delta_plus(self.axis, self.axis)
 
-    def _one_minus_exp(self, la):
-        # 1 - e^(-la z) >= 0, order z near 0
-        return self._radial(lambda z: -math.expm1(-la * z), 0.0, INF, 1.0)
+    def _closed_form(self, lam, diverges_from, shape):
+        """C theta^alpha shape(alpha, x) at x = la / theta of each row of lam,
+        0 at la = 0 and +inf for la > 0 once alpha >= diverges_from."""
+        x = np.asarray(lam, dtype=float)[..., self.axis] / self.theta
+        if self.alpha >= diverges_from:
+            return np.where(x > 0.0, INF, 0.0)[()]
+        return (self.scale * self.theta ** self.alpha * shape(self.alpha, x))[()]
 
     def exp_branching(self, lam, i):
-        if i == self.axis:
-            # e^(-la z) - 1 + la (1 ^ z) ~ la^2 z^2 / 2 near 0
-            return self._per_row(lam, lambda la: self._radial(
-                lambda z: _exp_remainder(la * z) if z < 1.0 else math.expm1(-la * z) + la,
-                0.0, INF, 2.0))
-        # the cross-type integrand is e^(-la z) - 1 <= 0
-        return self._per_row(lam, lambda la: -self._one_minus_exp(la))
+        if i != self.axis:
+            return -self.exp_immigration(lam)
+        la = np.asarray(lam, dtype=float)[..., i]
+        return self.exp_branching_full(lam) - la * self._excess_over_one
 
     def exp_branching_full(self, lam):
-        return self._per_row(lam, lambda la: self._radial(
-            lambda z: _exp_remainder(la * z), 0.0, INF, 2.0))
+        return self._closed_form(lam, 2.0, lambda a, x: (
+            math.gamma(2.0 - a) * _binomial_remainder(a, x)))
 
     def exp_immigration(self, lam):
-        return self._per_row(lam, self._one_minus_exp)
-
-    def _sampler(self, region):
-        key = (region.lo, region.hi)
-        with self._sampler_lock:
-            cached = self._sampler_cache.get(key)
-            if cached is not None:
-                return cached
-            lo, hi = region.lo, region.hi
-            if hi == INF:
-                # push the grid out until the discarded tail is negligible
-                hi = max(2.0 * lo, lo + 10.0 / self.theta)
-                total = self.mass(region)
-                while self._radial(lambda z: 1.0, hi, INF, 0.0) > 1e-14 * total:
-                    hi *= 2.0
-            zs = np.geomspace(lo, hi, 1 << 14)
-            pdf = self._density_1d(zs)
-            cdf = np.concatenate(
-                [[0.0], np.cumsum(np.diff(zs) * 0.5 * (pdf[1:] + pdf[:-1]))]
-            )
-            cdf /= cdf[-1]
-            keep = np.concatenate([[True], np.diff(cdf) > 0])
-            cdf_k, zs_k = cdf[keep], zs[keep]
-            if cdf_k[-1] < 1.0:  # pdf underflow in the far tail
-                cdf_k = np.append(cdf_k, 1.0)
-                zs_k = np.append(zs_k, zs[-1])
-            inverse = PchipInterpolator(cdf_k, zs_k, extrapolate=False)
-            self._sampler_cache[key] = inverse
-            return inverse
+        return self._closed_form(lam, 1.0, lambda a, x: (
+            math.gamma(1.0 - a) / a * np.expm1(a * np.log1p(x))))
 
     def sample_n(self, region, n, rng):
-        if region.lo <= 0.0:
+        """n exact draws of the restricted leaf by rejection (Devroye, 1986):
+        below theta lo = 1 from Pareto(alpha) proposals on [lo, hi), accepted
+        with probability e^(-theta (z - lo)), otherwise from lo + Exp(theta)
+        truncated to hi, accepted with probability (z / lo)^(-1-alpha). Each
+        batch draws its proposal uniforms, then its acceptance uniforms."""
+        lo, hi = region.lo, region.hi
+        if lo <= 0.0:
             raise InfiniteMass("infinite activity at the origin; sample above a cutoff")
-        m = self.mass(region)
-        if m == 0.0:
-            raise EmptyRegion("restricted mass vanishes")
-        inverse = self._sampler(region)
-        radii = inverse(rng.uniform(0.0, 1.0, size=n))
-        radii = np.clip(radii, region.lo, None)
+        a, th = self.alpha, self.theta
+        pareto = th * lo < 1.0
+        # the proposal's mass on [lo, hi) as a share of its mass above lo
+        q = -math.expm1(a * (math.log(lo) - math.log(hi)) if pareto else -th * (hi - lo))
+        radii = np.empty(0)
+        while radii.size < n:
+            u = np.log1p(-q * rng.random(max(n - radii.size, 64)))
+            v = rng.random(u.size)
+            if pareto:
+                # a far-tail proposal may overflow to inf, which is rejected
+                with np.errstate(over="ignore"):
+                    z = lo * np.exp(u / -a)
+                keep = v < np.exp(-th * (z - lo))
+            else:
+                z = lo - u / th
+                keep = v < (z / lo) ** (-1.0 - a)
+            radii = np.concatenate([radii, z[keep & (z < hi)]])
         out = np.zeros((n, self.dim))
-        out[:, self.axis] = radii
+        out[:, self.axis] = radii[:n]
         return out
 
 

@@ -123,7 +123,7 @@ class DerivedParams:
     D is the drift matrix pairing with compensated small jumps, B_hat the one
     pairing with all branching jumps simulated as actual events. The
     truncation-dependent fields cache, for the cutoff eps_trunc, the simulated
-    jump-rate masses, the mean of the discarded sub-cutoff jumps, the
+    jump-rate masses, the means of the discarded sub-cutoff jumps, the
     effective drift matrix of the actual-event scheme and the (leaf, region,
     mass) parts the Euler scheme samples jump sizes from.
     """
@@ -136,6 +136,7 @@ class DerivedParams:
     small_jump_mean: np.ndarray      # column j: int z 1{sub-cutoff} mu_j
     branching_rates: np.ndarray      # simulated mass of mu_j above its cutoff
     immigration_rate: float          # simulated mass of nu above its cutoff
+    immigration_small_mean: np.ndarray   # int z 1{sub-cutoff} nu
     drift_matrix: np.ndarray         # B_tilde - simulated first moments
     immigration_parts: tuple         # simulated parts of nu
     branching_parts: tuple           # simulated parts of each mu_j
@@ -148,6 +149,9 @@ def _measure_checks(label, conditions):
             for name, value, citation in conditions]
 
 
+# an integral that overflows raises OverflowError in its family, without a
+# numpy warning on the way; the same holds for _derive
+@np.errstate(over="ignore", invalid="ignore")
 def validate(p: AdmissibleParams) -> ValidationReport:
     """Evaluate every admissibility condition; failures are data, not errors."""
     checks = []
@@ -172,7 +176,9 @@ def validate(p: AdmissibleParams) -> ValidationReport:
     nu = p.nu
     if nu is not None:
         checks.extend(_measure_checks("nu", [
-            ("small_jump_integrable", nu.norm_moment(SMALL_JUMPS) + nu.mass(LARGE_JUMPS),
+            # fsum raises OverflowError where two finite parts overflow
+            ("small_jump_integrable",
+             math.fsum((nu.norm_moment(SMALL_JUMPS), nu.mass(LARGE_JUMPS))),
              "int (1 ^ ||z||) nu(dz) must be finite"),
             ("large_jump_first_moment", nu.norm_moment(LARGE_JUMPS),
              "int ||z|| 1{||z||>=1} nu(dz) must be finite"),
@@ -240,6 +246,7 @@ def derive(p: AdmissibleParams, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Derived
     return der
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _derive(p, eps_trunc):
     d = p.d
     # beta_tilde = beta + int z nu(dz)
@@ -270,9 +277,10 @@ def _derive(p, eps_trunc):
         small_jump_mean[:, j] = lost_mean
         drift_matrix[:, j] -= sim_mean
 
-    nu_parts, nu_rate, _, _ = _truncation_stats(p.nu, d, eps_trunc)
+    nu_parts, nu_rate, _, nu_small_mean = _truncation_stats(p.nu, d, eps_trunc)
 
-    for a in (beta_tilde, B_tilde, D, B_hat, small_jump_mean, branching_rates, drift_matrix):
+    for a in (beta_tilde, B_tilde, D, B_hat, small_jump_mean, branching_rates,
+              nu_small_mean, drift_matrix):
         a.setflags(write=False)
     return DerivedParams(
         beta_tilde=beta_tilde,
@@ -283,6 +291,7 @@ def _derive(p, eps_trunc):
         small_jump_mean=small_jump_mean,
         branching_rates=branching_rates,
         immigration_rate=nu_rate,
+        immigration_small_mean=nu_small_mean,
         drift_matrix=drift_matrix,
         immigration_parts=nu_parts,
         branching_parts=tuple(branching_parts),

@@ -8,9 +8,11 @@ effective matrix B_tilde - (simulated first moments per type) -- equal to the
 actual-event drift matrix B_hat whenever nothing is truncated. Immigration
 jumps arrive state-independently. Infinite-activity components are truncated
 below eps_trunc; the discarded sub-cutoff branching martingale is dropped
-whole (mean zero), the discarded sub-cutoff immigration mean is a documented
-bias. Jump sizes are drawn by :func:`cbi.measures.sample_parts` from the
-simulated parts of :func:`cbi.params.derive` at the cutoff of the SimConfig.
+whole (mean zero), and the discarded sub-cutoff immigration jumps, which do
+not depend on the state, are replaced by their mean int z 1{||z|| < eps}
+nu(dz) per unit time in the drift, which leaves the mean unbiased.
+Jump sizes are drawn by :func:`cbi.measures.sample_parts` from the simulated
+parts of :func:`cbi.params.derive` at the cutoff of the SimConfig.
 
 One step kernel advances a stack of k block states that share all noise:
 k = 1 is a block of independent paths, k = 2 the coupled pair of
@@ -232,7 +234,8 @@ def _add_floats(x, sizes):
 def _euler(p, X, beta, cfg, rng, observe=None, out=None):
     """Euler steps of a stack of k block states, shape (k, n, d), sharing all noise.
 
-    k is 1 (a block of paths) or 2 (a coupled pair); beta has shape (k, 1, d).
+    k is 1 (a block of paths) or 2 (a coupled pair); beta has shape (k, 1, d),
+    and the mean of the sub-cutoff immigration jumps is added to it here.
     Branching candidates arrive at the larger thinning intensity of the
     stack; state s accepts one when its uniform mark is at most the state's
     own left-endpoint value (k = 1 accepts all).
@@ -273,6 +276,9 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
     OverflowError.
     """
     der = params_mod.derive(p, cfg.eps_trunc)
+    # the sub-cutoff immigration jumps do not depend on the state: their
+    # mean, added to the drift, leaves the mean of every step exact
+    beta = beta + der.immigration_small_mean
     k, n, d = np.shape(X)
     n_steps = cfg.n_steps
     dt = cfg.dt

@@ -2,9 +2,11 @@
 
 Most deliberately avoid the package's own quadrature/ODE machinery:
 composite Simpson rules on refined grids and closed-form special cases. The
-shrinking-cutoff divergence probe and the compensated form of phi take
-another route to a quantity the package computes: finite integrals at
-shrinking cutoffs, and B_tilde with the fully compensated jump integral.
+shrinking-cutoff divergence probe, the compensated form of phi and the
+tempered exponents by quadrature take another route to a quantity the
+package computes: finite integrals at shrinking cutoffs, B_tilde with the
+fully compensated jump integral, and quadrature of the integrands that the
+package's tempered closed forms replace.
 """
 
 import math
@@ -129,6 +131,34 @@ def tempered_closed_forms(alpha, theta, scale, lam):
         "branching_own": full - lam * above_one,
         "branching_cross": -immigration,
     }
+
+
+def _exp_remainder(x):
+    """e^-x - 1 + x for x >= 0; below 1e-3 by its Taylor series, because
+    expm1(-x) + x cancels about -log10(x) of its digits there."""
+    if x < 1e-3:
+        return x * x * (1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x * (
+            1 / 720 - x / 5040)))))
+    return math.expm1(-x) + x
+
+
+def tempered_exponent_by_quadrature(leaf, kind, la):
+    """One exponential integral of a tempered leaf at its own-axis entry
+    la > 0, by quadrature of its integrand through leaf._radial, which
+    returns +inf where it diverges at the origin. kind is "full" for
+    int (e^(-la z) - 1 + la z), "immigration" for int (1 - e^(-la z)), and
+    "branching_own" and "branching_cross" for the branching exponents
+    int (e^(-la z) - 1 + la (1 ^ z)) on the own axis and
+    int (e^(-la z) - 1) across axes."""
+    if kind == "branching_cross":
+        return -tempered_exponent_by_quadrature(leaf, "immigration", la)
+    if kind == "immigration":
+        return leaf._radial(lambda z: -math.expm1(-la * z), 0.0, math.inf, 1.0)
+    if kind == "full":
+        return leaf._radial(lambda z: _exp_remainder(la * z), 0.0, math.inf, 2.0)
+    return leaf._radial(
+        lambda z: _exp_remainder(la * z) if z < 1.0 else math.expm1(-la * z) + la,
+        0.0, math.inf, 2.0)
 
 
 def cir_v_oracle(c, b, lam, t):

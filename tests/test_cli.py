@@ -292,6 +292,33 @@ class TestNumericOverflow:
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not list(tmp_path.glob("out/*.csv"))
 
+    # integrals that converge by construction but overflow: nu's mass, and
+    # the density scale of a product exponential with a huge rate
+    HUGE_NU = dict(PAIR, nu={"family": "product_exponential", "mass": 1e308,
+                             "rates": [1.0, 2.0]})
+    HUGE_RATE = dict(PAIR, mu=[{"family": "product_exponential", "mass": 1.0,
+                                "rates": [1e308, 2.0]}, None])
+
+    @pytest.mark.parametrize("params", [HUGE_NU, HUGE_RATE], ids=["nu-mass", "mu-rate"])
+    @pytest.mark.parametrize("command, args", [
+        ("validate", []),
+        ("derive", []),
+        ("mean", ["--m0", "1,1", "--t", "1"]),
+        ("laplace", ["--x", "1,1", "--lam", "1,1", "--t", "1"]),
+        ("simulate", ["--x0", "1,1", "--T", "1", "--dt", "0.25", "--seed", "1"]),
+    ])
+    def test_overflowing_integral_exit_four(self, command, args, params, tmp_path, capsys):
+        path = write_params(tmp_path, "huge.json", params)
+        if command == "simulate":
+            args = [*args, "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, path, *args]) == 4
+        captured = capsys.readouterr()
+        assert "numeric failure: OverflowError" in captured.err
+        assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+        assert "divergent" not in captured.out
+
     def test_verify_comparison_exit_four(self, tmp_path, capsys):
         # the coupled pairs run the array lane of the Euler kernel (n > 1)
         blob = scenario_to_json(load_scenario("S3"))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from cbi import measures
 from cbi.errors import EmptyRegion, InfiniteMass
@@ -18,7 +19,7 @@ from cbi.scenarios import load_scenario
 
 from helpers import (
     origin_refinement_diverges, product_exp_shell_oracle_2d, tempered_closed_forms,
-    tpl_radial_oracle,
+    tempered_exponent_by_quadrature, tpl_radial_oracle,
 )
 
 # a few integrals at the package's quadrature policy (relative 1e-10,
@@ -263,9 +264,71 @@ def simpson_exp(r, theta, g, lo=0.0, hi=None):
     return simpson(f, lo, upper, 40001)
 
 
+@st.composite
+def tempered_rows(draw):
+    """A tempered leaf on axis 0 of d = 2 with one to three own-axis entries
+    la: alpha across (0, 2), with 1 and 1 +- 1e-9, theta and la / theta
+    across decades."""
+    alpha = draw(st.sampled_from([1.0, 1.0 - 1e-9, 1.0 + 1e-9])
+                 | st.integers(1, 99).map(lambda k: k / 50))
+    theta = 10.0 ** draw(st.floats(-2.0, 4.0))
+    las = [theta * 10.0 ** draw(st.floats(-4.0, 4.0))
+           for _ in range(draw(st.integers(1, 3)))]
+    return TemperedPowerLawAxis(2, 0, alpha=alpha, theta=theta, scale=0.7), las
+
+
 class TestTemperedClosedForms:
-    """Quadrature of a tempered leaf against the tempered-stable closed forms,
-    down to tempering scales 1/theta far below the unit split."""
+    """A tempered leaf against the tempered-stable closed forms, down to
+    tempering scales 1/theta far below the unit split, and its closed-form
+    exponents against quadrature of their integrands."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tempered_rows())
+    def test_exponents_match_quadrature(self, case):
+        leaf, las = case
+        a = leaf.alpha
+        stack = np.array([[la, 0.3] for la in las])
+        exponents = {
+            "full": leaf.exp_branching_full,
+            "immigration": leaf.exp_immigration,
+            "branching_own": lambda lam: leaf.exp_branching(lam, 0),
+            "branching_cross": lambda lam: leaf.exp_branching(lam, 1),
+        }
+        for kind, fn in exponents.items():
+            got = fn(stack)
+            assert got.shape == (len(las),)
+            for row, value in zip(stack, got):
+                alone = fn(row)
+                assert np.ndim(alone) == 0
+                assert alone == pytest.approx(value, rel=1e-14)
+                la = row[0]
+                # quadrature cannot resolve z^(-1-alpha) at alpha just below 1
+                if kind in ("immigration", "branching_cross") and 0.995 < a < 1.0:
+                    continue
+                want = tempered_exponent_by_quadrature(leaf, kind, la)
+                if math.isinf(want):
+                    assert value == want
+                    continue
+                # the own-axis exponent is a difference of two positive parts
+                size = abs(want)
+                if kind == "branching_own":
+                    size = (tempered_exponent_by_quadrature(leaf, "full", la)
+                            + la * leaf.coord_minus_delta_plus(0, 0))
+                assert abs(value - want) <= 1e-9 * size
+                if abs(a - 1.0) >= 0.01 and kind != "full":
+                    exact = tempered_closed_forms(a, leaf.theta, 0.7, la)[kind]
+                    assert value == pytest.approx(exact, rel=1e-8)
+
+    def test_zero_rows_and_divergent_exponents(self):
+        lam = np.array([[0.0, 1.0], [2.0, 1.0]])
+        stable = TemperedPowerLawAxis(2, 0, alpha=1.5, theta=1.0, scale=0.7)
+        assert stable.exp_immigration(lam).tolist() == [0.0, math.inf]
+        assert stable.exp_branching(lam, 1).tolist() == [0.0, -math.inf]
+        assert stable.exp_branching_full(lam)[0] == 0.0
+        assert stable.exp_branching(lam, 0)[0] == 0.0
+        heavy = TemperedPowerLawAxis(2, 0, alpha=2.5, theta=1.0, scale=0.7)
+        for fn in (heavy.exp_branching_full, lambda lam: heavy.exp_branching(lam, 0)):
+            assert fn(lam).tolist() == [0.0, math.inf]
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     @pytest.mark.parametrize("theta", [1.0, 1e2, 1e4, 1e6])
@@ -280,7 +343,7 @@ class TestTemperedClosedForms:
         close(m.coord(0, SMALL_JUMPS), want[0]["coord_small"])
         close(m.coord(0, LARGE_JUMPS), want[0]["coord_large"])
         close(m.coord(0, ALL), want[0]["coord"])
-        # one vector, then the two as a stack, each row its own quadrature
+        # one vector, then the two as a stack
         stack = np.array([[la, 0.25] for la in lams])
         for key, fn in (("immigration", m.exp_immigration),
                         ("branching_own", lambda lam: m.exp_branching(lam, 0)),
@@ -443,6 +506,28 @@ class TestSampling:
         draws = m.sample_n(above(0.05), 1000, rng)
         assert np.all(draws[:, 0] >= 0.05)
 
+    @pytest.mark.parametrize("alpha, theta, region", [
+        (0.05, 1.0, above(0.01)),         # theta lo < 1: Pareto proposals
+        (1.5, 3.0, above(0.5)),           # theta lo >= 1: exponential ones
+        (0.7, 2.0, Region(0.1, 2.0)),     # finite shells, one of each
+        (1.9, 0.5, Region(4.0, 6.0)),
+    ])
+    def test_tempered_draws_follow_quadrature_cdf(self, alpha, theta, region):
+        leaf = TemperedPowerLawAxis(2, 1, alpha=alpha, theta=theta, scale=0.6)
+        n = 20_000
+        draws = leaf.sample_n(region, n, np.random.default_rng(31))
+        assert np.all(draws[:, 0] == 0.0)
+        radii = np.sort(draws[:, 1])
+        assert np.all(region.contains(radii))
+        # the Kolmogorov-Smirnov distance at 50 sample quantiles, each against
+        # the quadrature CDF mass(Region(lo, z)) / mass(region)
+        total = leaf.mass(region)
+        ks = 0.0
+        for k in np.linspace(0, n - 1, 52).astype(int)[1:-1]:
+            cdf = leaf.mass(Region(region.lo, radii[k])) / total
+            ks = max(ks, abs((k + 1) / n - cdf), abs(k / n - cdf))
+        assert ks < stats.kstwo.isf(1e-3, n)
+
     def test_empty_region(self):
         m = atom1(0.5, 1.0)
         rng = np.random.default_rng(1)
@@ -476,6 +561,30 @@ class TestConstruction:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite norm"):
                 DiscreteAtoms(2, [(np.array([1e308, 0.5]), 1.0)])
+
+
+class TestOverflow:
+    """An integral that converges by construction but overflows raises
+    OverflowError; +inf stays a divergence. (params.validate and derive
+    silence numpy's overflow warnings on the way; test_cli checks that.)"""
+
+    @pytest.mark.parametrize("integral", [
+        lambda: DiscreteAtoms(1, [(np.array([2.0]), 1.7e308),
+                                  (np.array([3.0]), 1.7e308)]).mass(ALL),
+        lambda: ProductExponential(1e308, [0.5]).coord(0, ALL),
+        lambda: ProductExponential(1e308, [1.0, 2.0]).mass(LARGE_JUMPS),
+        lambda: ProductExponential(1.0, [1e308, 2.0]).norm_sq_moment(SMALL_JUMPS),
+        lambda: TemperedPowerLawAxis(1, 0, alpha=0.5, theta=1.0, scale=1e308).coord(0, ALL),
+    ], ids=["atom-sum", "product-closed-form", "product-shell",
+            "product-scale", "tempered-quadrature"])
+    def test_finite_integral_overflow_raises(self, integral):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError):
+                integral()
+
+    def test_divergence_stays_infinite(self):
+        m = TemperedPowerLawAxis(1, 0, alpha=0.5, theta=1.0, scale=1e308)
+        assert m.mass(ALL) == math.inf
 
 
 class TestMixture:

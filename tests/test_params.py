@@ -4,6 +4,7 @@ import dataclasses
 import math
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from cbi import measures
 from cbi.errors import DimensionMismatch, InvalidConfig
 from cbi.measures import (
-    ALL, LARGE_JUMPS, DiscreteAtoms, MeasureSum, TemperedPowerLawAxis,
+    ALL, LARGE_JUMPS, DiscreteAtoms, MeasureSum, ProductExponential, TemperedPowerLawAxis,
 )
 from cbi.params import AdmissibleParams, derive, validate
 from cbi.scenarios import load_scenario
@@ -94,6 +95,21 @@ class TestValidate:
         blob = report.to_json()
         assert blob["ok"] is True
         assert all("citation" in ch for ch in blob["checks"])
+
+
+    @pytest.mark.parametrize("nu", [
+        # int ||z|| below 1 and the mass above are finite; their sum overflows
+        DiscreteAtoms(1, [(np.array([0.9]), 1.7e308), (np.array([1.0]), 1e308)]),
+        # int z nu(dz) = 2e308 overflows in the family
+        ProductExponential(1e308, [0.5]),
+    ], ids=["sum", "family"])
+    def test_overflow_raises_without_warning(self, nu):
+        p = AdmissibleParams(d=1, c=[1.0], beta=[0.5], B=[[-1.0]], nu=nu, mu=(None,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for compute in (validate, derive):
+                with pytest.raises(OverflowError):
+                    compute(p)
 
 
 class TestDerive:

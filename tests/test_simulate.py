@@ -223,6 +223,23 @@ class TestMixtureJumps:
         n = len(sizes)
         assert abs(from_atoms.mean() - share) <= 4.0 * math.sqrt(share * (1 - share) / n)
 
+    def test_truncated_immigration_keeps_the_euler_mean(self):
+        # the sub-cutoff immigration jumps enter the drift by their mean, so
+        # the scheme's mean is the Euler recursion m <- (1 + dt B~) m + dt beta~
+        # (the state never goes negative here); dropping them would leave the
+        # mean about 0.97, some 90 standard errors, below it
+        nu = TemperedPowerLawAxis(1, 0, alpha=0.5, theta=1.0, scale=1.0)
+        p = make(beta=(0.2,), B=((-0.5,),), nu=nu)
+        cfg = SimConfig(T=1.0, dt=0.05, eps_trunc=0.5)
+        n = 4000
+        final, _, _, _ = simulate_block(p, np.ones((n, 1)), cfg, block_generator(41, 0))
+        der = derive(p, cfg.eps_trunc)
+        want = 1.0
+        for _ in range(cfg.n_steps):
+            want = (1.0 + cfg.dt * der.B_tilde[0, 0]) * want + cfg.dt * der.beta_tilde[0]
+        se = final[:, 0].std(ddof=1) / math.sqrt(n)
+        assert abs(final[:, 0].mean() - want) <= 4.0 * se
+
 
 class TestCoupling:
     def coupled_instance(self):
