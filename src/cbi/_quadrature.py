@@ -1,11 +1,13 @@
 """Thin wrappers around scipy's adaptive quadrature with strict failure semantics.
 
-All one-dimensional integrals go through :func:`quad_strict` (Gauss-Kronrod
-refinement, QUADPACK). :func:`nquad_strict` nests it for the angular integrals
-of product-exponential norm shells over the positive orthant of S^(d-1), a
-(d-1)-dimensional box of angles; the radial part of those shells is exact.
-Tolerances follow the package-wide quadrature policy: relative 1e-10 with an
-absolute floor of 1e-14 (1e-12 for the nested rule).
+:func:`nquad_strict` (nested Gauss-Kronrod refinement, QUADPACK) takes the
+angular integrals of product-exponential norm shells over the positive
+orthant of S^(d-1), a (d-1)-dimensional box of angles; the radial part of
+those shells is exact. Every other integral of the package is closed-form.
+:func:`quad_strict` is the one-dimensional rule, which the test-suite's
+quadrature references and the benchmark's tracer use. Tolerances follow the
+package-wide quadrature policy: relative 1e-10 with an absolute floor of
+1e-14 (1e-12 for the nested rule).
 """
 
 import warnings

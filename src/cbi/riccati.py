@@ -99,7 +99,7 @@ class RiccatiSolution:
     grid: np.ndarray
     v: np.ndarray
     psi_accum: np.ndarray
-    _y0s: np.ndarray   # (n_steps, [m,] d+1) step-start states
+    _ys: np.ndarray    # (n_steps + 1, [m,] d+1) states at the grid points
     _qs: np.ndarray    # (n_steps, [m,] d+1, 4) dense polynomial coefficients
 
     @property
@@ -113,11 +113,11 @@ class RiccatiSolution:
         t = min(t, self.T)
         k = int(np.searchsorted(self.grid, t, side="right") - 1)
         if k >= len(self.grid) - 1:  # t == T
-            return np.concatenate([self.v[-1], self.psi_accum[-1][..., None]], axis=-1)
+            return self._ys[-1].copy()
         h = self.grid[k + 1] - self.grid[k]
         theta = (t - self.grid[k]) / h
         powers = theta ** np.arange(1, 5)
-        return self._y0s[k] + h * (self._qs[k] @ powers)
+        return self._ys[k] + h * (self._qs[k] @ powers)
 
     def v_at(self, t):
         """Flow value v(t, lam) via the dense interpolant."""
@@ -207,7 +207,7 @@ def solve_v(p: AdmissibleParams, lam, T: float,
 
     grid = [0.0]
     ys = [y.copy()]
-    y0s, qs = [], []
+    qs = []
 
     err_prev = 1e-4
     n_stages = 7
@@ -250,7 +250,6 @@ def solve_v(p: AdmissibleParams, lam, T: float,
                 h *= 0.5
                 continue
 
-        y0s.append(y)
         qs.append(K.T @ _P)  # (m (d+1), 4); evaluation multiplies by h
 
         t += h
@@ -274,7 +273,7 @@ def solve_v(p: AdmissibleParams, lam, T: float,
         grid=np.array(grid),
         v=states[..., :d],
         psi_accum=states[..., d],
-        _y0s=np.array(y0s).reshape(-1, *shape),
+        _ys=states,
         _qs=np.array(qs).reshape(-1, *shape, 4),
     )
 

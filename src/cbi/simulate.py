@@ -231,7 +231,7 @@ def _add_floats(x, sizes):
 # an overflowing array state ends in the final-state check's OverflowError,
 # which reports it; no numpy warnings on the way
 @np.errstate(over="ignore", invalid="ignore")
-def _euler(p, X, beta, cfg, rng, observe=None, out=None):
+def _euler(p, X, beta, cfg, rng, observe=None):
     """Euler steps of a stack of k block states, shape (k, n, d), sharing all noise.
 
     k is 1 (a block of paths) or 2 (a coupled pair); beta has shape (k, 1, d),
@@ -260,20 +260,22 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
     log above are the same code for both. A single path (k * n = 1) is a
     list of d Python floats advanced by the step :func:`_float_step`
     generates for d: a numpy call on a length-d row costs more than the
-    step's whole arithmetic, so this lane makes none per step, and with out
-    it keeps the rows in a list that fills out once at the end. Otherwise
-    buffers are allocated once per call, the stack is worked on as
-    (k * n, d) rows and the drift, the diffusion and the jumps are added in
-    place; without out, the state and the next state swap after every step;
-    with out, shape (n_steps + 1, k, n, d) and C-contiguous in its last three
-    axes, step s writes straight into out[s]. The two lanes differ only in
-    the rounding of the drift's dot product. observe(step, X), when given,
-    sees the (k, n, d) stack at step 0 and after every step; the array it
-    gets may be overwritten by a later step, so an observer copies whatever
-    it keeps. Returns the final stack (never a view of out) and, with
-    cfg.record_jumps, per-path JumpEvent lists of state 0. A Poisson mean
-    that numpy cannot draw from, or a non-finite final state, raises
-    OverflowError.
+    step's whole arithmetic, so this lane makes none per step; it collects
+    a chunk's states in one flat list. Otherwise buffers are allocated once
+    per call, the stack is worked on as (k * n, d) rows and the drift, the
+    diffusion and the jumps are added in place: step i of a chunk writes row
+    i of one of two (chunk, k * n, d) buffers, used alternately, so a
+    chunk's first step reads the other buffer's last row and no state is
+    copied. The two lanes differ only in the rounding of the drift's dot
+    product.
+
+    observe(first, states), when given, is the only output of the states:
+    it sees step 0 as states of shape (1, k, n, d), then each chunk of m
+    steps as (m, k, n, d), the grid points first, ..., first + m - 1. The
+    array it gets is overwritten two chunks later, so an observer copies
+    whatever it keeps. Returns the final stack and, with cfg.record_jumps,
+    per-path JumpEvent lists of state 0. A Poisson mean that numpy cannot
+    draw from, or a non-finite final state, raises OverflowError.
     """
     der = params_mod.derive(p, cfg.eps_trunc)
     # the sub-cutoff immigration jumps do not depend on the state: their
@@ -300,14 +302,12 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
     clamp = cfg.positivity_mode == "clamp"
     events = tuple([] for _ in range(n)) if cfg.record_jumps else None
     floats = k * n == 1
+    if observe is not None:
+        observe(0, np.asarray(X, dtype=float)[None])
     if floats:
         advance = _float_step(d, use_diffusion)(
             *drift_dt.ravel().tolist(), *(dt * beta).ravel().tolist())
         x = np.asarray(X, dtype=float).ravel().tolist()
-        # the rows, flat: numpy converts a flat list three times faster
-        kept = list(x) if out is not None else None
-        if observe is not None:
-            observe(0, np.array(x).reshape(1, 1, d))
     else:
         # beta_dt and sig are spelled out to the full shape, because
         # broadcasting a length-d row runs numpy's inner loop over d elements
@@ -315,13 +315,8 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
         beta_dt = np.broadcast_to(dt * beta, (k, n, d)).copy().reshape(k * n, d)
         if use_diffusion:
             sig = np.broadcast_to(sig, (n, d)).copy()
-        if out is None:
-            X = np.array(X, dtype=float, order="C").reshape(k * n, d)
-            rows = [X, np.empty_like(X)]
-        else:
-            out[0] = X
-            rows = list(out.reshape(n_steps + 1, k * n, d))
-            X = rows[0]
+        X = np.array(X, dtype=float, order="C").reshape(k * n, d)
+        buffers = [np.empty((chunk, k * n, d)) for _ in range(2)]
         Xp = np.empty_like(X)
         Xp3 = Xp.reshape(k, n, d)
         # a zero array and same-shape operands skip numpy's scalar conversion
@@ -331,11 +326,15 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
             noise = np.empty_like(X)
             # the stack's states share each step's normals
             noise_k = noise if k == 1 else noise.reshape(k, n, d)
-        if observe is not None:
-            observe(0, X.reshape(k, n, d))
 
     for first in range(0, n_steps, chunk):
         m = min(chunk, n_steps - first)
+        if floats:
+            # the chunk's states, flat: numpy converts a flat list three
+            # times faster
+            kept = []
+        else:
+            rows = buffers[first // chunk % 2]
         if use_diffusion:
             zc = z[:m]
             rng.standard_normal(out=zc)
@@ -354,7 +353,7 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
                 # the bounds of all types are the left-endpoint floats
                 x, bounds = advance(x, zrows[i])
             else:
-                X_new = rows[(step + 1) % len(rows)]
+                X_new = rows[i]
                 np.maximum(X, zero, out=Xp)
                 np.dot(Xp, drift_dt, out=X_new)
                 X_new += beta_dt
@@ -420,23 +419,18 @@ def _euler(p, X, beta, cfg, rng, observe=None, out=None):
             if floats:
                 if clamp:
                     x = [v if v > 0.0 or v != v else 0.0 for v in x]
-                if kept is not None:
-                    kept += x
                 if observe is not None:
-                    observe(step + 1, np.array(x).reshape(1, 1, d))
+                    kept += x
                 continue
             if clamp:
                 np.maximum(X_new, zero, out=X_new)
             X = X_new
-            if observe is not None:
-                observe(step + 1, X3)
 
-    if floats:
-        if out is not None:
-            out[...] = np.array(kept).reshape(out.shape)
-        X = np.array(x).reshape(1, 1, d)
-    else:
-        X = X.reshape(k, n, d) if out is None else X.reshape(k, n, d).copy()
+        if observe is not None:
+            observe(first + 1, np.array(kept).reshape(m, 1, 1, d) if floats
+                    else rows[:m].reshape(m, k, n, d))
+
+    X = np.array(x).reshape(1, 1, d) if floats else X.reshape(k, n, d)
     # a step keeps a non-finite coordinate non-finite (clamp maps -inf to
     # 0), so the final state shows whether any step overflowed
     if not np.isfinite(X).all():
@@ -457,14 +451,16 @@ def simulate_block(p: AdmissibleParams, x0, cfg: SimConfig, rng,
     full = np.empty((cfg.n_steps + 1, n, d)) if keep_full else None
     snapshots = {}
     wanted = set(int(k) for k in snapshot_steps)
-    observe = None
-    if wanted:
-        def observe(step, stack):
-            if step in wanted:
-                snapshots[step] = stack[0].copy()
 
-    X, events = _euler(p, X[None], p.beta[None, None, :], cfg, rng, observe,
-                       None if full is None else full[:, None])
+    def observe(first, states):
+        if full is not None:
+            full[first:first + len(states)] = states[:, 0]
+        for step in range(first, first + len(states)):
+            if step in wanted:
+                snapshots[step] = states[step - first, 0].copy()
+
+    X, events = _euler(p, X[None], p.beta[None, None, :], cfg, rng,
+                       observe if keep_full or wanted else None)
     return X[0], full, snapshots, events
 
 
@@ -531,17 +527,14 @@ def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
                          diff_sq_sum=np.zeros((n_steps + 1, d)))
     full = np.empty((2, n_steps + 1, n, d)) if keep_full else None
 
-    # the differences of a chunk of grid points, recorded together
-    m = max(1, min(n_steps + 1, _CHUNK_VALUES // (n * d)))
-    diffs = np.empty((d, m, n))
-
-    def observe(step, stack):
-        row = step % m
-        np.subtract(stack[1].T, stack[0].T, out=diffs[:, row])
-        if row == m - 1 or step == n_steps:
-            stats.record(step - row, diffs[:, :row + 1])
+    def observe(first, states):
+        # X' - X of the chunk as (d, points, n), into a C-contiguous array:
+        # a difference of the transposed views would take their memory
+        # order, and its sums over the paths would round differently
+        low, high = states.transpose(1, 3, 0, 2)
+        stats.record(first, np.subtract(high, low, out=np.empty(high.shape)))
         if keep_full:
-            full[:, step] = stack
+            full[:, first:first + len(states)] = states.swapaxes(0, 1)
 
     betas = np.stack([p.beta, beta_prime])[:, None, :]
     X, _ = _euler(p, np.stack([X, Xq]), betas, cfg, rng, observe)

@@ -1,12 +1,13 @@
 """Independent numerical oracles used by the test-suite.
 
 Most deliberately avoid the package's own quadrature/ODE machinery:
-composite Simpson rules on refined grids and closed-form special cases. The
-shrinking-cutoff divergence probe, the compensated form of phi and the
-tempered exponents by quadrature take another route to a quantity the
-package computes: finite integrals at shrinking cutoffs, B_tilde with the
-fully compensated jump integral, and quadrature of the integrands that the
-package's tempered closed forms replace.
+composite Simpson rules on refined grids, fixed Gauss-Legendre rules and
+closed-form special cases. The shrinking-cutoff divergence probe, the
+compensated form of phi and the tempered integrals by quadrature take
+another route to a quantity the package computes: finite integrals at
+shrinking cutoffs, B_tilde with the fully compensated jump integral, and
+QUADPACK quadrature of the integrands that the package's tempered closed
+forms replace.
 """
 
 import math
@@ -89,6 +90,31 @@ def upper_gamma(s, x):
     return (upper_gamma(s + 1.0, x) - x ** s * math.exp(-x)) / s
 
 
+def tempered_power_oracle(s, theta, lo, hi):
+    """int_lo^hi z^(s-1) e^(-theta z) dz, +inf where it diverges at 0.
+
+    For lo == 0 it is Gamma(s) P(s, theta hi) theta^-s. For lo > 0 it is
+    lo^s e^(-theta lo) int_0^U e^(s u - theta lo expm1(u)) du in u =
+    log(z / lo), by 40-point Gauss-Legendre on pieces of half a unit, where
+    the integrand is analytic, so each piece is exact to rounding; an
+    infinite hi is cut at lo + 42/theta, beyond which the integrand is below
+    e^-42 of its value at lo.
+    """
+    from scipy.special import gamma, gammainc
+
+    if lo == 0.0:
+        return gamma(s) * gammainc(s, theta * hi) * theta ** -s if s > 0.0 else math.inf
+    top = min(hi, lo + 42.0 / theta)
+    span = math.log1p((top - lo) / lo)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    edges = np.linspace(0.0, span, max(1, math.ceil(2.0 * span)) + 1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        u = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        total += 0.5 * (b - a) * float(weights @ np.exp(s * u - theta * lo * np.expm1(u)))
+    return math.exp(s * math.log(lo) - theta * lo) * total
+
+
 def _binomial_tail(alpha, x):
     """(1 + x)^alpha - 1 - alpha x without cancellation for small x."""
     if x > 0.5:
@@ -142,22 +168,77 @@ def _exp_remainder(x):
     return math.expm1(-x) + x
 
 
+def tempered_radial_by_quadrature(leaf, g, lo, hi, origin_power):
+    """Integral of g(z) against the radial density of the tempered leaf
+    over [lo, hi), by QUADPACK through the package's quad_strict.
+
+    origin_power is the exponent p with g(z) ~ z^p as z -> 0; the integral
+    diverges at the origin exactly when lo == 0 and p <= alpha, and is then
+    +inf. QUADPACK cannot resolve z^(s-1) as s = p - alpha -> 0, nor a tail
+    out to 1/theta >> 1: there it raises or loses digits."""
+    from cbi._quadrature import ABS_TOL, REL_TOL, quad_strict
+
+    alpha, theta, scale = leaf.alpha, leaf.theta, leaf.scale
+    if hi <= lo:
+        return 0.0
+    if lo == 0.0 and origin_power <= alpha:
+        return math.inf
+    cuts = {lo, hi}
+    if lo < 1.0 < hi:
+        cuts.add(1.0)
+    top = min(1.0, hi)
+    if lo > 0.0:
+        # split steep power-law ranges by decades so QAGS stays happy
+        point = lo * 10.0
+        while point < top:
+            cuts.add(point)
+            point *= 10.0
+    else:
+        # a sharply tempered density holds its mass within a few 1/theta
+        # of the origin, which one QAGS piece over [0, top) can miss:
+        # split by decades down to that scale
+        point = top / 10.0
+        while point > 1.0 / theta:
+            cuts.add(point)
+            point /= 10.0
+        if 1.0 / theta < top:
+            cuts.add(1.0 / theta)
+    pieces = sorted(cuts)
+
+    def f(z):
+        return g(z) * (scale * z ** (-1.0 - alpha) * np.exp(-theta * z))
+
+    total = 0.0
+    for a, b in zip(pieces[:-1], pieces[1:]):
+        value = quad_strict(f, a, b)
+        size = abs(value)
+        # the absolute floor of the quadrature caps the relative accuracy
+        # of a tiny piece: integrate it once more scaled to unit size
+        if 0.0 < size < ABS_TOL / REL_TOL:
+            value = size * quad_strict(lambda z: f(z) / size, a, b)
+        total += value
+    return total
+
+
 def tempered_exponent_by_quadrature(leaf, kind, la):
     """One exponential integral of a tempered leaf at its own-axis entry
-    la > 0, by quadrature of its integrand through leaf._radial, which
-    returns +inf where it diverges at the origin. kind is "full" for
-    int (e^(-la z) - 1 + la z), "immigration" for int (1 - e^(-la z)), and
-    "branching_own" and "branching_cross" for the branching exponents
+    la > 0, by quadrature of its integrand through
+    tempered_radial_by_quadrature, which returns +inf where it diverges at
+    the origin. kind is "full" for int (e^(-la z) - 1 + la z),
+    "immigration" for int (1 - e^(-la z)), and "branching_own" and
+    "branching_cross" for the branching exponents
     int (e^(-la z) - 1 + la (1 ^ z)) on the own axis and
     int (e^(-la z) - 1) across axes."""
     if kind == "branching_cross":
         return -tempered_exponent_by_quadrature(leaf, "immigration", la)
     if kind == "immigration":
-        return leaf._radial(lambda z: -math.expm1(-la * z), 0.0, math.inf, 1.0)
+        return tempered_radial_by_quadrature(
+            leaf, lambda z: -math.expm1(-la * z), 0.0, math.inf, 1.0)
     if kind == "full":
-        return leaf._radial(lambda z: _exp_remainder(la * z), 0.0, math.inf, 2.0)
-    return leaf._radial(
-        lambda z: _exp_remainder(la * z) if z < 1.0 else math.expm1(-la * z) + la,
+        return tempered_radial_by_quadrature(
+            leaf, lambda z: _exp_remainder(la * z), 0.0, math.inf, 2.0)
+    return tempered_radial_by_quadrature(
+        leaf, lambda z: _exp_remainder(la * z) if z < 1.0 else math.expm1(-la * z) + la,
         0.0, math.inf, 2.0)
 
 

@@ -332,6 +332,39 @@ class TestNumericOverflow:
         assert "numeric failure: OverflowError" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
 
+
+class TestTemperedEdgeFiles:
+    """Tempered leaves whose region integrals quadrature could not take: a
+    density z^(s-1) with s = p - alpha near 0, and a tail out to
+    1/theta = 1e6. Every command runs them."""
+
+    LEAF = {"family": "tempered_power_law", "axis": 1, "alpha": 0.99999,
+            "theta": 1.0, "scale": 0.1}
+    BASE = dict(CIR, c=[0.5], beta=[0.5])
+    FILES = {
+        "nu-alpha-near-one": dict(BASE, nu=LEAF),
+        "mu-alpha-near-two": dict(BASE, mu=[dict(LEAF, alpha=1.9999)]),
+        "nu-long-tail": dict(BASE, nu=dict(LEAF, alpha=0.5, theta=1e-6)),
+    }
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_every_command_exits_zero(self, name, tmp_path, capsys):
+        path = write_params(tmp_path, f"{name}.json", self.FILES[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", path]) == 0
+            assert "admissible: True" in capsys.readouterr().out
+            for command, args in [
+                ("derive", []),
+                ("mean", ["--m0", "1", "--t", "1"]),
+                ("laplace", ["--x", "1", "--lam", "1", "--t", "1"]),
+                ("simulate", ["--x0", "1", "--T", "1", "--dt", "0.0625", "--seed", "3",
+                              "--n", "2", "--out", str(tmp_path / "out")]),
+            ]:
+                assert main([command, path, *args]) == 0, command
+        assert len(list(tmp_path.glob("out/*.csv"))) == 2
+
+
 def reference_path_csv(path_obj) -> str:
     """The path file written one format_float call per value."""
     d = path_obj.states.shape[1]

@@ -19,8 +19,10 @@ from cbi.scenarios import load_scenario
 
 from helpers import (
     origin_refinement_diverges, product_exp_shell_oracle_2d, tempered_closed_forms,
-    tempered_exponent_by_quadrature, tpl_radial_oracle,
+    tempered_exponent_by_quadrature, tempered_power_oracle, tpl_radial_oracle,
 )
+
+INF = math.inf
 
 # a few integrals at the package's quadrature policy (relative 1e-10,
 # absolute 1e-12 per nested quadrature) are summed in each identity
@@ -361,6 +363,49 @@ class TestTemperedClosedForms:
         assert m.exp_immigration([1.0]) == pytest.approx(
             tempered_closed_forms(0.5, 1e6, 1.0, 1.0)["immigration"], rel=1e-10)
 
+    def test_narrow_shell_below_the_tempering_scale(self):
+        # the series keeps its relative accuracy on a shell of width 2e-7
+        m = TemperedPowerLawAxis(1, 0, alpha=0.5, theta=1e-3, scale=1.0)
+        want = tempered_power_oracle(-0.5, 1e-3, 0.3, 0.3000001)
+        assert m.mass(Region(0.3, 0.3000001)) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_continued_fraction_with_vanishing_first_denominator(self):
+        # s = 2 - 1e-17 rounds to 2, and the tail above 1/theta = 0.5 starts
+        # at x = theta a = 1, where the first denominator x + 1 - s is 0
+        m = TemperedPowerLawAxis(1, 0, alpha=1e-17, theta=2.0, scale=1.0)
+        want = tempered_power_oracle(2.0, 2.0, 0.0, 1.0)
+        assert m.norm_sq_moment(SMALL_JUMPS) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0 - 1e-9, 1.0 + 1e-9, 1.5, 2.0 - 1e-9, 2.0 + 1e-9])
+    def test_region_integrals_match_incomplete_gamma(self, alpha, theta):
+        # exponents s = p - alpha within 1e-9 of 0, and tempering scales
+        # 1/theta on both sides of every region's ends
+        scale = 0.7
+        m = TemperedPowerLawAxis(2, 0, alpha=alpha, theta=theta, scale=scale)
+        regions = [Region(lo, hi) for lo, hi in (
+            (0.0, 0.05), (0.0, 1.0), (0.0, INF), (1e-3, 1.0), (0.01, INF),
+            (0.5, 2.0), (1.0, INF))]
+        integrals = (m.mass, lambda region: m.coord(0, region), m.norm_sq_moment)
+
+        def oracle(p, lo, hi):
+            return scale * tempered_power_oracle(p - alpha, theta, lo, hi)
+
+        for p, integral in enumerate(integrals):
+            for region in regions:
+                want = oracle(p, region.lo, region.hi)
+                got = integral(region)
+                if math.isinf(want):
+                    assert got == want
+                else:
+                    assert abs(got - want) <= 1e-12 * want, (p, region)
+        # the kinked integrals are sums of region integrals
+        parts = (oracle(1, 0.0, 1.0), oracle(0, 1.0, INF))
+        assert m.one_wedge_coord(0) == pytest.approx(sum(parts), rel=1e-12, abs=0)
+        parts = (oracle(1, 1.0, INF), -oracle(0, 1.0, INF))
+        assert abs(m.coord_minus_delta_plus(0, 0) - sum(parts)) \
+            <= 1e-12 * (parts[0] - parts[1])
+
 
 class TestExpIntegrals:
     def test_branching_zero_lambda(self):
@@ -424,6 +469,19 @@ class TestExpIntegrals:
             if np.any(lam):
                 assert v1 > 0.0
         assert measures.exp_immigration_integral(m, np.zeros(2)) == 0.0
+
+
+def ks_at_quantiles(m, region, radii):
+    """The Kolmogorov-Smirnov distance of the sorted draw norms radii at 50
+    of their quantiles, each against the CDF mass(Region(lo, z)) / mass(region)
+    of m restricted to region."""
+    n = len(radii)
+    total = m.mass(region)
+    ks = 0.0
+    for k in np.linspace(0, n - 1, 52).astype(int)[1:-1]:
+        cdf = m.mass(Region(region.lo, radii[k])) / total
+        ks = max(ks, abs((k + 1) / n - cdf), abs(k / n - cdf))
+    return ks
 
 
 class TestSampling:
@@ -519,14 +577,33 @@ class TestSampling:
         assert np.all(draws[:, 0] == 0.0)
         radii = np.sort(draws[:, 1])
         assert np.all(region.contains(radii))
-        # the Kolmogorov-Smirnov distance at 50 sample quantiles, each against
-        # the quadrature CDF mass(Region(lo, z)) / mass(region)
-        total = leaf.mass(region)
-        ks = 0.0
-        for k in np.linspace(0, n - 1, 52).astype(int)[1:-1]:
-            cdf = leaf.mass(Region(region.lo, radii[k])) / total
-            ks = max(ks, abs((k + 1) / n - cdf), abs(k / n - cdf))
-        assert ks < stats.kstwo.isf(1e-3, n)
+        assert ks_at_quantiles(leaf, region, radii) < stats.kstwo.isf(1e-3, n)
+
+    @pytest.mark.parametrize("region", [ALL, LARGE_JUMPS])
+    def test_atom_frequencies_chi_square(self, region):
+        # three atoms of norm above 1 and one below
+        atoms = [([1.5, 0.2], 1.0), ([0.2, 0.1], 0.3), ([0.1, 3.0], 2.2), ([0.9, 0.9], 0.5)]
+        m = DiscreteAtoms(2, [(np.array(z), w) for z, w in atoms])
+        locs = np.array([z for z, _ in atoms])
+        inside = region.contains(np.linalg.norm(locs, axis=1))
+        w = np.array([w for _, w in atoms])[inside]
+        n = 20_000
+        draws = m.sample_n(region, n, np.random.default_rng(37))
+        counts = np.array([np.all(draws == z, axis=1).sum() for z in locs[inside]])
+        assert counts.sum() == n
+        expected = n * w / w.sum()
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < stats.chi2.isf(1e-3, w.size - 1)
+
+    @pytest.mark.parametrize("region", [ALL, LARGE_JUMPS])
+    def test_product_exponential_norms_follow_shell_cdf(self, region):
+        # ALL draws the exponentials directly, LARGE_JUMPS by rejection
+        m = ProductExponential(1.5, [1.2, 0.8])
+        n = 20_000
+        draws = m.sample_n(region, n, np.random.default_rng(41))
+        norms = np.sort(np.linalg.norm(draws, axis=1))
+        assert np.all(region.contains(norms))
+        assert ks_at_quantiles(m, region, norms) < stats.kstwo.isf(1e-3, n)
 
     def test_empty_region(self):
         m = atom1(0.5, 1.0)
@@ -574,9 +651,10 @@ class TestOverflow:
         lambda: ProductExponential(1e308, [0.5]).coord(0, ALL),
         lambda: ProductExponential(1e308, [1.0, 2.0]).mass(LARGE_JUMPS),
         lambda: ProductExponential(1.0, [1e308, 2.0]).norm_sq_moment(SMALL_JUMPS),
-        lambda: TemperedPowerLawAxis(1, 0, alpha=0.5, theta=1.0, scale=1e308).coord(0, ALL),
+        # 1e308 Gamma(1/2) theta^(-1/2) = 3.5e308 at theta = 1/4
+        lambda: TemperedPowerLawAxis(1, 0, alpha=0.5, theta=0.25, scale=1e308).coord(0, ALL),
     ], ids=["atom-sum", "product-closed-form", "product-shell",
-            "product-scale", "tempered-quadrature"])
+            "product-scale", "tempered-closed-form"])
     def test_finite_integral_overflow_raises(self, integral):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OverflowError):

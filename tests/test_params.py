@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cbi import measures
+from cbi import measures, params
 from cbi.errors import DimensionMismatch, InvalidConfig
 from cbi.measures import (
     ALL, LARGE_JUMPS, DiscreteAtoms, MeasureSum, ProductExponential, TemperedPowerLawAxis,
@@ -198,8 +198,7 @@ class TestDerive:
 
 def s3_with_vanishing_leaf():
     """S3's tuple with a tempered leaf added to mu_1 whose mass above the
-    default cutoff underflows to 0: deriving it takes quadrature, while the
-    Euler scheme never samples it."""
+    default cutoff underflows to 0: the Euler scheme never samples it."""
     p = load_scenario("S3").params
     leaf = TemperedPowerLawAxis(2, 0, alpha=0.5, theta=1e6, scale=1.0)
     return dataclasses.replace(p, mu=(MeasureSum([p.mu[0], leaf]), p.mu[1]))
@@ -208,15 +207,16 @@ def s3_with_vanishing_leaf():
 class TestDeriveCache:
     def test_each_tuple_and_cutoff_derived_once(self, monkeypatch):
         calls = []
-        for name in ("quad_strict", "nquad_strict"):
-            def counted(*args, _inner=getattr(measures, name), **kwargs):
-                calls.append(name)
-                time.sleep(1e-3)   # a slow quadrature lets the other thread run
-                return _inner(*args, **kwargs)
-            monkeypatch.setattr(measures, name, counted)
+        inner = params._derive
+
+        def counted(p, eps_trunc):
+            calls.append(eps_trunc)
+            time.sleep(1e-3)   # a slow derivation lets the other thread run
+            return inner(p, eps_trunc)
+
+        monkeypatch.setattr(params, "_derive", counted)
         derive(s3_with_vanishing_leaf())
-        once = len(calls)
-        assert once > 0
+        assert len(calls) == 1
 
         # S3 blocks on two threads, started together, share one derivation
         calls.clear()
@@ -231,17 +231,16 @@ class TestDeriveCache:
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             list(pool.map(block, range(2)))
-        assert len(calls) == once
+        assert len(calls) == 1
         assert derive(p) is derive(p)
-        assert len(calls) == once
+        assert len(calls) == 1
 
         # a second cutoff gets its own derivation, once
         coarse = derive(p, 0.05)
         assert coarse is not derive(p) and coarse.eps_trunc == 0.05
-        assert len(calls) > once
-        seen = len(calls)
+        assert calls[1:] == [0.05]
         assert derive(p, 0.05) is coarse
-        assert len(calls) == seen
+        assert len(calls) == 2
 
     def test_later_mutation_of_inputs_changes_nothing(self):
         c, beta, B = np.array([1.0]), np.array([0.5]), np.array([[-1.0]])

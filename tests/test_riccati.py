@@ -290,8 +290,7 @@ class TestBatchedFlow:
                 solve_v(p, lam, T=1.0)
 
     def test_warm_tempered_grid_makes_no_quadrature(self, monkeypatch):
-        # the tempered exponents are closed-form; their one quadrature per
-        # leaf, int (z - 1)^+, is taken by the first grid
+        # the tempered exponents and int (z - 1)^+ are closed-form
         p = mixed_params()
         x = np.array([1.0, 0.5])
         points = [(0.3, [0.5, 0.2]), (0.3, [1.0, 1.0]), (0.15, [0.5, 0.2])]

@@ -405,8 +405,8 @@ class TestKernelBuffers:
 
 
     def test_coupled_stats_flushed_per_chunk(self):
-        # 2^15 // (n d) = 3 grid points per chunk: five full chunks and a
-        # last one of two points, each reduced once
+        # 2^15 // (n d) = 3 steps per chunk: step 0, five full chunks and a
+        # last one of one step, each reduced once
         p = self.instance()
         cfg = SimConfig(T=0.25, dt=2.0 ** -6)
         n = 5000
@@ -423,7 +423,7 @@ class TestKernelBuffers:
             _, _, stats, full = simulate_coupled_block(
                 p, p.beta + 0.5, x0, x0 + 0.1, cfg, block_generator(98, 0),
                 keep_full=True)
-        assert records == [(0, 3), (3, 3), (6, 3), (9, 3), (12, 3), (15, 2)]
+        assert records == [(0, 1), (1, 3), (4, 3), (7, 3), (10, 3), (13, 3), (16, 1)]
         rebuilt = empty_stats(n, cfg.n_steps + 1, 2)
         for step in range(cfg.n_steps + 1):
             reference_record(rebuilt, step, full[1, step] - full[0, step])
@@ -464,7 +464,7 @@ def _run_stack(p, states, cfg, rng):
     """Kernel run of one block from the given (possibly raw-negative) states."""
     X = np.asarray(states, dtype=float)[None, :, None]
     return _euler(p, X, p.beta[None, None, :], cfg, rng,
-                  lambda step, stack: None)
+                  lambda first, states: None)
 
 
 def _counts_per_step(events, kind, n_steps, dt):
@@ -822,7 +822,7 @@ class TestFloatLane:
         X = np.tile(np.asarray(x0, dtype=float), (k, 1, 1))
         final, events = _euler(p, X,
                                np.tile(p.beta, (k, 1, 1)), cfg, rng,
-                               lambda step, stack: rows.append(stack[0, 0].copy()))
+                               lambda first, states: rows.extend(states[:, 0, 0].copy()))
         assert np.array_equal(final[0, 0], rows[-1])
         return np.array(rows), events[0]
 
