@@ -17,10 +17,11 @@ from cbi.montecarlo import (
 s1 = load_scenario("S1")
 print(s1.description)
 
-# Raw estimators: means and Laplace functionals with standard errors.
-est = estimate_mean(s1.params, s1.x0, t=1.0, n_paths=20_000,
-                    cfg=s1.sim_config(), seed=7)
-print(f"E[X_1] ~ {est.value[0]:.4f} +- {est.stderr[0]:.4f} "
+# Raw estimators: means and Laplace functionals, each returned as
+# (value, stderr) arrays.
+value, stderr = estimate_mean(s1.params, s1.x0, t=1.0, n_paths=20_000,
+                              cfg=s1.sim_config(), seed=7)
+print(f"E[X_1] ~ {value[0]:.4f} +- {stderr[0]:.4f} "
       "(analytic value is exactly 1 for this instance)")
 
 # One path sweep estimates every (t, lam) point of a grid.

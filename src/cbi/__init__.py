@@ -17,7 +17,7 @@ from .measures import (
 )
 from .moments import mean
 from .montecarlo import (
-    McEstimate, VerifyReport, estimate_laplace_grid, estimate_mean,
+    VerifyReport, estimate_laplace_grid, estimate_mean,
     verify_comparison, verify_laplace, verify_mean,
 )
 from .params import (

@@ -37,9 +37,14 @@ def quad_strict(fn, lo, hi):
     return value
 
 
-def nquad_strict(fn, ranges):
-    """Nested adaptive quadrature; ranges follow scipy.integrate.nquad order."""
+def nquad_strict(fn, ranges, points=None):
+    """Nested adaptive quadrature; ranges follow scipy.integrate.nquad order.
+    points, when given, are break points inside every range: each piece
+    between them starts with its own rule (QUADPACK's QAGP)."""
     opts = [dict(epsabs=1e-12, epsrel=1e-10, limit=200) for _ in ranges]
+    if points is not None:
+        for opt in opts:
+            opt.update(points=points, limit=200 + len(points))
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:

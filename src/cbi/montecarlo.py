@@ -1,15 +1,19 @@
 """Monte Carlo estimators and the cross-representation verification harness.
 
-One estimator, :func:`_estimate`, reduces a statistic of path snapshots:
-the state at t for :func:`estimate_mean`, e^{-<lam, X_t^+>} per (t, lam) for
-:func:`estimate_laplace_grid`. Both verifications share one pass rule,
-|estimate - analytic| <= 3 stderr + C dt.
+The simulators hand out states through an observer, and every statistic
+of them is taken here. One estimator, :func:`_estimate`, reduces a
+statistic of path snapshots: the state at t for :func:`estimate_mean`,
+e^{-<lam, X_t^+>} per (t, lam) for :func:`estimate_laplace_grid`; both
+return (value, stderr) and their verifications share one pass rule,
+|estimate - analytic| <= 3 stderr + C dt. The comparison check reduces the
+ordering statistics of coupled pairs, :class:`CoupledStats`.
 
-Work is split into fixed-size path blocks; block k draws its randomness from
-a counter-based substream keyed by (seed, k), and block results are reduced
-in block order. Estimates are therefore bitwise identical across runs and
-across worker-thread counts, and extending a run by more paths leaves the
-existing blocks' contributions unchanged.
+Work is split into fixed-size path blocks by one sweep, :func:`_sweep`;
+block k draws its randomness from a counter-based substream keyed by
+(seed, k), and block results are reduced in block order. Estimates are
+therefore bitwise identical across runs and across worker-thread counts,
+and extending a run by more paths leaves the existing blocks' contributions
+unchanged.
 """
 
 from __future__ import annotations
@@ -29,52 +33,35 @@ from .simulate import (
 )
 
 BLOCK_SIZE = 16384
+COMPARISON_SLACK = 1e-12  # ordering violations below this are roundoff
 THREADS_ENV_VAR = "CBI_NUM_THREADS"
 
 
-def resolve_threads(threads=None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV_VAR)
-    return max(1, int(env)) if env else 1
-
-
-def _blocks(n_paths: int):
-    """(index, count) of each fixed-size path block."""
-    return [(index, min(BLOCK_SIZE, n_paths - start))
-            for index, start in enumerate(range(0, n_paths, BLOCK_SIZE))]
-
-
-def _run_blocks(worker, blocks, threads):
-    """Evaluate worker(index, count) for each block; results in block order."""
-    if threads <= 1:
-        return [worker(i, c) for i, c in blocks]
-    results = [None] * len(blocks)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(worker, i, c): pos
-                   for pos, (i, c) in enumerate(blocks)}
-        for fut, pos in futures.items():
-            results[pos] = fut.result()
-    return results
-
-
-def _check_budget(n_paths, n_steps, budget):
-    if budget is None:
-        return
-    if budget < 0:
+def _sweep(p, cfg, n_paths, seed, threads, budget, run_block):
+    """run_block(rng, count) on each fixed-size block of n_paths paths, rng
+    the block's counter-based substream of seed, after the budget of
+    path-steps is checked; on threads workers (default: $CBI_NUM_THREADS or
+    1), with the results in block order."""
+    if budget is not None and budget < 0:
         raise InvalidConfig(f"budget must be non-negative, got {budget}")
-    if n_paths * n_steps > budget:
-        raise BudgetExceeded(
-            f"{n_paths} paths x {n_steps} steps exceeds the budget of {budget} path-steps")
+    if budget is not None and n_paths * cfg.n_steps > budget:
+        raise BudgetExceeded(f"{n_paths} paths x {cfg.n_steps} steps exceeds "
+                             f"the budget of {budget} path-steps")
+    derive(p, cfg.eps_trunc)   # once, before the blocks share it
+    if threads is None:
+        threads = os.environ.get(THREADS_ENV_VAR) or 1
+    threads = max(1, int(threads))
+    blocks = [(index, min(BLOCK_SIZE, n_paths - start))
+              for index, start in enumerate(range(0, n_paths, BLOCK_SIZE))]
 
+    def worker(index, count):
+        return run_block(block_generator(seed, index), count)
 
-@dataclass(frozen=True)
-class McEstimate:
-    value: np.ndarray
-    stderr: np.ndarray
-    n_paths: int
-    dt: float
-    seed: int
+    if threads == 1:
+        return [worker(*block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(worker, *block) for block in blocks]
+        return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -91,8 +78,8 @@ class VerifyReport:
     runtime: float
     details: dict = field(default_factory=dict)
 
-    def to_json(self, include_runtime: bool = False):
-        blob = {
+    def to_json(self):
+        return {
             "quantity": self.quantity,
             "analytic": list(np.atleast_1d(self.analytic)),
             "estimate": list(np.atleast_1d(self.estimate)),
@@ -102,9 +89,6 @@ class VerifyReport:
             "passed": self.passed,
             "details": self.details,
         }
-        if include_runtime:
-            blob["runtime_seconds"] = self.runtime
-        return blob
 
     def table(self) -> str:
         rows = [f"quantity          {self.quantity}"]
@@ -185,25 +169,28 @@ def _estimate(p, x0, times, statistic, n_paths, cfg, seed, threads, budget):
         return value, np.zeros_like(value)
     run_cfg = SimConfig(T=max(times), dt=cfg.dt, eps_trunc=cfg.eps_trunc,
                         positivity_mode=cfg.positivity_mode)
-    _check_budget(n_paths, run_cfg.n_steps, budget)
-    derive(p, cfg.eps_trunc)   # once, before the blocks share it
+    wanted = set(steps)
 
-    def worker(index, count):
-        rng = block_generator(seed, index)
-        _, _, snapshots, _ = simulate_block(
-            p, np.tile(x0, (count, 1)), run_cfg, rng, snapshot_steps=steps)
+    def run_block(rng, count):
+        snapshots = {}
+
+        def observe(first, states):
+            snapshots.update((k, states[k - first].copy()) for k in wanted
+                             if first <= k < first + len(states))
+
+        simulate_block(p, np.tile(x0, (count, 1)), run_cfg, rng, observe)
         return _block_moments(statistic([snapshots[k] for k in steps]))
 
-    partials = _run_blocks(worker, _blocks(n_paths), resolve_threads(threads))
+    partials = _sweep(p, run_cfg, n_paths, seed, threads, budget, run_block)
     return _reduce_moments(partials, n_paths)
 
 
 def estimate_mean(p: AdmissibleParams, x0, t: float, n_paths: int,
-                  cfg: SimConfig, seed: int, threads=None, budget=None) -> McEstimate:
-    """Sample mean and standard error of X_t over independent paths."""
-    value, stderr = _estimate(p, x0, [t], lambda snaps: snaps[0], n_paths, cfg,
-                              seed, threads, budget)
-    return McEstimate(value, stderr, n_paths, cfg.dt, seed)
+                  cfg: SimConfig, seed: int, threads=None, budget=None):
+    """Sample mean and standard error of X_t over independent paths, as
+    (value, stderr) arrays of shape (d,)."""
+    return _estimate(p, x0, [t], lambda snaps: snaps[0], n_paths, cfg,
+                     seed, threads, budget)
 
 
 def estimate_laplace_grid(p, x0, points, n_paths, cfg, seed, threads=None,
@@ -251,10 +238,10 @@ def verify_mean(scenario, threads=None, budget=None) -> VerifyReport:
     start = time.perf_counter()
     p = scenario.params
     analytic = moments.mean(p, scenario.x0, scenario.t)
-    est = estimate_mean(p, scenario.x0, scenario.t, scenario.n_paths,
-                        scenario.sim_config(), scenario.seed,
-                        threads=threads, budget=budget)
-    return _report("mean", scenario, analytic, est.value, est.stderr,
+    value, stderr = estimate_mean(p, scenario.x0, scenario.t, scenario.n_paths,
+                                  scenario.sim_config(), scenario.seed,
+                                  threads=threads, budget=budget)
+    return _report("mean", scenario, analytic, value, stderr,
                    scenario.bias_constant_mean, start)
 
 
@@ -277,36 +264,56 @@ def verify_laplace(scenario, threads=None, budget=None) -> VerifyReport:
                            for t, lam in points])
 
 
+class CoupledStats:
+    """Ordering statistics of one coupled block, taken as the observer of
+    :func:`simulate_coupled_block` over the grid points 0, ..., n_points - 1:
+    the count of (path, type, point) triples with X' - X below
+    -COMPARISON_SLACK, the count of all triples, the largest violation, and
+    per point and type the sums of X' - X and of its square over the paths."""
+
+    def __init__(self, n_points, d):
+        self.violations = 0
+        self.triples = 0
+        self.worst = 0.0
+        self.diff_sum = np.zeros((n_points, d))
+        self.diff_sq_sum = np.zeros((n_points, d))
+
+    def __call__(self, first, states):
+        # X' - X of the chunk as (d, points, n), into a C-contiguous array:
+        # a difference of the transposed views would take their memory
+        # order, and its sums over the paths would round differently
+        low, high = states.transpose(1, 3, 0, 2)
+        diffs = np.subtract(high, low, out=np.empty(high.shape))
+        lo = float(diffs.min())
+        if lo < -COMPARISON_SLACK:
+            self.violations += int(np.count_nonzero(diffs < -COMPARISON_SLACK))
+        self.triples += diffs.size
+        self.worst = max(self.worst, -lo)
+        points = slice(first, first + diffs.shape[1])
+        self.diff_sum[points] += diffs.sum(axis=2).T
+        self.diff_sq_sum[points] += (diffs * diffs).sum(axis=2).T
+
+
 def _comparison_run(p, scenario, dt, threads, budget):
     comp = scenario.comparison
     cfg = SimConfig(T=comp["T"], dt=dt, eps_trunc=scenario.eps_trunc)
-    _check_budget(comp["n_paths"], cfg.n_steps, budget)
-    derive(p, cfg.eps_trunc)   # once, before the blocks share it
     beta_prime = p.beta + np.asarray(comp["beta_shift"], dtype=float)
     x0 = np.asarray(scenario.x0, dtype=float)
 
-    def worker(index, count):
-        rng = block_generator(comp["seed"], index)
+    def run_block(rng, count):
         block = np.tile(x0, (count, 1))
-        _, _, stats, _ = simulate_coupled_block(
-            p, beta_prime, block, block, cfg, rng)
+        stats = CoupledStats(cfg.n_steps + 1, p.d)
+        simulate_coupled_block(p, beta_prime, block, block, cfg, rng, stats)
         return stats
 
-    results = _run_blocks(worker, _blocks(comp["n_paths"]), resolve_threads(threads))
-    violations = sum(s.violations for s in results)
-    triples = sum(s.triples for s in results)
-    worst = max(s.worst for s in results)
-    diff_sum = sum(s.diff_sum for s in results)
-    diff_sq = sum(s.diff_sq_sum for s in results)
     n = comp["n_paths"]
-    mean_diff = diff_sum / n
-    var = np.maximum(diff_sq / n - mean_diff ** 2, 0.0)
-    se = np.sqrt(var / n)
-    ordered = bool(np.all(mean_diff >= -3.0 * se))
+    results = _sweep(p, cfg, n, comp["seed"], threads, budget, run_block)
+    mean_diff = sum(s.diff_sum for s in results) / n
+    var = np.maximum(sum(s.diff_sq_sum for s in results) / n - mean_diff ** 2, 0.0)
     return {
-        "fraction": violations / triples,
-        "worst": worst,
-        "means_ordered": ordered,
+        "fraction": sum(s.violations for s in results) / sum(s.triples for s in results),
+        "worst": max(s.worst for s in results),
+        "means_ordered": bool(np.all(mean_diff >= -3.0 * np.sqrt(var / n))),
         "min_mean_diff": float(mean_diff.min()),
     }
 

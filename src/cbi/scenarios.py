@@ -12,6 +12,7 @@ verification outcomes are reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -49,9 +50,39 @@ class Scenario:
         return derive(self.params, self.eps_trunc)
 
 
+# what a numeric scenario field must be: (description, test of a JSON number);
+# a seed's range is checked where its substreams are keyed
+_INTEGER = ("an integer", lambda v: isinstance(v, int) or v.is_integer())
+_COUNT = ("an integer of at least 1", lambda v: _INTEGER[1](v) and v >= 1)
+_POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = ("a non-negative finite number", lambda v: 0 <= v < math.inf)
+
+
+def _number(value, name, kind):
+    what, ok = kind
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+        raise SchemaError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _comparison_from_json(comp, d):
+    """The comparison block with every field checked, in file order."""
+    shift = comp["beta_shift"]
+    if not (isinstance(shift, list) and len(shift) == d):
+        raise SchemaError(f"comparison.beta_shift must have {d} components, got {shift!r}")
+    return {"beta_shift": [float(_number(v, "comparison.beta_shift", _NON_NEGATIVE))
+                           for v in shift],
+            "n_paths": int(_number(comp["n_paths"], "comparison.n_paths", _COUNT)),
+            "dt": float(_number(comp["dt"], "comparison.dt", _POSITIVE)),
+            "T": float(_number(comp["T"], "comparison.T", _POSITIVE)),
+            "seed": int(_number(comp["seed"], "comparison.seed", _INTEGER))}
+
+
 def scenario_from_json(obj) -> Scenario:
+    """A scenario from its JSON object; malformed fields raise SchemaError."""
     try:
         params = params_from_json(obj["params"])
+        comparison = obj.get("comparison")
         points = [(float(pt["t"]), np.asarray(pt["lam"], dtype=float))
                   for pt in obj.get("laplace_points", [])]
         return Scenario(
@@ -61,18 +92,21 @@ def scenario_from_json(obj) -> Scenario:
             x0=np.asarray(obj["x0"], dtype=float),
             t=float(obj["t"]),
             dt=float(obj["dt"]),
-            n_paths=int(obj["n_paths"]),
-            seed=int(obj["seed"]),
+            n_paths=int(_number(obj["n_paths"], "n_paths", _COUNT)),
+            seed=int(_number(obj["seed"], "seed", _INTEGER)),
             eps_trunc=float(obj.get("eps_trunc", 1e-3)),
             bias_constant_mean=float(obj["bias_constant_mean"]),
             bias_constant_laplace=float(obj["bias_constant_laplace"]),
             laplace_points=points,
-            comparison=obj.get("comparison"),
+            comparison=(None if comparison is None
+                        else _comparison_from_json(comparison, params.d)),
             ratio_check=obj.get("ratio_check"),
         )
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise SchemaError(f"bad scenario file: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad scenario file: {exc}") from exc
 
 

@@ -23,6 +23,14 @@ immigration), which has the law of independent per-path counts. Each
 branching type carries the exponential waiting time to its next candidate
 across steps, so a step draws nothing for a type without a candidate.
 
+The states leave this module in one way only: an observer, observe(first,
+states), sees step 0 and then each chunk of steps as one array of
+consecutive grid points, and copies whatever it keeps. The block functions
+return final states; :func:`simulate_path` and :func:`simulate_coupled`
+record every state through one private recorder, and every statistic of
+the states (snapshots, ordering diagnostics) is an observer in
+:mod:`cbi.montecarlo`.
+
 Randomness is consumed in a fixed order: at the start of the call one Exp(1)
 gap per type with simulated branching mass; then per chunk of m steps, m =
 max(1, min(n_steps, _CHUNK_VALUES // (n * d))), the state-independent noise
@@ -58,7 +66,6 @@ from .errors import InvalidConfig, PreconditionViolated
 from .measures import sample_parts
 from .params import AdmissibleParams
 
-COMPARISON_SLACK = 1e-12  # ordering violations below this are roundoff
 # pre-drawn Gaussian increments per chunk of steps: at most this many values
 # (256 KiB), no more than one Monte Carlo block's state
 _CHUNK_VALUES = 2 ** 15
@@ -438,75 +445,30 @@ def _euler(p, X, beta, cfg, rng, observe=None):
     return X, events
 
 
-def simulate_block(p: AdmissibleParams, x0, cfg: SimConfig, rng,
-                   keep_full: bool = False, snapshot_steps=()):
+def simulate_block(p: AdmissibleParams, x0, cfg: SimConfig, rng, observe=None):
     """Simulate a block of paths sharing one random stream.
 
-    Returns (final_states, full_states_or_None, snapshots, events) where
-    snapshots maps requested step indices to state copies and events is a
-    per-path tuple of JumpEvent lists when cfg.record_jumps is set.
+    observe(first, states), when given, sees the states of grid points first,
+    first + 1, ... as (m, n, d) chunks: the contract of :func:`_euler` with
+    the stack axis dropped. Returns (final_states, events), events a per-path
+    tuple of JumpEvent lists when cfg.record_jumps is set, else None.
     """
     X = _check_x0(x0, p.d)
-    n, d = X.shape
-    full = np.empty((cfg.n_steps + 1, n, d)) if keep_full else None
-    snapshots = {}
-    wanted = set(int(k) for k in snapshot_steps)
-
-    def observe(first, states):
-        if full is not None:
-            full[first:first + len(states)] = states[:, 0]
-        for step in range(first, first + len(states)):
-            if step in wanted:
-                snapshots[step] = states[step - first, 0].copy()
-
-    X, events = _euler(p, X[None], p.beta[None, None, :], cfg, rng,
-                       observe if keep_full or wanted else None)
-    return X[0], full, snapshots, events
-
-
-def simulate_path(p: AdmissibleParams, x0, cfg: SimConfig, rng) -> Path:
-    """Single trajectory on the regular grid, optionally logging jump events."""
-    _, full, _, events = simulate_block(p, np.asarray(x0, dtype=float)[None, :],
-                                        cfg, rng, keep_full=True)
-    jumps = tuple(events[0]) if events is not None else None
-    return Path(grid=cfg.grid(), states=full[:, 0, :], jumps=jumps)
-
-
-@dataclass
-class CoupledStats:
-    """Ordering diagnostics of a coupled block, accumulated over grid points."""
-
-    n_paths: int
-    violations: int = 0
-    triples: int = 0
-    worst: float = 0.0
-    diff_sum: np.ndarray | None = None     # (n_steps+1, d) sums of X' - X
-    diff_sq_sum: np.ndarray | None = None
-
-    def record(self, first, diffs):
-        """Add the differences X' - X at grid points first, first + 1, ...,
-        held as (d, points, n): each (type, point) row of paths contiguous."""
-        if not diffs.size:
-            return
-        lo = float(diffs.min())
-        if lo < -COMPARISON_SLACK:
-            self.violations += int(np.count_nonzero(diffs < -COMPARISON_SLACK))
-        self.triples += diffs.size
-        self.worst = max(self.worst, -lo)
-        points = slice(first, first + diffs.shape[1])
-        self.diff_sum[points] += diffs.sum(axis=2).T
-        self.diff_sq_sum[points] += (diffs * diffs).sum(axis=2).T
+    chunks = None if observe is None else lambda first, states: observe(first, states[:, 0])
+    X, events = _euler(p, X[None], p.beta[None, None, :], cfg, rng, chunks)
+    return X[0], events
 
 
 def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
-                           cfg: SimConfig, rng, keep_full: bool = False):
+                           cfg: SimConfig, rng, observe=None):
     """Simulate (X, X') sharing noise, with beta <= beta_prime and X0 <= X0'.
 
     Branching candidates are drawn per step with the dominating intensity
     max(X_j^+, X'_j^+) and a uniform mark u on [0, that bound]; a candidate is
     accepted for a path exactly when u <= that path's left-endpoint state, so
     the accepted sets are nested whenever the states are ordered. Immigration
-    points and Gaussian increments are shared identically.
+    points and Gaussian increments are shared identically. observe sees the
+    kernel's (m, 2, n, d) chunks, X before X'. Returns (final, final_prime).
     """
     beta_prime = np.asarray(beta_prime, dtype=float)
     if beta_prime.shape != (p.d,):
@@ -519,34 +481,33 @@ def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
         raise PreconditionViolated("x0 and x0_prime must have matching shapes")
     if np.any(Xq < X):
         raise PreconditionViolated("x0_prime must dominate x0 componentwise")
-
-    n, d = X.shape
-    n_steps = cfg.n_steps
-    stats = CoupledStats(n_paths=n,
-                         diff_sum=np.zeros((n_steps + 1, d)),
-                         diff_sq_sum=np.zeros((n_steps + 1, d)))
-    full = np.empty((2, n_steps + 1, n, d)) if keep_full else None
-
-    def observe(first, states):
-        # X' - X of the chunk as (d, points, n), into a C-contiguous array:
-        # a difference of the transposed views would take their memory
-        # order, and its sums over the paths would round differently
-        low, high = states.transpose(1, 3, 0, 2)
-        stats.record(first, np.subtract(high, low, out=np.empty(high.shape)))
-        if keep_full:
-            full[:, first:first + len(states)] = states.swapaxes(0, 1)
-
     betas = np.stack([p.beta, beta_prime])[:, None, :]
     X, _ = _euler(p, np.stack([X, Xq]), betas, cfg, rng, observe)
-    return X[0], X[1], stats, full
+    return X[0], X[1]
+
+
+def _recorder(cfg, shape):
+    """An observer that copies every state it sees into full, an array of
+    shape (n_steps + 1, *shape); returns (full, observe)."""
+    full = np.empty((cfg.n_steps + 1, *shape))
+
+    def observe(first, states):
+        full[first:first + len(states)] = states
+    return full, observe
+
+
+def simulate_path(p: AdmissibleParams, x0, cfg: SimConfig, rng) -> Path:
+    """Single trajectory on the regular grid, optionally logging jump events."""
+    full, observe = _recorder(cfg, (1, p.d))
+    _, events = simulate_block(p, np.asarray(x0, dtype=float)[None, :], cfg, rng, observe)
+    jumps = tuple(events[0]) if events is not None else None
+    return Path(grid=cfg.grid(), states=full[:, 0], jumps=jumps)
 
 
 def simulate_coupled(p: AdmissibleParams, beta_prime, x0, x0_prime, cfg: SimConfig, rng):
     """Coupled pair of single trajectories; returns (Path, Path)."""
-    x0 = np.asarray(x0, dtype=float)[None, :]
-    x0_prime = np.asarray(x0_prime, dtype=float)[None, :]
-    _, _, _, full = simulate_coupled_block(
-        p, beta_prime, x0, x0_prime, cfg, rng, keep_full=True)
+    full, observe = _recorder(cfg, (2, 1, p.d))
+    simulate_coupled_block(p, beta_prime, np.asarray(x0, dtype=float)[None, :],
+                           np.asarray(x0_prime, dtype=float)[None, :], cfg, rng, observe)
     grid = cfg.grid()
-    return (Path(grid=grid, states=full[0][:, 0, :]),
-            Path(grid=grid, states=full[1][:, 0, :]))
+    return Path(grid=grid, states=full[:, 0, 0]), Path(grid=grid, states=full[:, 1, 0])

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from cbi.cli import main
-from cbi.montecarlo import verify_comparison, verify_laplace, verify_mean
+from cbi.montecarlo import CoupledStats, verify_comparison, verify_laplace, verify_mean
 from cbi.params import AdmissibleParams
 from cbi.riccati import cir_closed_form_v, laplace_transform, solve_v
 from cbi.scenarios import load_scenario
@@ -120,8 +120,9 @@ def test_a6_comparison_theorem():
                          B=[[-0.6, 0.2], [0.1, -0.7]], nu=None, mu=(None, None))
     cfg = SimConfig(T=1.0, dt=2.0 ** -10)
     x0 = np.tile([1.0, 0.5], (64, 1))
-    _, _, stats, _ = simulate_coupled_block(
-        p, p.beta + np.array([1.0, 1.0]), x0, x0, cfg, block_generator(6001, 0))
+    stats = CoupledStats(cfg.n_steps + 1, p.d)
+    simulate_coupled_block(p, p.beta + np.array([1.0, 1.0]), x0, x0, cfg,
+                           block_generator(6001, 0), stats)
     ok &= stats.violations == 0
     elapsed = time.perf_counter() - start
     ok &= elapsed < 180.0

@@ -564,6 +564,34 @@ class TestVerifyCommand:
         assert main(["verify", check, "--scenario", scen]) == 2
         assert "schema error: InvalidConfig" in capsys.readouterr().err
 
+    COMPARISON = {"beta_shift": [0.5], "n_paths": 1000, "dt": 2.0 ** -6,
+                  "T": 0.25, "seed": 5}
+    PAIR_SCENARIO = {"params": PAIR, "x0": [1.0, 1.0],
+                     "laplace_points": [{"t": 0.25, "lam": [1.0, 1.0]}]}
+
+    @pytest.mark.parametrize("check, overrides, message", [
+        ("comparison", {"comparison": {k: v for k, v in COMPARISON.items() if k != "seed"}},
+         "bad scenario file: missing field 'seed'"),
+        ("comparison", {"comparison": dict(COMPARISON, n_paths="1000")},
+         "comparison.n_paths must be an integer of at least 1, got '1000'"),
+        ("comparison", {"comparison": dict(COMPARISON, dt="0.015625")},
+         "comparison.dt must be a positive finite number, got '0.015625'"),
+        ("comparison", {"comparison": dict(COMPARISON, n_paths=0)},
+         "comparison.n_paths must be an integer of at least 1, got 0"),
+        ("comparison", dict(PAIR_SCENARIO, comparison=COMPARISON),
+         "comparison.beta_shift must have 2 components, got [0.5]"),
+        ("mean", {"n_paths": 0}, "n_paths must be an integer of at least 1, got 0"),
+        ("mean", {"n_paths": -3}, "n_paths must be an integer of at least 1, got -3"),
+    ], ids=["comparison-without-seed", "string-n-paths", "string-dt",
+            "zero-comparison-paths", "short-beta-shift", "zero-paths", "negative-paths"])
+    def test_malformed_scenario_fields_exit_two(self, check, overrides, message,
+                                                tmp_path, cir_file, capsys):
+        scen = tiny_scenario(tmp_path, cir_file, **overrides)
+        assert main(["verify", check, "--scenario", scen]) == 2
+        err = capsys.readouterr().err
+        assert f"schema error: SchemaError: {message}" in err
+        assert "Traceback" not in err
+
     def test_negative_budget_exit_two(self, capsys):
         assert main(["verify", "mean", "--scenario", "S3", "--budget", "-5"]) == 2
         assert "schema error: InvalidConfig: budget must be non-negative" \

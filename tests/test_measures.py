@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cbi import measures
-from cbi.errors import EmptyRegion, InfiniteMass
+from cbi.errors import EmptyRegion, InfiniteMass, QuadratureFailure
 from cbi.measures import (
     ALL, LARGE_JUMPS, SMALL_JUMPS, DiscreteAtoms, MeasureSum,
     ProductExponential, Region, TemperedPowerLawAxis, above, below,
@@ -18,7 +18,8 @@ from cbi.params import derive, validate
 from cbi.scenarios import load_scenario
 
 from helpers import (
-    origin_refinement_diverges, product_exp_shell_oracle_2d, tempered_closed_forms,
+    origin_refinement_diverges, product_exp_shell_mass_2d, product_exp_shell_oracle_2d,
+    tempered_closed_forms,
     tempered_exponent_by_quadrature, tempered_power_oracle, tpl_radial_oracle,
 )
 
@@ -237,6 +238,49 @@ class TestProductExponentialShells:
         assert split == pytest.approx(
             f(measures.Region(lo, hi)), rel=SHELL_REL, abs=SHELL_ABS)
 
+    # the rate against 2 on the other axis: 10^4 and above read about 0
+    # through one unbroken angular rule
+    FAR_RATES = [1.0, 2.0, 50.0, 1e3, 1e4, 1e5, 1e6, 1e10, 1e20, 1e50, 1e100,
+                 1e150, 1e200, 1e300, 1e308]
+    REGION_KINDS = [SMALL_JUMPS, LARGE_JUMPS, above(1e-3), above(0.05), above(2.0),
+                    below(1e-3), below(0.05), measures.Region(0.3, 3.0)]
+
+    @pytest.mark.parametrize("first", [True, False], ids=["large-first", "large-second"])
+    @pytest.mark.parametrize("rate", FAR_RATES)
+    def test_far_apart_rates_match_reference(self, rate, first):
+        # every shell mass meets the quadrature policy against the scaled
+        # one-dimensional reference, or fails as a numeric error (exit 4):
+        # a^s overflows from about 1e154 on
+        theta = [rate, 2.0] if first else [2.0, rate]
+        m = ProductExponential(1.5, theta)
+        masses = {}
+        for region in self.REGION_KINDS:
+            try:
+                # numpy's overflow warnings are off, as in params.validate
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = m.mass(region)
+            except OverflowError:
+                assert rate > 1e150
+                continue
+            want = product_exp_shell_mass_2d(1.5, theta, region.lo, region.hi)
+            assert abs(got - want) <= max(1e-12, 1e-10 * want), region
+            masses[region] = got
+        if SMALL_JUMPS in masses and LARGE_JUMPS in masses:
+            assert masses[SMALL_JUMPS] + masses[LARGE_JUMPS] == pytest.approx(
+                1.5, rel=1e-10, abs=0.0)
+
+    def test_far_apart_rates_in_three_dimensions(self):
+        # the nested angular rules take rates 1e3 apart; 1e9 apart would
+        # take minutes, and fails as a numeric error instead
+        m = ProductExponential(1.5, [2.0, 1e3, 2.0])
+        assert m.mass(SMALL_JUMPS) + m.mass(LARGE_JUMPS) == pytest.approx(
+            1.5, rel=1e-10, abs=0.0)
+        # the limit of a vanishing middle coordinate, to about 1e-3 / 2
+        flat = ProductExponential(1.5, [2.0, 2.0])
+        assert m.mass(LARGE_JUMPS) == pytest.approx(flat.mass(LARGE_JUMPS), rel=1e-5)
+        with pytest.raises(QuadratureFailure, match="too far apart"):
+            ProductExponential(1.5, [2.0, 1e9, 2.0]).mass(LARGE_JUMPS)
+
     def test_s3_setup_uses_angular_quadrature_only(self, monkeypatch):
         # shell integrals must stay (d-1)-dimensional, never d-dimensional
         scenario = load_scenario("S3")
@@ -244,10 +288,10 @@ class TestProductExponentialShells:
         calls = []
         nquad_strict = measures.nquad_strict
 
-        def guarded(fn, ranges):
+        def guarded(fn, ranges, points=None):
             assert len(ranges) == dim - 1
             calls.append(len(ranges))
-            return nquad_strict(fn, ranges)
+            return nquad_strict(fn, ranges, points)
 
         monkeypatch.setattr(measures, "nquad_strict", guarded)
         assert validate(scenario.params).ok

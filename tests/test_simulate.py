@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from cbi.errors import InvalidConfig, PreconditionViolated
 from cbi.measures import ALL, DiscreteAtoms, MeasureSum, TemperedPowerLawAxis, above
 from cbi.moments import mean
+from cbi.montecarlo import COMPARISON_SLACK, CoupledStats, _estimate
 from cbi.params import AdmissibleParams, derive
 from cbi.scenarios import load_scenario
 from cbi.simulate import (
-    _CHUNK_VALUES, COMPARISON_SLACK, CoupledStats, SimConfig, _euler, _float_step,
-    block_generator, simulate_block, simulate_coupled, simulate_coupled_block,
-    simulate_path,
+    _CHUNK_VALUES, SimConfig, _euler, _float_step, _recorder, block_generator,
+    simulate_block, simulate_coupled, simulate_coupled_block, simulate_path,
 )
 
 
@@ -22,6 +22,29 @@ def make(d=1, c=(0.0,), beta=(0.0,), B=((0.0,),), nu=None, mu=None):
     mu = mu if mu is not None else (None,) * d
     return AdmissibleParams(d=d, c=list(c), beta=list(beta),
                             B=[list(r) for r in B], nu=nu, mu=mu)
+
+
+def block_states(p, x0, cfg, rng):
+    """simulate_block with a copy of every chunk its observer sees:
+    (final, states of every grid point as (n_steps + 1, n, d), events)."""
+    chunks = []
+    final, events = simulate_block(
+        p, x0, cfg, rng, lambda first, states: chunks.append(states.copy()))
+    return final, np.concatenate(chunks), events
+
+
+def coupled_states(p, beta_prime, x0, x0_prime, cfg, rng):
+    """simulate_coupled_block observed by CoupledStats and by a copy of every
+    chunk: (final, final_prime, stats, states as (n_steps + 1, 2, n, d))."""
+    stats = CoupledStats(cfg.n_steps + 1, p.d)
+    chunks = []
+
+    def observe(first, states):
+        stats(first, states)
+        chunks.append(states.copy())
+
+    a, b = simulate_coupled_block(p, beta_prime, x0, x0_prime, cfg, rng, observe)
+    return a, b, stats, np.concatenate(chunks)
 
 
 class TestConfig:
@@ -118,10 +141,9 @@ class TestDeterministicLimits:
         der = derive(p)
         cfg = SimConfig(T=1.0, dt=2.0 ** -6)
         shift = np.array([0.3, 0.5])
-        _, _, stats, full = simulate_coupled_block(
-            p, p.beta + shift, [[1.0, 1.0]], [[1.0, 1.0]], cfg,
-            block_generator(3, 0), keep_full=True)
-        diff = full[1][:, 0, :] - full[0][:, 0, :]
+        _, _, stats, full = coupled_states(
+            p, p.beta + shift, [[1.0, 1.0]], [[1.0, 1.0]], cfg, block_generator(3, 0))
+        diff = full[:, 1, 0, :] - full[:, 0, 0, :]
         expect = np.zeros(2)
         M = np.eye(2) + der.drift_matrix * cfg.dt
         for k in range(cfg.n_steps + 1):
@@ -141,8 +163,7 @@ class TestJumpScheme:
         assert der.B_tilde[0, 0] == 0.0
         cfg = SimConfig(T=1.0, dt=2.0 ** -7)
         n = 40_000
-        final, _, _, _ = simulate_block(p, np.full((n, 1), 1.0), cfg,
-                                        block_generator(11, 0))
+        final, _ = simulate_block(p, np.full((n, 1), 1.0), cfg, block_generator(11, 0))
         est = final[:, 0].mean()
         se = final[:, 0].std(ddof=1) / math.sqrt(n)
         want = mean(p, [1.0], 1.0)[0]
@@ -155,8 +176,7 @@ class TestJumpScheme:
         p = make(c=(0.0,), beta=(0.2,), B=((-0.9,),), nu=nu, mu=(mu,))
         cfg = SimConfig(T=1.0, dt=2.0 ** -8)
         n = 60_000
-        final, _, _, _ = simulate_block(p, np.full((n, 1), 1.5), cfg,
-                                        block_generator(17, 0))
+        final, _ = simulate_block(p, np.full((n, 1), 1.5), cfg, block_generator(17, 0))
         est = final[:, 0].mean()
         se = final[:, 0].std(ddof=1) / math.sqrt(n)
         want = mean(p, [1.5], 1.0)[0]
@@ -165,8 +185,7 @@ class TestJumpScheme:
     def test_clamp_mode_nonnegative(self):
         p = make(c=(1.5,), beta=(0.05,), B=((-2.0,),))
         cfg = SimConfig(T=1.0, dt=2.0 ** -6, positivity_mode="clamp")
-        _, full, _, _ = simulate_block(p, np.full((500, 1), 0.02), cfg,
-                                       block_generator(23, 0), keep_full=True)
+        _, full, _ = block_states(p, np.full((500, 1), 0.02), cfg, block_generator(23, 0))
         assert np.all(full >= 0.0)
 
     def test_truncated_jump_sizes_respect_cutoff(self):
@@ -186,8 +205,7 @@ class TestJumpScheme:
         p = make(mu=(mu,))
         assert derive(p).eps_trunc == 1e-3
         cfg = SimConfig(T=1.0, dt=2.0 ** -6, eps_trunc=0.05, record_jumps=True)
-        _, _, _, events = simulate_block(p, np.full((20, 1), 2.0), cfg,
-                                         block_generator(29, 1))
+        _, events = simulate_block(p, np.full((20, 1), 2.0), cfg, block_generator(29, 1))
         sizes = [ev.size[0] for evs in events for ev in evs]
         assert sizes and min(sizes) >= 0.05
 
@@ -214,7 +232,7 @@ class TestMixtureJumps:
         mix = MeasureSum([atoms, tempered])
         p = make(beta=(0.5,), B=((-1.0,),), nu=mix, mu=(mix,))
         cfg = SimConfig(T=1.0, dt=2.0 ** -6, eps_trunc=eps, record_jumps=True)
-        _, _, _, events = simulate_block(p, np.ones((200, 1)), cfg, block_generator(37, 0))
+        _, events = simulate_block(p, np.ones((200, 1)), cfg, block_generator(37, 0))
         sizes = np.array([ev.size[0] for evs in events for ev in evs])
         from_atoms = np.isin(sizes, [0.01, 0.3])
         assert np.all(sizes[~from_atoms] >= eps)
@@ -232,7 +250,7 @@ class TestMixtureJumps:
         p = make(beta=(0.2,), B=((-0.5,),), nu=nu)
         cfg = SimConfig(T=1.0, dt=0.05, eps_trunc=0.5)
         n = 4000
-        final, _, _, _ = simulate_block(p, np.ones((n, 1)), cfg, block_generator(41, 0))
+        final, _ = simulate_block(p, np.ones((n, 1)), cfg, block_generator(41, 0))
         der = derive(p, cfg.eps_trunc)
         want = 1.0
         for _ in range(cfg.n_steps):
@@ -270,7 +288,7 @@ class TestCoupling:
         p = self.coupled_instance()
         p = AdmissibleParams(d=2, c=[0.0, 0.0], beta=p.beta, B=p.B, nu=p.nu, mu=p.mu)
         cfg = SimConfig(T=1.0, dt=2.0 ** -7)
-        _, _, stats, _ = simulate_coupled_block(
+        _, _, stats, _ = coupled_states(
             p, p.beta + np.array([1.0, 1.0]),
             np.tile([1.0, 0.5], (2000, 1)), np.tile([1.0, 0.5], (2000, 1)),
             cfg, block_generator(43, 0))
@@ -282,7 +300,7 @@ class TestCoupling:
         p = make(c=(2.0,), beta=(0.0,), B=((0.0,),))
         cfg = SimConfig(T=1.0, dt=2.0 ** -4)
         x0 = np.full((4000, 1), 0.02)
-        _, _, stats, _ = simulate_coupled_block(
+        _, _, stats, _ = coupled_states(
             p, p.beta, x0, x0 + 1e-6, cfg, block_generator(55, 0))
         assert stats.violations > 0
         assert stats.worst > 1e-12
@@ -290,21 +308,22 @@ class TestCoupling:
     def test_diffusive_coupling_rare_violations_and_ordered_means(self):
         p = self.coupled_instance()
         cfg = SimConfig(T=1.0, dt=2.0 ** -8)
-        _, _, stats, _ = simulate_coupled_block(
+        n = 2000
+        _, _, stats, _ = coupled_states(
             p, p.beta + np.array([1.0, 1.0]),
-            np.tile([1.0, 0.5], (2000, 1)), np.tile([1.0, 0.5], (2000, 1)),
+            np.tile([1.0, 0.5], (n, 1)), np.tile([1.0, 0.5], (n, 1)),
             cfg, block_generator(47, 0))
         assert stats.violations / stats.triples <= 0.01
-        mean_diff = stats.diff_sum / stats.n_paths
-        var = stats.diff_sq_sum / stats.n_paths - mean_diff ** 2
-        se = np.sqrt(np.maximum(var, 0.0) / stats.n_paths)
+        mean_diff = stats.diff_sum / n
+        var = stats.diff_sq_sum / n - mean_diff ** 2
+        se = np.sqrt(np.maximum(var, 0.0) / n)
         assert np.all(mean_diff >= -3.0 * se)
 
 
 def reference_record(stats, step, diff):
-    """CoupledStats.record of one grid point's (n, d) differences, written
+    """CoupledStats of one grid point's (n, d) differences X' - X, written
     with temporaries and plain reductions; each type's differences are
-    summed as one contiguous row of paths, as record sums them."""
+    summed as one contiguous row of paths, as the observer sums them."""
     gap = np.minimum(diff, 0.0)
     stats.violations += int(np.count_nonzero(diff < -COMPARISON_SLACK))
     stats.triples += diff.size
@@ -313,11 +332,6 @@ def reference_record(stats, step, diff):
     rows = np.ascontiguousarray(diff.T)
     stats.diff_sum[step] += rows.sum(axis=1)
     stats.diff_sq_sum[step] += (rows ** 2).sum(axis=1)
-
-
-def empty_stats(n, steps, d):
-    return CoupledStats(n_paths=n, diff_sum=np.zeros((steps, d)),
-                        diff_sq_sum=np.zeros((steps, d)))
 
 
 def assert_same_stats(a, b):
@@ -347,32 +361,39 @@ class TestKernelBuffers:
         assert np.array_equal(x0, kept)
         assert np.array_equal(x0_prime, kept_prime)
 
-    def test_snapshots_and_full_states_are_copies(self):
+    def test_estimate_snapshots_are_copies(self):
+        # 2^15 // (n d) = 3 steps per chunk: the kernel's two chunk buffers
+        # are overwritten five times, so a kept view would read later states
         p = self.instance()
         cfg = SimConfig(T=0.25, dt=2.0 ** -6)
-        x0 = np.tile([1.0, 0.5], (50, 1))
-        wanted = (0, 1, 2, 7, cfg.n_steps)
-        final, full, snaps, _ = simulate_block(
-            p, x0, cfg, block_generator(89, 0), keep_full=True,
-            snapshot_steps=wanted)
-        assert sorted(snaps) == list(wanted)
-        for step in wanted:
-            assert np.array_equal(snaps[step], full[step])
-        assert np.array_equal(full[-1], final)
-        assert not np.array_equal(full[1], full[2])
-        _, again, _, _ = simulate_block(p, x0, cfg, block_generator(89, 0),
-                                        keep_full=True)
-        snaps[1] += 1.0
-        final += 1.0
-        assert np.array_equal(full, again)
+        n = 5000
+        x0 = np.array([1.0, 0.5])
+        wanted = (1, 2, 7, cfg.n_steps)
+        seen = []
 
-    def test_final_state_does_not_alias_full_states(self):
+        def statistic(snaps):
+            seen.append([s.copy() for s in snaps])
+            return np.hstack(snaps)
+
+        _estimate(p, x0, [k * cfg.dt for k in wanted], statistic, n, cfg,
+                  89, None, None)
+        _, full, _ = block_states(p, np.tile(x0, (n, 1)), cfg, block_generator(89, 0))
+        assert not np.array_equal(full[1], full[2])
+        for step, snap in zip(wanted, seen[0]):
+            assert np.array_equal(snap, full[step])
+
+    def test_recorded_states_do_not_alias_the_kernel(self):
         p = self.instance()
         cfg = SimConfig(T=0.25, dt=2.0 ** -6)
-        final, full, _, _ = simulate_block(p, np.tile([1.0, 0.5], (50, 1)),
-                                           cfg, block_generator(91, 0), keep_full=True)
+        n = 5000
+        x0 = np.tile([1.0, 0.5], (n, 1))
+        full, observe = _recorder(cfg, (n, 2))
+        final, _ = simulate_block(p, x0, cfg, block_generator(91, 0), observe)
         assert np.array_equal(final, full[-1])
         assert not np.shares_memory(final, full)
+        _, again, _ = block_states(p, x0, cfg, block_generator(91, 0))
+        final += 1.0
+        assert np.array_equal(full, again)
 
     def test_path_is_row_of_one_path_block(self):
         p = self.instance()
@@ -380,8 +401,7 @@ class TestKernelBuffers:
         # any jump has probability below e^-11.2 < 2e-5 at every seed
         cfg = SimConfig(T=16.0, dt=2.0 ** -6, record_jumps=True)
         path = simulate_path(p, [1.0, 0.5], cfg, block_generator(93, 0))
-        final, full, _, events = simulate_block(p, [[1.0, 0.5]], cfg,
-                                                block_generator(93, 0), keep_full=True)
+        final, full, events = block_states(p, [[1.0, 0.5]], cfg, block_generator(93, 0))
         assert np.array_equal(path.states, full[:, 0])
         assert np.array_equal(path.final, final[0])
         assert path.jumps
@@ -394,15 +414,13 @@ class TestKernelBuffers:
         p = self.instance()
         cfg = SimConfig(T=0.25, dt=2.0 ** -6)
         x0 = np.tile([1.0, 0.5], (50, 1))
-        a, b, stats, full = simulate_coupled_block(
-            p, p.beta + 0.5, x0, x0 + 0.1, cfg, block_generator(97, 0),
-            keep_full=True)
-        assert np.array_equal(full[0, -1], a) and np.array_equal(full[1, -1], b)
-        rebuilt = empty_stats(50, cfg.n_steps + 1, 2)
+        a, b, stats, full = coupled_states(
+            p, p.beta + 0.5, x0, x0 + 0.1, cfg, block_generator(97, 0))
+        assert np.array_equal(full[-1, 0], a) and np.array_equal(full[-1, 1], b)
+        rebuilt = CoupledStats(cfg.n_steps + 1, 2)
         for step in range(cfg.n_steps + 1):
-            reference_record(rebuilt, step, full[1, step] - full[0, step])
+            reference_record(rebuilt, step, full[step, 1] - full[step, 0])
         assert_same_stats(stats, rebuilt)
-
 
     def test_coupled_stats_flushed_per_chunk(self):
         # 2^15 // (n d) = 3 steps per chunk: step 0, five full chunks and a
@@ -412,33 +430,51 @@ class TestKernelBuffers:
         n = 5000
         x0 = np.tile([1.0, 0.5], (n, 1))
         records = []
-        record = CoupledStats.record
+        call = CoupledStats.__call__
 
-        def spy(stats, first, diffs):
-            records.append((first, diffs.shape[1]))
-            record(stats, first, diffs)
+        def spy(stats, first, states):
+            records.append((first, len(states)))
+            call(stats, first, states)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(CoupledStats, "record", spy)
-            _, _, stats, full = simulate_coupled_block(
-                p, p.beta + 0.5, x0, x0 + 0.1, cfg, block_generator(98, 0),
-                keep_full=True)
+            mp.setattr(CoupledStats, "__call__", spy)
+            _, _, stats, full = coupled_states(
+                p, p.beta + 0.5, x0, x0 + 0.1, cfg, block_generator(98, 0))
         assert records == [(0, 1), (1, 3), (4, 3), (7, 3), (10, 3), (13, 3), (16, 1)]
-        rebuilt = empty_stats(n, cfg.n_steps + 1, 2)
+        rebuilt = CoupledStats(cfg.n_steps + 1, 2)
         for step in range(cfg.n_steps + 1):
-            reference_record(rebuilt, step, full[1, step] - full[0, step])
+            reference_record(rebuilt, step, full[step, 1] - full[step, 0])
         assert_same_stats(stats, rebuilt)
 
 
-class TestCoupledStatsRecord:
+class TestObservers:
+    @pytest.mark.parametrize("n", [1, 5000])
+    def test_block_sees_the_kernel_chunks(self, n):
+        # n = 1 runs the float lane, n = 5000 the array lane in chunks of 3
+        p = TestKernelBuffers().instance()
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        x0 = np.tile([1.0, 0.5], (n, 1))
+        kernel, block = [], []
+        _euler(p, x0[None], p.beta[None, None, :], cfg, block_generator(99, 0),
+               lambda first, states: kernel.append((first, states[:, 0].copy())))
+        simulate_block(p, x0, cfg, block_generator(99, 0),
+                       lambda first, states: block.append((first, states.copy())))
+        assert [first for first, _ in block] == [first for first, _ in kernel]
+        assert len(block) == (2 if n == 1 else 7)
+        for (_, got), (_, want) in zip(block, kernel):
+            assert got.shape == want.shape and got.shape[1:] == (n, 2)
+            assert np.array_equal(got, want)
+
+
+class TestCoupledStats:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 9, 1000, 16384])
     def test_matches_reference(self, n, d):
         rng = np.random.default_rng(n * 10 + d)
         steps = 6
-        got, want = empty_stats(n, steps, d), empty_stats(n, steps, d)
+        got, want = CoupledStats(steps, d), CoupledStats(steps, d)
         for _ in range(2):
-            diffs = np.empty((d, steps, n))   # the kernel's chunk layout
+            states = np.empty((steps, 2, n, d))   # the kernel's chunk layout
             for step in range(steps):
                 scale = 10.0 ** rng.uniform(-14, 3, (n, 1))
                 diff = rng.standard_normal((n, d)) * scale
@@ -447,11 +483,12 @@ class TestCoupledStatsRecord:
                 elif step == 1:
                     diff[::2] = 0.0           # zeros and tiny negatives
                     diff[1::3] = -COMPARISON_SLACK / 2
-                diffs[:, step] = diff.T
-                reference_record(want, step, diff)
+                low = rng.uniform(0.0, 2.0, (n, d))
+                states[step] = low, low + diff
+                reference_record(want, step, states[step, 1] - states[step, 0])
             # chunks of 3, 2 and 1 grid points, each a view like the kernel's
             for first, last in ((0, 3), (3, 5), (5, 6)):
-                got.record(first, diffs[:, first:last])
+                got(first, states[first:last])
         assert_same_stats(got, want)
 
 
@@ -614,8 +651,7 @@ class TestPoissonCallGuard:
         p = self.instance()
         cfg = SimConfig(T=self.T, dt=self.DT)
         rng = CountingGenerator(block_generator(73, n))
-        _, full, _, _ = simulate_block(p, np.tile([1.0, 0.5], (n, 1)), cfg,
-                                       rng, keep_full=True)
+        _, full, _ = block_states(p, np.tile([1.0, 0.5], (n, 1)), cfg, rng)
         self.check(rng, p, n, full[:, None])
 
     @pytest.mark.parametrize("n", [1, 300, 1500, 20000])
@@ -624,9 +660,8 @@ class TestPoissonCallGuard:
         cfg = SimConfig(T=self.T, dt=self.DT)
         rng = CountingGenerator(block_generator(79, n))
         x0 = np.tile([1.0, 0.5], (n, 1))
-        _, _, _, full = simulate_coupled_block(p, p.beta + 0.5, x0, x0 + 0.1,
-                                               cfg, rng, keep_full=True)
-        self.check(rng, p, n, np.moveaxis(full, 0, 1))
+        _, _, _, full = coupled_states(p, p.beta + 0.5, x0, x0 + 0.1, cfg, rng)
+        self.check(rng, p, n, full)
 
 
 class TestThinningMarks:
@@ -731,8 +766,7 @@ class TestChunkedImmigration:
         cfg = SimConfig(T=250 * 0.125, dt=0.125)
         m = _CHUNK_VALUES // n
         assert m == 8 and cfg.n_steps % m   # 31 whole chunks and a short one
-        _, full, _, _ = simulate_block(p, np.zeros((n, 1)), cfg,
-                                       block_generator(101, 0), keep_full=True)
+        _, full, _ = block_states(p, np.zeros((n, 1)), cfg, block_generator(101, 0))
         counts = np.diff(full[:, :, 0], axis=0)
         assert np.array_equal(counts, np.round(counts))
         lam = rate * cfg.dt
@@ -864,17 +898,13 @@ class TestFloatLane:
         assert means[0] == pytest.approx(means[1], rel=0, abs=1e-14)
         assert any(name == "poisson" for name, _, _ in calls[0])
 
-    def test_one_path_block_snapshots_are_path_rows(self):
+    def test_one_path_block_states_are_path_rows(self):
         s = load_scenario("S3")
         cfg = SimConfig(T=s.t, dt=s.dt, eps_trunc=s.eps_trunc)
-        wanted = (0, 1, 17, 128, cfg.n_steps)
-        final, full, snaps, _ = simulate_block(s.params, [s.x0], cfg,
-                                               block_generator(5, 3), snapshot_steps=wanted)
+        final, full, _ = block_states(s.params, [s.x0], cfg, block_generator(5, 3))
         path = simulate_path(s.params, s.x0, cfg, block_generator(5, 3))
-        assert full is None and sorted(snaps) == list(wanted)
-        for step in wanted:
-            assert snaps[step].shape == (1, 2)
-            assert np.array_equal(snaps[step][0], path.states[step])
+        assert full.shape == (cfg.n_steps + 1, 1, 2)
+        assert np.array_equal(full[:, 0], path.states)
         assert np.array_equal(final[0], path.final)
 
 

@@ -37,10 +37,10 @@ def calibrate(name, n_paths, threads):
     p, cfg = s.params, s.sim_config()
 
     analytic = moments.mean(p, s.x0, s.t)
-    est = estimate_mean(p, s.x0, s.t, n_paths, cfg, CAL_SEED, threads=threads)
-    bias = np.abs(est.value - analytic)
-    c_mean = max(0.25, headroom(bias, est.stderr, s.dt))
-    print(f"{name}: mean bias {bias} se {est.stderr} -> C_mean {c_mean:.3f}")
+    value, se = estimate_mean(p, s.x0, s.t, n_paths, cfg, CAL_SEED, threads=threads)
+    bias = np.abs(value - analytic)
+    c_mean = max(0.25, headroom(bias, se, s.dt))
+    print(f"{name}: mean bias {bias} se {se} -> C_mean {c_mean:.3f}")
 
     c_laplace = 0.25
     if s.laplace_points:
