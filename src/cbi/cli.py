@@ -26,9 +26,9 @@ from .config import (
 )
 from .errors import (
     BudgetExceeded, DimensionMismatch, EmptyRegion, InfiniteMass, InvalidConfig,
-    PreconditionViolated, QuadratureFailure, StepSizeUnderflow,
+    QuadratureFailure, StepSizeUnderflow,
 )
-from .params import derive, validate
+from .params import DEFAULT_EPS_TRUNC, derive, validate
 from .scenarios import load_scenario
 from .simulate import SimConfig, block_generator, simulate_path
 
@@ -38,8 +38,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_NUMERIC = 4
 
-_INPUT_ERRORS = (SchemaError, DimensionMismatch, InvalidConfig,
-                 PreconditionViolated, json.JSONDecodeError, OSError, ValueError)
+# InvalidConfig, PreconditionViolated and json's decode error are ValueErrors
+_INPUT_ERRORS = (SchemaError, DimensionMismatch, OSError, ValueError)
 _NUMERIC_ERRORS = (QuadratureFailure, StepSizeUnderflow, OverflowError,
                    InfiniteMass, EmptyRegion, BudgetExceeded)
 
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("derive", help="print modified drifts and jump-rate caches")
     pd.add_argument("params")
-    pd.add_argument("--eps", type=float, default=1e-3,
+    pd.add_argument("--eps", type=float, default=DEFAULT_EPS_TRUNC,
                     help="small-jump truncation cutoff for the caches")
     pd.add_argument("--json-out", default=None)
 
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, default=1, help="number of paths")
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--out", required=True, help="output directory")
-    ps.add_argument("--eps", type=float, default=1e-3)
+    ps.add_argument("--eps", type=float, default=DEFAULT_EPS_TRUNC)
     ps.add_argument("--positivity", choices=("raw", "clamp"), default="raw")
     ps.add_argument("--record-jumps", action="store_true")
 

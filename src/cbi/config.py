@@ -14,6 +14,7 @@ and round-trip exactly.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -53,8 +54,8 @@ def dumps_canonical(obj, indent=0) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        # json escapes quotes, backslashes and control characters only
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):

@@ -25,12 +25,14 @@ class StepSizeUnderflow(CbiError):
     """ODE step control drove the step size below the admissible floor."""
 
 
-class InvalidConfig(CbiError):
-    """Simulation configuration violates its invariants."""
+class InvalidConfig(CbiError, ValueError):
+    """An input has the wrong shape or lies outside its range: a state of
+    the wrong length, a time, grid time or cutoff, a configuration."""
 
 
-class PreconditionViolated(CbiError):
-    """An operation precondition (ordering, admissibility) does not hold."""
+class PreconditionViolated(CbiError, ValueError):
+    """An operation precondition does not hold: a state or lambda entry is
+    non-finite or negative, or coupled inputs are not ordered."""
 
 
 class BudgetExceeded(CbiError):

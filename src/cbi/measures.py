@@ -24,7 +24,7 @@ region vocabulary is ALL, SMALL_JUMPS (||z|| < 1), LARGE_JUMPS (||z|| >= 1),
 above(eps) and below(eps).
 
 Every family exposes the same region integrals of 1, z_i, ||z|| and ||z||^2
-and the kinked integrals int (1 ^ z_i) and int (z_i - delta_ij)^+; each
+and the kinked integrals int (1 ^ z_i) and int (z_i - 1)^+; each
 returns +inf exactly when it diverges, and raises OverflowError when it
 converges but its value overflows. The paper's admissibility conditions
 and modified drifts are sums of these, composed in :mod:`cbi.params`.
@@ -122,11 +122,11 @@ class JumpMeasure:
     def norm_sq_moment(self, region: Region) -> float:
         raise NotImplementedError
 
-    # kinked integrands in a single coordinate
+    # kinked integrands in a single coordinate: (1 ^ z_i) and (z_i - 1)^+
     def one_wedge_coord(self, i: int) -> float:
         raise NotImplementedError
 
-    def coord_minus_delta_plus(self, i: int, j: int) -> float:
+    def excess_over_one(self, i: int) -> float:
         raise NotImplementedError
 
     # exponential integrands; lam is one vector (d,) or a stack (m, d), the
@@ -229,9 +229,8 @@ class DiscreteAtoms(JumpMeasure):
     def one_wedge_coord(self, i):
         return self._wsum(np.minimum(1.0, self._z[:, i]))
 
-    def coord_minus_delta_plus(self, i, j):
-        delta = 1.0 if i == j else 0.0
-        return self._wsum(np.maximum(self._z[:, i] - delta, 0.0))
+    def excess_over_one(self, i):
+        return self._wsum(np.maximum(self._z[:, i] - 1.0, 0.0))
 
     @functools.cached_property
     def _exp_constants(self):
@@ -415,11 +414,9 @@ class ProductExponential(JumpMeasure):
         return self.r * (1.0 - math.exp(-th)) / th
 
     @_convergent_integral
-    def coord_minus_delta_plus(self, i, j):
+    def excess_over_one(self, i):
         th = self.theta[i]
-        if i == j:
-            return self.r * math.exp(-th) / th
-        return self.r / th
+        return self.r * math.exp(-th) / th
 
     def _laplace(self, lam):
         """Laplace transform prod_k theta_k / (theta_k + lam_k) of each row."""
@@ -609,18 +606,14 @@ class TemperedPowerLawAxis(JumpMeasure):
             return 0.0
         return self._power(1, 0.0, 1.0) + self._power(0, 1.0, INF)
 
-    def coord_minus_delta_plus(self, i, j):
-        if i != self.axis:
-            return 0.0
-        if i == j:
-            return self._power(1, 1.0, INF) - self._power(0, 1.0, INF)
-        return self._power(1, 0.0, INF)
+    def excess_over_one(self, i):
+        return self._excess_over_one if i == self.axis else 0.0
 
     @functools.cached_property
     def _excess_over_one(self):
-        """int (z - 1)^+, taken once: the Riccati right-hand side reads it
-        at every own-axis branching exponent."""
-        return self.coord_minus_delta_plus(self.axis, self.axis)
+        """int (z - 1)^+ on the axis, taken once: the Riccati right-hand side
+        reads it at every own-axis branching exponent."""
+        return self._power(1, 1.0, INF) - self._power(0, 1.0, INF)
 
     def _closed_form(self, lam, diverges_from, shape):
         """C theta^alpha shape(alpha, x) at x = la / theta of each row of lam,
@@ -716,8 +709,8 @@ class MeasureSum(JumpMeasure):
     def one_wedge_coord(self, i):
         return self._sum(lambda c: c.one_wedge_coord(i))
 
-    def coord_minus_delta_plus(self, i, j):
-        return self._sum(lambda c: c.coord_minus_delta_plus(i, j))
+    def excess_over_one(self, i):
+        return self._sum(lambda c: c.excess_over_one(i))
 
     # the exponential integrands of a stack are arrays: summed, not float()ed
     def exp_branching(self, lam, i):

@@ -6,7 +6,9 @@ The mean solves the linear ODE m'(t) = B_tilde m(t) + beta_tilde, so
 
 The integrated exponential is evaluated exactly (also for singular B_tilde)
 through the augmented block matrix exp([[B_tilde, I], [0, 0]] t), whose
-top-right block is the integral.
+top-right block is the integral. m0 and t are checked by the shared checks
+of :mod:`cbi.params` (check_state, check_time), as x and t are in
+:mod:`cbi.riccati`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .params import AdmissibleParams, derive
+from .params import AdmissibleParams, check_state, check_time, derive
 
 # scaling-and-squaring stays accurate well past this; guard the absurd
 _NORM_LIMIT = 500.0
@@ -33,18 +35,14 @@ def integrated_expm(A, t: float):
 
 def mean(p: AdmissibleParams, m0, t: float):
     """E[X_t] given E[X_0] = m0."""
-    m0 = np.asarray(m0, dtype=float)
-    if m0.shape != (p.d,):
-        raise ValueError(f"m0 must have shape ({p.d},)")
-    if not np.all(np.isfinite(m0)):
-        raise ValueError("m0 must be finite")
-    if not 0 <= t < np.inf:
-        raise ValueError("t must be finite and non-negative")
+    m0 = check_state("m0", m0, p.d)
+    t = check_time("t", t)
     if t == 0.0:
         return m0.copy()
     # beta_tilde and B_tilde do not depend on the cutoff
     der = derive(p)
-    if t * np.linalg.norm(der.B_tilde, 1) > _NORM_LIMIT:
+    # a product of Python floats overflows to inf without a numpy warning
+    if t * float(np.linalg.norm(der.B_tilde, 1)) > _NORM_LIMIT:
         raise OverflowError("||t B_tilde|| too large for a reliable matrix exponential")
     propagator, integral = integrated_expm(der.B_tilde, t)
     # an overflow is reported by the check below, not as a numpy warning

@@ -6,7 +6,10 @@ statistic of path snapshots: the state at t for :func:`estimate_mean`,
 e^{-<lam, X_t^+>} per (t, lam) for :func:`estimate_laplace_grid`; both
 return (value, stderr) and their verifications share one pass rule,
 |estimate - analytic| <= 3 stderr + C dt. The comparison check reduces the
-ordering statistics of coupled pairs, :class:`CoupledStats`.
+ordering statistics of coupled pairs, :class:`CoupledStats`. The initial
+state passes the shared check of :mod:`cbi.params` (check_state) and each
+snapshot time the grid rule :meth:`cbi.simulate.SimConfig.steps`, both
+before any path is drawn.
 
 Work is split into fixed-size path blocks by one sweep, :func:`_sweep`;
 block k draws its randomness from a counter-based substream keyed by
@@ -27,10 +30,8 @@ import numpy as np
 
 from . import moments, riccati
 from .errors import BudgetExceeded, InvalidConfig
-from .params import AdmissibleParams, derive
-from .simulate import (
-    SimConfig, _check_x0, block_generator, simulate_block, simulate_coupled_block,
-)
+from .params import AdmissibleParams, check_state, derive
+from .simulate import SimConfig, block_generator, simulate_block, simulate_coupled_block
 
 BLOCK_SIZE = 16384
 COMPARISON_SLACK = 1e-12  # ordering violations below this are roundoff
@@ -153,17 +154,10 @@ def _estimate(p, x0, times, statistic, n_paths, cfg, seed, threads, budget):
     statistic maps a block's (count, d) states at each of times (non-negative
     multiples of cfg.dt) to a (count, m) array; at all-zero times it is exact.
     """
-    x0 = np.asarray(x0, dtype=float)
-    _check_x0(x0.reshape(1, -1), p.d)
+    x0 = check_state("x0", x0, p.d)
     if not times:
         raise InvalidConfig("nothing to estimate: no times given")
-    steps = []
-    for t in times:
-        k = round(t / cfg.dt) if 0.0 <= t < np.inf else -1
-        if k < 0 or (k == 0) != (t == 0.0) or abs(k * cfg.dt - t) > 1e-9 * max(1.0, t):
-            raise InvalidConfig(
-                f"time {t} is not a non-negative integer multiple of dt = {cfg.dt}")
-        steps.append(k)
+    steps = [cfg.steps(t) for t in times]
     if not any(steps):
         value = statistic([x0[None]] * len(steps))[0].copy()
         return value, np.zeros_like(value)

@@ -9,6 +9,11 @@ reports each one as data; nothing admissibility-related throws.
 The paper's conditions and modified drifts are region integrals of the jump
 measures, composed here from the methods of the measure families, e.g.
 int (1 ^ ||z||) nu as nu.norm_moment(SMALL_JUMPS) + nu.mass(LARGE_JUMPS).
+
+The inputs that every view shares are checked here once: a state, mean or
+lambda in R_+^d (:func:`check_state`), a time (:func:`check_time`) and the
+truncation cutoff (:func:`check_cutoff`). A wrong shape or range raises
+InvalidConfig, a non-finite or negative entry PreconditionViolated.
 """
 
 from __future__ import annotations
@@ -20,10 +25,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfiniteMass, InvalidConfig
+from .errors import DimensionMismatch, InfiniteMass, InvalidConfig, PreconditionViolated
 from .measures import ALL, LARGE_JUMPS, SMALL_JUMPS, JumpMeasure, above, below
 
 DEFAULT_EPS_TRUNC = 1e-3
+
+
+def check_state(name, value, d, stack=False):
+    """value as a float array of shape (d,), or with stack also (m, d) for
+    m >= 1, every entry finite and non-negative: points of R_+^d."""
+    value = np.asarray(value, dtype=float)
+    if value.shape[-1:] != (d,) or value.ndim > 1 + stack or value.size == 0:
+        raise InvalidConfig(f"{name} must have shape ({d},)"
+                            + (f" or (m, {d})" if stack else ""))
+    if not np.isfinite(value).all():
+        raise PreconditionViolated(f"{name} must be finite")
+    if (value < 0.0).any():
+        raise PreconditionViolated(f"{name} must be componentwise non-negative")
+    return value
+
+
+def check_time(name, t) -> float:
+    """t as a finite, non-negative float."""
+    if not 0.0 <= t < math.inf:
+        raise InvalidConfig(f"{name} must be finite and non-negative")
+    return float(t)
+
+
+def check_cutoff(eps_trunc) -> float:
+    """eps_trunc as a float in (0, 1], the range of a truncation cutoff."""
+    if not 0.0 < eps_trunc <= 1.0:
+        raise InvalidConfig("eps_trunc must lie in (0, 1]")
+    return float(eps_trunc)
+
 
 # guards every tuple's derivation cache, so blocks on several threads derive
 # a (tuple, cutoff) pair once
@@ -236,9 +270,7 @@ def derive(p: AdmissibleParams, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Derived
     Each (p, eps_trunc) pair is derived once and cached on p; every caller
     gets the same read-only result.
     """
-    if not 0.0 < eps_trunc <= 1.0:
-        raise InvalidConfig("eps_trunc must lie in (0, 1]")
-    eps_trunc = float(eps_trunc)
+    eps_trunc = check_cutoff(eps_trunc)
     with _derive_lock:
         der = p._derived.get(eps_trunc)
         if der is None:
@@ -253,8 +285,9 @@ def _derive(p, eps_trunc):
     beta_tilde = p.beta + (np.zeros(d) if p.nu is None
                            else np.array([p.nu.coord(i, ALL) for i in range(d)]))
 
-    # column j adds int (z_i - delta_ij)^+ mu_j to B_tilde; D is B_tilde less
-    # int z_i 1{||z||>=1} mu_j, and B_hat_jj loses int (1 ^ z_j) mu_j
+    # column j adds int (z_i - delta_ij)^+ mu_j to B_tilde, which is int z_i
+    # mu_j off the diagonal; D is B_tilde less int z_i 1{||z||>=1} mu_j, and
+    # B_hat_jj loses int (1 ^ z_j) mu_j
     B_tilde = p.B.copy()
     D = p.B.copy()
     B_hat = p.B.copy()
@@ -262,7 +295,7 @@ def _derive(p, eps_trunc):
         if m is None:
             continue
         for i in range(d):
-            B_tilde[i, j] += m.coord_minus_delta_plus(i, j)
+            B_tilde[i, j] += m.excess_over_one(i) if i == j else m.coord(i, ALL)
             D[i, j] = B_tilde[i, j] - m.coord(i, LARGE_JUMPS)
         B_hat[j, j] -= m.one_wedge_coord(j)
 

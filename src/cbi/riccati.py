@@ -14,8 +14,11 @@ the flow, and quartic dense output built from the stages. It integrates a
 stack of m starting points lam at once: one ODE of m (d + 1) components
 whose flows share every step, each step accepted only when the error norm of
 every row is at most 1, so a row is solved at least as finely as on its own.
-lam is checked once per solve; phi and psi evaluate the whole stack per
-right-hand side, and the last stage is the next step's first (FSAL).
+lam, x and every time are checked once per call by the shared checks of
+:mod:`cbi.params` (check_state, check_time): a wrong shape or time raises
+InvalidConfig, a non-finite or negative entry PreconditionViolated. phi and
+psi evaluate the whole stack per right-hand side, and the last stage is the
+next step's first (FSAL).
 Roundoff can push a truly non-negative component slightly below zero; such
 components are clamped to zero when within 10x the absolute tolerance and the
 step is rejected and halved otherwise.
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import measures
 from .errors import StepSizeUnderflow
-from .params import AdmissibleParams
+from .params import AdmissibleParams, check_state, check_time
 
 # Dormand-Prince 5(4) tableau; the flow is autonomous, so the stage times
 # 0, 1/5, 3/10, 4/5, 8/9, 1, 1 never enter
@@ -130,27 +133,6 @@ class RiccatiSolution:
         return float(value) if value.ndim == 0 else value
 
 
-def _check_vector(name, value, d):
-    """value as a finite, componentwise non-negative float vector of length d."""
-    value = np.asarray(value, dtype=float)
-    if value.shape != (d,):
-        raise ValueError(f"{name} must have shape ({d},)")
-    return _check_entries(name, value)
-
-
-def _check_entries(name, value):
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite")
-    if np.any(value < 0):
-        raise ValueError(f"{name} must be componentwise non-negative")
-    return value
-
-
-def _check_time(name, t):
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"{name} must be finite and non-negative")
-
-
 def _check_tolerances(rtol, atol):
     # the error norm divides by atol + rtol * |y|, and the psi accumulator
     # starts at 0: atol = 0 would divide 0 by 0 there
@@ -173,11 +155,8 @@ def solve_v(p: AdmissibleParams, lam, T: float,
     together on one sequence of steps (see the module docstring).
     """
     d = p.d
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim not in (1, 2) or lam.shape[-1] != d or lam.size == 0:
-        raise ValueError(f"lambda must have shape ({d},) or (m, {d})")
-    lam = _check_entries("lambda", lam)
-    _check_time("T", T)
+    lam = check_state("lambda", lam, d, stack=True)
+    check_time("T", T)
     _check_tolerances(rtol, atol)
     m = 1 if lam.ndim == 1 else lam.shape[0]
     rows = (m, d + 1)
@@ -293,11 +272,11 @@ def laplace_grid(p: AdmissibleParams, x, points,
     separate solve to that t within the tolerances. Every input is checked
     before the solve.
     """
-    x = _check_vector("x", x, p.d)
+    x = check_state("x", x, p.d)
     _check_tolerances(rtol, atol)
-    points = [(t, _check_vector("lambda", lam, p.d)) for t, lam in points]
+    points = [(t, check_state("lambda", lam, p.d)) for t, lam in points]
     for t, _ in points:
-        _check_time("t", t)
+        check_time("t", t)
     out = np.empty(len(points))
     rows = {}      # lam bytes -> row of the stacked solve
     members = []   # (index, row, t)

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import SchemaError, params_from_json, params_to_json
-from .params import AdmissibleParams, DerivedParams, derive
+from .errors import CbiError
+from .params import DEFAULT_EPS_TRUNC, AdmissibleParams, DerivedParams, derive
 from .simulate import SimConfig
 
 BUNDLED_NAMES = ("S1", "S2", "S3", "S4", "S5")
@@ -94,15 +95,18 @@ def scenario_from_json(obj) -> Scenario:
             dt=float(obj["dt"]),
             n_paths=int(_number(obj["n_paths"], "n_paths", _COUNT)),
             seed=int(_number(obj["seed"], "seed", _INTEGER)),
-            eps_trunc=float(obj.get("eps_trunc", 1e-3)),
-            bias_constant_mean=float(obj["bias_constant_mean"]),
-            bias_constant_laplace=float(obj["bias_constant_laplace"]),
+            eps_trunc=float(obj.get("eps_trunc", DEFAULT_EPS_TRUNC)),
+            bias_constant_mean=float(_number(obj["bias_constant_mean"],
+                                             "bias_constant_mean", _NON_NEGATIVE)),
+            bias_constant_laplace=float(_number(obj["bias_constant_laplace"],
+                                                "bias_constant_laplace", _NON_NEGATIVE)),
             laplace_points=points,
             comparison=(None if comparison is None
                         else _comparison_from_json(comparison, params.d)),
             ratio_check=obj.get("ratio_check"),
         )
-    except SchemaError:
+    except CbiError:
+        # a SchemaError, or the InvalidConfig of a parameter tuple, as raised
         raise
     except KeyError as exc:
         raise SchemaError(f"bad scenario file: missing field {exc}") from exc

@@ -13,6 +13,9 @@ not depend on the state, are replaced by their mean int z 1{||z|| < eps}
 nu(dz) per unit time in the drift, which leaves the mean unbiased.
 Jump sizes are drawn by :func:`cbi.measures.sample_parts` from the simulated
 parts of :func:`cbi.params.derive` at the cutoff of the SimConfig.
+Initial states pass the shared check of :mod:`cbi.params` (check_state),
+the cutoff its check_cutoff, and :meth:`SimConfig.steps` holds the one rule
+for a time on the Euler grid.
 
 One step kernel advances a stack of k block states that share all noise:
 k = 1 is a block of independent paths, k = 2 the coupled pair of
@@ -38,10 +41,10 @@ of the whole chunk, that is the diffusion normals of all m steps, then the
 immigration total of the chunk, each arrival's step (m > 1), owner and
 size; then per step, only for a branching type that fires, its Poisson
 count, its new gap, the owners, sizes, and the thinning marks when k = 2 or
-jumps are recorded. A one-path block draws no owners. A Poisson total spread
-uniformly over the m * n (step, path) cells gives independent Poisson counts
-per cell, and a carried gap gives each step a Poisson count independent of
-the others, so neither changes the law. A fixed Generator state thus
+a block records jumps. A one-path block draws no owners. A Poisson total
+spread uniformly over the m * n (step, path) cells gives independent
+Poisson counts per cell, and a carried gap gives each step a Poisson count
+independent of the others, so neither changes the law. A fixed Generator state thus
 reproduces paths bit-for-bit; counter-based substreams for block-parallel
 runs live in :func:`block_generator`.
 
@@ -64,7 +67,7 @@ import numpy as np
 from . import params as params_mod
 from .errors import InvalidConfig, PreconditionViolated
 from .measures import sample_parts
-from .params import AdmissibleParams
+from .params import AdmissibleParams, check_state
 
 # pre-drawn Gaussian increments per chunk of steps: at most this many values
 # (256 KiB), no more than one Monte Carlo block's state
@@ -88,17 +91,23 @@ class SimConfig:
             raise InvalidConfig("T must be positive and finite")
         if not 0 < self.dt < np.inf:
             raise InvalidConfig("dt must be positive and finite")
-        if not 0.0 < self.eps_trunc <= 1.0:
-            raise InvalidConfig("eps_trunc must lie in (0, 1]")
+        params_mod.check_cutoff(self.eps_trunc)
         if self.positivity_mode not in ("raw", "clamp"):
             raise InvalidConfig("positivity_mode must be 'raw' or 'clamp'")
 
+    def steps(self, t) -> int:
+        """The number k of steps of length dt in the time t, which must be a
+        whole multiple of dt: |k dt - t| <= 1e-9 max(1, t), and k = 0 only
+        at t = 0. A time whose step count overflows raises OverflowError."""
+        k = round(t / self.dt) if 0.0 <= t < math.inf else -1
+        if k < 0 or (k == 0) != (t == 0.0) or abs(k * self.dt - t) > 1e-9 * max(1.0, t):
+            raise InvalidConfig(
+                f"time {t} is not a non-negative integer multiple of dt = {self.dt}")
+        return k
+
     @property
     def n_steps(self) -> int:
-        n = round(self.T / self.dt)
-        if n < 1 or abs(n * self.dt - self.T) > 1e-9 * max(1.0, self.T):
-            raise InvalidConfig("T must be an integer multiple of dt")
-        return n
+        return self.steps(self.T)
 
     def grid(self) -> np.ndarray:
         """The time grid, built once per config and read-only."""
@@ -139,17 +148,6 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
         raise InvalidConfig(
             f"seed {seed} and block index {block_index} must lie in [0, 2**64)")
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _check_x0(x0, d):
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    if x0.shape[1] != d:
-        raise InvalidConfig(f"x0 must have {d} components")
-    if not np.all(np.isfinite(x0)):
-        raise PreconditionViolated("x0 must be finite")
-    if np.any(x0 < 0):
-        raise PreconditionViolated("x0 must be componentwise non-negative")
-    return x0
 
 
 def _log(events, time, kind, j, owners, sizes, marks):
@@ -280,9 +278,10 @@ def _euler(p, X, beta, cfg, rng, observe=None):
     it sees step 0 as states of shape (1, k, n, d), then each chunk of m
     steps as (m, k, n, d), the grid points first, ..., first + m - 1. The
     array it gets is overwritten two chunks later, so an observer copies
-    whatever it keeps. Returns the final stack and, with cfg.record_jumps,
-    per-path JumpEvent lists of state 0. A Poisson mean that numpy cannot
-    draw from, or a non-finite final state, raises OverflowError.
+    whatever it keeps. Returns the final stack and, with cfg.record_jumps
+    and k = 1, per-path JumpEvent lists, else None. A Poisson mean that
+    numpy cannot draw from, or a non-finite final state, raises
+    OverflowError.
     """
     der = params_mod.derive(p, cfg.eps_trunc)
     # the sub-cutoff immigration jumps do not depend on the state: their
@@ -307,7 +306,7 @@ def _euler(p, X, beta, cfg, rng, observe=None):
     else:
         zrows = [None] * chunk
     clamp = cfg.positivity_mode == "clamp"
-    events = tuple([] for _ in range(n)) if cfg.record_jumps else None
+    events = tuple([] for _ in range(n)) if cfg.record_jumps and k == 1 else None
     floats = k * n == 1
     if observe is not None:
         observe(0, np.asarray(X, dtype=float)[None])
@@ -408,20 +407,16 @@ def _euler(p, X, beta, cfg, rng, observe=None):
                 marks = None
                 if k > 1 or events is not None:
                     marks = rng.random(total) * owner_bound
-                acc0 = slice(None)
                 if floats:
                     _add_floats(x, sizes)
                 elif k == 1:
                     np.add.at(X_new, owners, sizes)
                 else:
                     # nonzero lists state 0's acceptances before state 1's
-                    acc = marks <= Xp3[:, owners, j]
-                    s, c = np.nonzero(acc)
+                    s, c = np.nonzero(marks <= Xp3[:, owners, j])
                     np.add.at(X3, (s, owners[c]), sizes[c])
-                    acc0 = acc[0]
                 if events is not None:
-                    _log(events, (step + 1) * dt, "branching", j, owners[acc0],
-                         sizes[acc0], marks[acc0])
+                    _log(events, (step + 1) * dt, "branching", j, owners, sizes, marks)
 
             if floats:
                 if clamp:
@@ -453,7 +448,7 @@ def simulate_block(p: AdmissibleParams, x0, cfg: SimConfig, rng, observe=None):
     the stack axis dropped. Returns (final_states, events), events a per-path
     tuple of JumpEvent lists when cfg.record_jumps is set, else None.
     """
-    X = _check_x0(x0, p.d)
+    X = check_state("x0", x0, p.d, stack=True).reshape(-1, p.d)
     chunks = None if observe is None else lambda first, states: observe(first, states[:, 0])
     X, events = _euler(p, X[None], p.beta[None, None, :], cfg, rng, chunks)
     return X[0], events
@@ -468,15 +463,16 @@ def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
     accepted for a path exactly when u <= that path's left-endpoint state, so
     the accepted sets are nested whenever the states are ordered. Immigration
     points and Gaussian increments are shared identically. observe sees the
-    kernel's (m, 2, n, d) chunks, X before X'. Returns (final, final_prime).
+    kernel's (m, 2, n, d) chunks, X before X'. A pair keeps no jump log, so
+    cfg.record_jumps changes nothing here. Returns (final, final_prime).
     """
     beta_prime = np.asarray(beta_prime, dtype=float)
     if beta_prime.shape != (p.d,):
         raise PreconditionViolated(f"beta_prime must have {p.d} components")
     if np.any(beta_prime < p.beta):
         raise PreconditionViolated("beta_prime must dominate beta componentwise")
-    X = _check_x0(x0, p.d)
-    Xq = _check_x0(x0_prime, p.d)
+    X = check_state("x0", x0, p.d, stack=True).reshape(-1, p.d)
+    Xq = check_state("x0_prime", x0_prime, p.d, stack=True).reshape(-1, p.d)
     if Xq.shape != X.shape:
         raise PreconditionViolated("x0 and x0_prime must have matching shapes")
     if np.any(Xq < X):

@@ -111,14 +111,31 @@ class TestScalarCommands:
             assert main(["mean", path, "--m0", "1e300", "--t", "400"]) == 4
         assert "overflowed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--t", "nan"), ("--t", "inf"), ("--m0", "4,nan"), ("--m0", "4,inf")])
-    def test_non_finite_mean_input_exit_two(self, flag, value, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--t", "nan", "InvalidConfig: t must be finite and non-negative"),
+        ("--t", "inf", "InvalidConfig: t must be finite and non-negative"),
+        ("--m0", "4,nan", "PreconditionViolated: m0 must be finite"),
+        ("--m0", "4,inf", "PreconditionViolated: m0 must be finite"),
+        ("--m0", "-1,0", "PreconditionViolated: m0 must be componentwise non-negative"),
+        ("--m0", "4", "InvalidConfig: m0 must have shape (2,)"),
+    ])
+    def test_bad_mean_input_exit_two(self, flag, value, message, tmp_path, capsys):
+        # a mean of the process lies in R_+^d, as x and x0 do
         path = write_params(tmp_path, "pair.json", PAIR)
         args = {"--m0": "4,1", "--t": "1.0", flag: value}
-        assert main(["mean", path, *(x for kv in args.items() for x in kv)]) == 2
+        assert main(["mean", path, *(f"{k}={v}" for k, v in args.items())]) == 2
+        captured = capsys.readouterr()
+        assert f"schema error: {message}" in captured.err
+        assert not captured.out
+
+    def test_huge_horizon_exit_four_without_warning(self, s3_file, capsys):
+        # ||t B_tilde|| overflows a float: the guard reports it, not numpy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mean", s3_file, "--m0=1,1", "--t=1e308"]) == 4
         err = capsys.readouterr().err
-        assert "schema error: ValueError" in err and "finite" in err
+        assert "numeric failure: OverflowError: ||t B_tilde|| too large" in err
+        assert "Warning" not in err
 
     def test_inadmissible_exit_three(self, tmp_path, capsys):
         bad = dict(CIR, B=[[float("nan")]])
@@ -455,29 +472,103 @@ def s3_file(tmp_path):
     return str(path)
 
 
+# the exit-code fuzz: each flag is set to each of these while the others
+# keep the valid values of _FUZZ_BASE
+_FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "wrong-length", "non-number")
+_FUZZ_BASE = {
+    "mean": {"--m0": "4,0.4", "--t": "1"},
+    "laplace": {"--x": "4,0.4", "--lam": "1,0.5", "--t": "1",
+                "--rtol": "1e-8", "--atol": "1e-10"},
+    "simulate": {"--x0": "4,0.4", "--T": "0.25", "--dt": "0.03125", "--n": "2",
+                 "--seed": "7", "--eps": "1e-3"},
+    "derive": {"--eps": "1e-3"},
+}
+# one exit code per entry of _FUZZ_VALUES
+_FUZZ_EXITS = {
+    ("mean", "--m0"): "22220022",
+    ("mean", "--t"): "22220422",
+    ("laplace", "--x"): "22220022",
+    ("laplace", "--lam"): "22220422",
+    ("laplace", "--t"): "22220422",
+    ("laplace", "--rtol"): "22220022",
+    ("laplace", "--atol"): "22222022",
+    ("simulate", "--x0"): "22220422",
+    ("simulate", "--T"): "22222422",
+    ("simulate", "--dt"): "22222222",
+    ("simulate", "--n"): "22222222",
+    ("simulate", "--seed"): "22220222",
+    ("simulate", "--eps"): "22222222",
+    ("derive", "--eps"): "22222222",
+}
+_FUZZ_CASES = [(command, flag, value, int(code))
+               for (command, flag), codes in _FUZZ_EXITS.items()
+               for value, code in zip(_FUZZ_VALUES, codes)]
+
+
+class TestExitCodeFuzz:
+    """Each state, lambda, time, tolerance, cutoff, seed and count flag of
+    mean, laplace, simulate and derive, set to one bad or extreme value while
+    the others stay valid, exits with the code of the table on S3's
+    parameters (d = 2): 0 success, 2 input error, 4 numeric failure (a
+    horizon or state whose arithmetic overflows). No command prints a
+    traceback or a warning."""
+
+    VECTORS = ("--m0", "--x", "--lam", "--x0")
+
+    def test_table_covers_every_flag(self):
+        assert set(_FUZZ_EXITS) == {(command, flag) for command, flags in _FUZZ_BASE.items()
+                                    for flag in flags}
+
+    @pytest.mark.parametrize("command, flag, value, code", _FUZZ_CASES,
+                             ids=[f"{c}{f}={v}" for c, f, v, _ in _FUZZ_CASES])
+    def test_documented_exit_code(self, command, flag, value, code, s3_file, tmp_path,
+                                  capsys):
+        if value == "wrong-length":
+            value = "1,1,1" if flag in self.VECTORS else "1,1"
+        elif value == "non-number":
+            value = "abc"
+        if flag in self.VECTORS and value != "1,1,1":
+            value += ",0.5"
+        args = dict(_FUZZ_BASE[command], **{flag: value})
+        if command == "simulate":
+            args["--out"] = str(tmp_path / "out")
+        # values such as -1,0 are passed as --flag=value: argparse would read
+        # a separate -1,0 as an option
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = main([command, s3_file, *(f"{k}={v}" for k, v in args.items())])
+            except SystemExit as exc:   # argparse refuses the literal
+                got = exc.code
+        err = capsys.readouterr().err
+        assert got == code, err
+        assert "Traceback" not in err and "Warning" not in err
+
+
 class TestLaplaceInputs:
     """Inputs the Riccati flow cannot honour exit 2 before it integrates."""
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--t", "inf", "t must be finite and non-negative"),
-        ("--t", "nan", "t must be finite and non-negative"),
-        ("--t", "-1", "t must be finite and non-negative"),
-        ("--lam", "1,nan", "lambda must be finite"),
-        ("--lam", "1,-0.5", "lambda must be componentwise non-negative"),
-        ("--lam", "1", "lambda must have shape (2,)"),
-        ("--x", "4,nan", "x must be finite"),
-        ("--x", "-4,0.4", "x must be componentwise non-negative"),
-        ("--x", "4", "x must have shape (2,)"),
-        ("--rtol", "-1", "rtol must be finite and non-negative"),
-        ("--rtol", "nan", "rtol must be finite and non-negative"),
-        ("--atol", "0", "atol finite and positive"),
-        ("--atol", "inf", "atol finite and positive"),
+    @pytest.mark.parametrize("flag, value, kind, message", [
+        ("--t", "inf", "InvalidConfig", "t must be finite and non-negative"),
+        ("--t", "nan", "InvalidConfig", "t must be finite and non-negative"),
+        ("--t", "-1", "InvalidConfig", "t must be finite and non-negative"),
+        ("--lam", "1,nan", "PreconditionViolated", "lambda must be finite"),
+        ("--lam", "1,-0.5", "PreconditionViolated",
+         "lambda must be componentwise non-negative"),
+        ("--lam", "1", "InvalidConfig", "lambda must have shape (2,)"),
+        ("--x", "4,nan", "PreconditionViolated", "x must be finite"),
+        ("--x", "-4,0.4", "PreconditionViolated", "x must be componentwise non-negative"),
+        ("--x", "4", "InvalidConfig", "x must have shape (2,)"),
+        ("--rtol", "-1", "ValueError", "rtol must be finite and non-negative"),
+        ("--rtol", "nan", "ValueError", "rtol must be finite and non-negative"),
+        ("--atol", "0", "ValueError", "atol finite and positive"),
+        ("--atol", "inf", "ValueError", "atol finite and positive"),
     ])
-    def test_exit_two(self, flag, value, message, s3_file, capsys):
+    def test_exit_two(self, flag, value, kind, message, s3_file, capsys):
         args = {"--x": "4,0.4", "--lam": "1,0.5", "--t": "1", flag: value}
         assert main(["laplace", s3_file, *(f"{k}={v}" for k, v in args.items())]) == 2
         captured = capsys.readouterr()
-        assert "schema error: ValueError" in captured.err and message in captured.err
+        assert f"schema error: {kind}: " in captured.err and message in captured.err
         assert not captured.out
 
     def test_both_tolerances_zero_exit_two(self, s3_file, capsys):
@@ -506,6 +597,13 @@ class TestVerifyCommand:
         blob = json.loads(out.read_text())
         assert blob["passed"] is True
         assert "runtime_seconds" not in blob
+
+    def test_control_characters_in_name_stay_json(self, tmp_path, cir_file, capsys):
+        scen = tiny_scenario(tmp_path, cir_file, name="a\nb\t\"c\"")
+        out = tmp_path / "report.json"
+        assert main(["verify", "mean", "--scenario", scen, "--json-out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text())["quantity"] == "mean[a\nb\t\"c\"]"
 
     def test_verify_artifacts_thread_invariant(self, tmp_path, cir_file, capsys):
         scen = tiny_scenario(tmp_path, cir_file)
@@ -582,8 +680,18 @@ class TestVerifyCommand:
          "comparison.beta_shift must have 2 components, got [0.5]"),
         ("mean", {"n_paths": 0}, "n_paths must be an integer of at least 1, got 0"),
         ("mean", {"n_paths": -3}, "n_paths must be an integer of at least 1, got -3"),
+        ("mean", {"bias_constant_mean": math.nan},
+         "bias_constant_mean must be a non-negative finite number, got nan"),
+        ("mean", {"bias_constant_mean": -5},
+         "bias_constant_mean must be a non-negative finite number, got -5"),
+        ("laplace", {"bias_constant_laplace": math.inf},
+         "bias_constant_laplace must be a non-negative finite number, got inf"),
+        ("laplace", {"bias_constant_laplace": "0.5"},
+         "bias_constant_laplace must be a non-negative finite number, got '0.5'"),
     ], ids=["comparison-without-seed", "string-n-paths", "string-dt",
-            "zero-comparison-paths", "short-beta-shift", "zero-paths", "negative-paths"])
+            "zero-comparison-paths", "short-beta-shift", "zero-paths", "negative-paths",
+            "nan-mean-bias", "negative-mean-bias", "inf-laplace-bias",
+            "string-laplace-bias"])
     def test_malformed_scenario_fields_exit_two(self, check, overrides, message,
                                                 tmp_path, cir_file, capsys):
         scen = tiny_scenario(tmp_path, cir_file, **overrides)

@@ -40,6 +40,19 @@ class TestCanonicalJson:
         assert json.loads(text) == blob
         assert dumps_canonical(blob) == text
 
+    @pytest.mark.parametrize("name", ["a\nb", "tab\there", 'say "hi"', "back\\slash",
+                                      "Größe θ", "\x00\x1f\x7f"])
+    def test_strings_round_trip(self, name):
+        # a scenario name lands in the verify report as a string value
+        text = dumps_canonical({"quantity": f"mean[{name}]", "names": [name]})
+        assert json.loads(text) == {"quantity": f"mean[{name}]", "names": [name]}
+        assert text.count("\n") == 5   # the layout's line breaks only
+
+    def test_plain_strings_keep_their_bytes(self):
+        # the bytes of every bundled artifact: quotes and backslashes escaped,
+        # everything else as it is, non-ASCII included
+        assert dumps_canonical('mean[S3] "x" \\ ü') == '"mean[S3] \\"x\\" \\\\ ü"'
+
 
 class TestMeasureSchema:
     def test_discrete_round_trip(self):

@@ -76,10 +76,23 @@ def norm_sq_wedge_norm(m):
 
 
 class TestMomentIntegral:
-    def test_coord_minus_delta_plus_single_atom(self):
+    def test_excess_over_one_single_atom(self):
         m = atom1(2.0, 3.0)
-        got = m.coord_minus_delta_plus(0, 0)
+        got = m.excess_over_one(0)
         assert got == (2.0 - 1.0) * 3.0
+
+    def test_excess_over_one_per_coordinate(self):
+        # a leaf has no mass off its axis; a mixture sums its components
+        leaf = TemperedPowerLawAxis(2, 1, alpha=0.5, theta=2.0, scale=1.0)
+        atoms = DiscreteAtoms(2, [(np.array([2.5, 0.5]), 2.0)])
+        expo = ProductExponential(2.0, [0.5, 4.0])
+        assert leaf.excess_over_one(0) == 0.0
+        assert atoms.excess_over_one(0) == 3.0 and atoms.excess_over_one(1) == 0.0
+        assert expo.excess_over_one(1) == 2.0 * math.exp(-4.0) / 4.0
+        mix = MeasureSum([leaf, atoms, expo])
+        for i in range(2):
+            assert mix.excess_over_one(i) == sum(
+                m.excess_over_one(i) for m in (leaf, atoms, expo))
 
     def test_norm_sq_small_single_atom(self):
         m = atom1(0.5, 1.0)
@@ -359,7 +372,7 @@ class TestTemperedClosedForms:
                 size = abs(want)
                 if kind == "branching_own":
                     size = (tempered_exponent_by_quadrature(leaf, "full", la)
-                            + la * leaf.coord_minus_delta_plus(0, 0))
+                            + la * leaf.excess_over_one(0))
                 assert abs(value - want) <= 1e-9 * size
                 if abs(a - 1.0) >= 0.01 and kind != "full":
                     exact = tempered_closed_forms(a, leaf.theta, 0.7, la)[kind]
@@ -447,7 +460,7 @@ class TestTemperedClosedForms:
         parts = (oracle(1, 0.0, 1.0), oracle(0, 1.0, INF))
         assert m.one_wedge_coord(0) == pytest.approx(sum(parts), rel=1e-12, abs=0)
         parts = (oracle(1, 1.0, INF), -oracle(0, 1.0, INF))
-        assert abs(m.coord_minus_delta_plus(0, 0) - sum(parts)) \
+        assert abs(m.excess_over_one(0) - sum(parts)) \
             <= 1e-12 * (parts[0] - parts[1])
 
 

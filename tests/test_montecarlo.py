@@ -182,7 +182,7 @@ class TestEstimateTimes:
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_x0_is_one_state(self, t):
-        with pytest.raises(InvalidConfig, match="components"):
+        with pytest.raises(InvalidConfig, match=r"x0 must have shape \(1,\)"):
             estimate_mean(cir(), [[1.0], [2.0]], t, 100, CFG, seed=2, budget=0)
 
 

@@ -10,14 +10,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cbi import measures, params
-from cbi.errors import DimensionMismatch, InvalidConfig
+from cbi import measures, moments, montecarlo, params, riccati
+from cbi.errors import DimensionMismatch, InvalidConfig, PreconditionViolated
 from cbi.measures import (
     ALL, LARGE_JUMPS, DiscreteAtoms, MeasureSum, ProductExponential, TemperedPowerLawAxis,
 )
 from cbi.params import AdmissibleParams, derive, validate
 from cbi.scenarios import load_scenario
-from cbi.simulate import SimConfig, block_generator, simulate_block
+from cbi.simulate import SimConfig, block_generator, simulate_block, simulate_path
 
 from helpers import origin_refinement_diverges, random_discrete_params
 
@@ -255,3 +255,69 @@ class TestDeriveCache:
         for field in ("c", "beta", "B"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(p, field)[0] = 1
+
+
+class TestSharedInputChecks:
+    """Every view checks a state, a lambda, a time and the cutoff by one rule
+    each, with one exception type and message per rule."""
+
+    def test_input_errors_are_value_errors(self):
+        assert issubclass(InvalidConfig, ValueError)
+        assert issubclass(PreconditionViolated, ValueError)
+
+    @pytest.mark.parametrize("state, error, message", [
+        ([1.0, math.nan], PreconditionViolated, "must be finite"),
+        ([1.0, -math.inf], PreconditionViolated, "must be finite"),
+        ([1.0, -0.5], PreconditionViolated, "must be componentwise non-negative"),
+        ([1.0], InvalidConfig, r"must have shape \(2,\)"),
+        ([[1.0, 0.5]], InvalidConfig, r"must have shape \(2,\)"),
+    ])
+    def test_every_view_rejects_a_bad_state_alike(self, state, error, message):
+        p = load_scenario("S3").params
+        cfg = SimConfig(T=0.25, dt=0.03125)
+        good = [1.0, 0.5]
+        calls = [
+            ("m0", lambda: moments.mean(p, state, 1.0)),
+            ("x", lambda: riccati.laplace_transform(p, state, good, 1.0)),
+            ("lambda", lambda: riccati.laplace_transform(p, good, state, 1.0)),
+            ("lambda", lambda: riccati.laplace_grid(p, good, [(1.0, good), (0.5, state)])),
+            ("x0", lambda: montecarlo.estimate_mean(p, state, 0.25, 10, cfg, seed=1)),
+            ("x0", lambda: simulate_path(p, state, cfg, block_generator(1, 0))),
+        ]
+        for name, call in calls:
+            with pytest.raises(error, match=f"^{name} {message}"):
+                call()
+
+    def test_stacks_of_states(self):
+        p = load_scenario("S3").params
+        cfg = SimConfig(T=0.25, dt=0.03125)
+        stack = np.array([[1.0, 0.5], [2.0, 0.0]])
+        assert params.check_state("x0", stack, 2, stack=True) is stack
+        final, _ = simulate_block(p, stack, cfg, block_generator(1, 0))
+        assert final.shape == (2, 2)
+        for bad in (np.zeros((0, 2)), np.ones((2, 2, 2)), np.ones((2, 3))):
+            with pytest.raises(InvalidConfig, match=r"x0 must have shape \(2,\) or \(m, 2\)"):
+                simulate_block(p, bad, cfg, block_generator(1, 0))
+            with pytest.raises(InvalidConfig, match="lambda must have shape"):
+                riccati.solve_v(p, bad, 1.0)
+
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_every_view_rejects_a_bad_time_alike(self, t):
+        p = load_scenario("S3").params
+        good = [1.0, 0.5]
+        for name, call in [("t", lambda: moments.mean(p, good, t)),
+                           ("t", lambda: riccati.laplace_transform(p, good, good, t)),
+                           ("T", lambda: riccati.solve_v(p, good, t))]:
+            with pytest.raises(InvalidConfig, match=f"^{name} must be finite and non-negative"):
+                call()
+        cfg = SimConfig(T=0.25, dt=0.03125)
+        with pytest.raises(InvalidConfig, match="is not a non-negative integer multiple of dt"):
+            montecarlo.estimate_mean(p, good, t, 10, cfg, seed=1)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, 1.0000001, math.nan, math.inf])
+    def test_cutoff_range_is_one_rule(self, eps):
+        p = load_scenario("S3").params
+        for call in (lambda: derive(p, eps), lambda: SimConfig(T=1.0, dt=0.5, eps_trunc=eps)):
+            with pytest.raises(InvalidConfig, match=r"^eps_trunc must lie in \(0, 1\]$"):
+                call()
+        assert params.check_cutoff(1) == 1.0 and params.check_cutoff(np.float64(0.5)) == 0.5

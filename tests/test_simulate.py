@@ -12,6 +12,7 @@ from cbi.moments import mean
 from cbi.montecarlo import COMPARISON_SLACK, CoupledStats, _estimate
 from cbi.params import AdmissibleParams, derive
 from cbi.scenarios import load_scenario
+from cbi import simulate
 from cbi.simulate import (
     _CHUNK_VALUES, SimConfig, _euler, _float_step, _recorder, block_generator,
     simulate_block, simulate_coupled, simulate_coupled_block, simulate_path,
@@ -52,6 +53,19 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             SimConfig(T=1.0, dt=0.3).n_steps
         assert SimConfig(T=1.0, dt=2.0 ** -6).n_steps == 64
+
+    def test_grid_rule(self):
+        # one rule for the horizon and for every snapshot time
+        cfg = SimConfig(T=1.0, dt=0.25)
+        assert [cfg.steps(t) for t in (0.0, 0.25, 1.0, 2.0 + 1e-10)] == [0, 1, 4, 8]
+        for t in (0.1, -0.25, 1e-12, math.nan, math.inf):
+            with pytest.raises(InvalidConfig, match=f"time {t} is not a non-negative "
+                                                    "integer multiple of dt = 0.25"):
+                cfg.steps(t)
+        with pytest.raises(InvalidConfig, match="time 1.0 is not"):
+            SimConfig(T=1.0, dt=0.3).n_steps
+        with pytest.raises(InvalidConfig, match="time 0.1 is not"):
+            SimConfig(T=0.1, dt=0.25).n_steps
 
     def test_invalid_values(self):
         with pytest.raises(InvalidConfig):
@@ -740,18 +754,30 @@ class TestCarriedGaps:
         [[1.0, 0.0]],
         [[1.0, 0.0], [0.0, 0.0], [-0.5, -1e-3], [2.0, 0.0], [0.0, 0.0]],
     ])
-    def test_zero_gap_never_fires_zero_bound(self, k, states):
+    def test_zero_gap_never_fires_zero_bound(self, k, states, monkeypatch):
         # type 2 has zero bound everywhere, paths 2, 3 and 5 on type 1 too:
-        # a gap of exactly 0 must fire neither, and fires type 1 every step
+        # a gap of exactly 0 must fire neither, and fires type 1 every step;
+        # a coupled pair (k = 2) keeps no log, so its owners are watched
         p = self.tiny_types(2.0)
         cfg = SimConfig(T=2.0, dt=0.125, record_jumps=True)
         X = np.tile(np.asarray(states, dtype=float), (k, 1, 1))
         rng = ZeroGaps(block_generator(107, k))
+        drawn = []
+        pick = simulate._branching_owners
+
+        def spy(*args):
+            owners = pick(*args)
+            drawn.extend(owners.tolist())
+            return owners
+
+        monkeypatch.setattr(simulate, "_branching_owners", spy)
         final, events = _euler(p, X, np.zeros((k, 1, 2)), cfg, rng)
         assert np.array_equal(final, X)
         assert rng.poisson_calls == cfg.n_steps
         positive = np.asarray(states)[:, 0] > 0.0
-        for owner, evs in enumerate(events):
+        assert all(positive[owner] for owner in drawn)
+        assert (events is None) == (k == 2)
+        for owner, evs in enumerate(events or ()):
             assert all(ev.type_index == 0 for ev in evs)
             if not positive[owner]:
                 assert not evs
@@ -820,7 +846,8 @@ class TestFloatLane:
     """A single path runs on Python floats through a generated step; a
     coupled pair of two equal states runs the array lane on the same draws
     (its marks never reject: each is below the shared bound), so the two
-    representations can be compared path for path."""
+    representations can be compared path for path. The pair keeps no jump
+    log; the lanes are compared on every value they draw instead."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(step_inputs())
@@ -851,14 +878,15 @@ class TestFloatLane:
     @staticmethod
     def run(p, x0, cfg, rng, k):
         """One path through the kernel as k equal states: k = 1 is the
-        float lane, k = 2 the array lane. Returns its rows and jump log."""
+        float lane, k = 2 the array lane. Returns its rows and jump log,
+        None for k = 2."""
         rows = []
         X = np.tile(np.asarray(x0, dtype=float), (k, 1, 1))
         final, events = _euler(p, X,
                                np.tile(p.beta, (k, 1, 1)), cfg, rng,
                                lambda first, states: rows.extend(states[:, 0, 0].copy()))
         assert np.array_equal(final[0, 0], rows[-1])
-        return np.array(rows), events[0]
+        return np.array(rows), None if events is None else events[0]
 
     @pytest.mark.parametrize("mode", ["raw", "clamp"])
     @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
@@ -866,20 +894,20 @@ class TestFloatLane:
         s = load_scenario(name)
         cfg = SimConfig(T=s.t, dt=s.dt, eps_trunc=s.eps_trunc, positivity_mode=mode,
                         record_jumps=True)
-        floats, float_jumps = self.run(s.params, s.x0, cfg, block_generator(s.seed, 0), 1)
-        arrays, array_jumps = self.run(s.params, s.x0, cfg, block_generator(s.seed, 0), 2)
+        draws = [DrawLog(block_generator(s.seed, 0)) for _ in range(2)]
+        floats, float_jumps = self.run(s.params, s.x0, cfg, draws[0], 1)
+        arrays, array_jumps = self.run(s.params, s.x0, cfg, draws[1], 2)
         assert len(floats) == cfg.n_steps + 1
         assert np.all(np.abs(floats - arrays) <= 1e-14 * np.maximum(1.0, np.abs(arrays)))
         if mode == "clamp":
             assert np.all(floats >= 0.0)
-
-        def log(events):
-            return [(e.time, e.kind, e.type_index, e.size.tolist(), e.size_class)
-                    for e in events]
-
-        assert log(float_jumps) == log(array_jumps)
-        assert [e.u for e in float_jumps] == pytest.approx(
-            [e.u for e in array_jumps], rel=1e-14, abs=0)
+        # every value drawn is the same in both lanes, the marks' uniforms
+        # included; the log is one code over these draws and the bounds,
+        # which are the states above
+        assert array_jumps is None and float_jumps is not None
+        assert [name for name, _ in draws[0].values] == [name for name, _ in draws[1].values]
+        for (_, a), (_, b) in zip(draws[0].values, draws[1].values):
+            assert np.array_equal(a, b)
 
     def test_same_generator_calls_as_array_lane(self):
         p = load_scenario("S3").params
@@ -906,6 +934,25 @@ class TestFloatLane:
         assert full.shape == (cfg.n_steps + 1, 1, 2)
         assert np.array_equal(full[:, 0], path.states)
         assert np.array_equal(final[0], path.final)
+
+
+class DrawLog:
+    """Generator proxy that keeps a copy of every value drawn, with the name
+    of its method, in draw order."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.values = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            value = method(*args, **kwargs)
+            self.values.append((name, np.array(value, copy=True)))
+            return value
+
+        return draw
 
 
 class RecordingGenerator:
