@@ -7,7 +7,7 @@ byte-identical artifacts.
 
 Exit codes: 0 success/pass, 1 verification or validation failure, 2 schema
 or input error, 3 admissibility failure blocking a computation, 4 numeric
-failure.
+failure (also a time grid too large to count or build).
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ EXIT_NUMERIC = 4
 
 # InvalidConfig, PreconditionViolated and json's decode error are ValueErrors
 _INPUT_ERRORS = (SchemaError, DimensionMismatch, OSError, ValueError)
-_NUMERIC_ERRORS = (QuadratureFailure, StepSizeUnderflow, OverflowError,
+# a MemoryError is a grid or buffer too large to allocate
+_NUMERIC_ERRORS = (QuadratureFailure, StepSizeUnderflow, OverflowError, MemoryError,
                    InfiniteMass, EmptyRegion, BudgetExceeded)
 
 
@@ -166,9 +167,9 @@ def _cmd_simulate(opts) -> int:
     cfg = SimConfig(T=opts.T, dt=opts.dt, eps_trunc=opts.eps,
                     positivity_mode=opts.positivity, record_jumps=opts.record_jumps)
     x0 = _vector(opts.x0)
+    template = _path_template(cfg.grid(), p.d)
     out_dir = Path(opts.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    template = _path_template(cfg.grid(), p.d)
     for k in range(opts.n):
         rng = block_generator(opts.seed, k)
         path_obj = simulate_path(p, x0, cfg, rng)

@@ -156,10 +156,13 @@ def _convergent(value):
 def _convergent_integral(method):
     """A region or kinked integral of a finite-activity family, checked by
     :func:`_convergent`; an overflowing density scale or shell integrand
-    gives inf or NaN."""
+    gives inf or NaN, without a numpy warning (one error-state context per
+    integral, not per integrand evaluation)."""
     @functools.wraps(method)
     def checked(*args):
-        return _convergent(method(*args))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value = method(*args)
+        return _convergent(value)
     return checked
 
 

@@ -40,13 +40,13 @@ max(1, min(n_steps, _CHUNK_VALUES // (n * d))), the state-independent noise
 of the whole chunk, that is the diffusion normals of all m steps, then the
 immigration total of the chunk, each arrival's step (m > 1), owner and
 size; then per step, only for a branching type that fires, its Poisson
-count, its new gap, the owners, sizes, and the thinning marks when k = 2 or
-a block records jumps. A one-path block draws no owners. A Poisson total
-spread uniformly over the m * n (step, path) cells gives independent
-Poisson counts per cell, and a carried gap gives each step a Poisson count
-independent of the others, so neither changes the law. A fixed Generator state thus
-reproduces paths bit-for-bit; counter-based substreams for block-parallel
-runs live in :func:`block_generator`.
+count, its new gap, the owners, sizes, and the thinning marks when k = 2,
+for a single path, or when a block records jumps. A one-path block draws no
+owners. A Poisson total spread uniformly over the m * n (step, path) cells
+gives independent Poisson counts per cell, and a carried gap gives each step
+a Poisson count independent of the others, so neither changes the law. A
+fixed Generator state thus reproduces paths bit-for-bit; counter-based
+substreams for block-parallel runs live in :func:`block_generator`.
 
 A single path, as ``cbi simulate`` writes them, is held as d Python floats
 and advanced by a straight-line step generated once per dimension
@@ -99,7 +99,12 @@ class SimConfig:
         """The number k of steps of length dt in the time t, which must be a
         whole multiple of dt: |k dt - t| <= 1e-9 max(1, t), and k = 0 only
         at t = 0. A time whose step count overflows raises OverflowError."""
-        k = round(t / self.dt) if 0.0 <= t < math.inf else -1
+        k = -1
+        if 0.0 <= t < math.inf:
+            if t / self.dt == math.inf:
+                raise OverflowError(
+                    f"time {t} holds too many steps of dt = {self.dt} to count")
+            k = round(t / self.dt)
         if k < 0 or (k == 0) != (t == 0.0) or abs(k * self.dt - t) > 1e-9 * max(1.0, t):
             raise InvalidConfig(
                 f"time {t} is not a non-negative integer multiple of dt = {self.dt}")
@@ -115,7 +120,12 @@ class SimConfig:
 
     @functools.cached_property
     def _grid(self):
-        grid = np.linspace(0.0, self.T, self.n_steps + 1)
+        n_steps = self.n_steps
+        try:
+            grid = np.linspace(0.0, self.T, n_steps + 1)
+        except MemoryError as exc:
+            raise MemoryError(f"the grid of T = {self.T} and dt = {self.dt} has "
+                              f"{n_steps} steps, too many to build") from exc
         grid.setflags(write=False)
         return grid
 
@@ -258,8 +268,8 @@ def _euler(p, X, beta, cfg, rng, observe=None):
     simulated branching mass at the start of the call; per chunk of at most
     _CHUNK_VALUES normals the Gaussian increments and the immigration
     arrivals; per step, only for a type that fires, its Poisson count, its
-    new gap, then the owners (n > 1), sizes and marks (k = 2 or jumps
-    recorded).
+    new gap, then the owners (n > 1), sizes and marks (k = 2, a single path
+    or jumps recorded).
 
     The state has two representations; the draws, the jumps and the event
     log above are the same code for both. A single path (k * n = 1) is a
@@ -405,7 +415,9 @@ def _euler(p, X, beta, cfg, rng, observe=None):
                     owner_bound = bound[owners]
                 sizes = sample_parts(parts, total, rng)
                 marks = None
-                if k > 1 or events is not None:
+                # a single path draws its marks whether or not it logs them,
+                # so that recording its jumps leaves its path unchanged
+                if k > 1 or floats or events is not None:
                     marks = rng.random(total) * owner_bound
                 if floats:
                     _add_floats(x, sizes)

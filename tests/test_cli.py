@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from cbi.cli import _path_template, _write_jump_csv, _write_path_csv, main
 from cbi.config import dumps_canonical, format_float, params_to_json, parse_float
@@ -167,19 +168,43 @@ class TestScalarCommands:
         assert parse_float(blob["beta_tilde"][0]) == der.beta_tilde[0]
 
 
+def scenario_sim_args(tmp_path, name):
+    """simulate arguments for a bundled scenario's parameters, initial
+    state, horizon, step, seed and cutoff."""
+    s = load_scenario(name)
+    path = tmp_path / f"{name}-params.json"
+    path.write_text(dumps_canonical(params_to_json(s.params)))
+    return [str(path), "--x0", ",".join(repr(float(v)) for v in s.x0),
+            "--T", repr(s.t), "--dt", repr(s.dt), "--seed", str(s.seed),
+            "--eps", repr(s.eps_trunc)]
+
+
 class TestSimulateCommand:
     def run_sim(self, cir_file, out_dir, extra=()):
         return main(["simulate", cir_file, "--x0", "1.0", "--T", "0.25",
                      "--dt", "0.03125", "--n", "2", "--seed", "11",
                      "--out", str(out_dir), *extra])
 
-    def test_artifacts_byte_identical_across_runs(self, cir_file, tmp_path, capsys):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert self.run_sim(cir_file, a) == 0
-        assert self.run_sim(cir_file, b) == 0
+    # S3 (d = 2) and S4 (d = 1) run the generated one-path step of their
+    # dimension, S3 also in clamp mode
+    @pytest.mark.parametrize("name, mode", [
+        ("cir", "raw"), ("S3", "raw"), ("S3", "clamp"), ("S4", "raw")])
+    def test_artifacts_byte_identical_across_runs(self, name, mode, cir_file, tmp_path,
+                                                  capsys):
+        # two recorded runs write the same bytes, and --record-jumps only adds
+        # the jump files: the paths of an unrecorded run are the same bytes
+        # (20 paths: of S4's, only paths 14 and 19 draw a branching mark)
+        args = ([cir_file, "--x0", "1.0", "--T", "0.25", "--dt", "0.03125", "--seed", "11"]
+                if name == "cir" else scenario_sim_args(tmp_path, name))
+        runs = {}
+        for run, extra in [("a", ["--record-jumps"]), ("b", ["--record-jumps"]), ("c", [])]:
+            out = tmp_path / run
+            assert main(["simulate", *args, "--n", "20", "--positivity", mode,
+                         "--out", str(out), *extra]) == 0
+            runs[run] = {f.name: f.read_bytes() for f in out.iterdir()}
         capsys.readouterr()
-        for name in ("path_00000.csv", "path_00001.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert len(runs["a"]) == 40 and runs["a"] == runs["b"]
+        assert runs["c"] == {k: v for k, v in runs["a"].items() if k.startswith("path_")}
 
     def test_header_format(self, cir_file, tmp_path, capsys):
         out = tmp_path / "c"
@@ -206,24 +231,31 @@ class TestSimulateCommand:
 
 
 class TestSimulateInputs:
-    """Inputs the simulation cannot honour exit 2 before any path is written."""
+    """Inputs the simulation cannot honour exit 2, and a time grid too large
+    to count or to build exits 4, before any path is written."""
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--x0", "4,nan", "x0 must be finite"),
-        ("--x0", "4,inf", "x0 must be finite"),
-        ("--T", "inf", "T must be positive and finite"),
-        ("--n", "0", "--n must be at least 1"),
-        ("--n", "-3", "--n must be at least 1"),
-        ("--seed", "1180591620717411303424", "must lie in [0, 2**64)"),
-        ("--seed", "-1", "must lie in [0, 2**64)"),
+    @pytest.mark.parametrize("flag, value, code, message", [
+        ("--x0", "4,nan", 2, "x0 must be finite"),
+        ("--x0", "4,inf", 2, "x0 must be finite"),
+        ("--T", "inf", 2, "T must be positive and finite"),
+        ("--n", "0", 2, "--n must be at least 1"),
+        ("--n", "-3", 2, "--n must be at least 1"),
+        ("--seed", "1180591620717411303424", 2, "must lie in [0, 2**64)"),
+        ("--seed", "-1", 2, "must lie in [0, 2**64)"),
+        # 3.2e16 steps: numpy refuses the 256 PiB grid before allocating
+        ("--T", "1e15", 4, "MemoryError: the grid of T = 1000000000000000.0 and "
+                           "dt = 0.03125 has 32000000000000000 steps"),
+        ("--T", "1e308", 4, "OverflowError: time 1e+308 holds too many steps of "
+                            "dt = 0.03125"),
     ])
-    def test_exit_two(self, flag, value, message, tmp_path, capsys):
+    def test_exit_code(self, flag, value, code, message, tmp_path, capsys):
         path = write_params(tmp_path, "pair.json", PAIR)
         args = {"--x0": "4,1", "--T": "0.25", "--dt": "0.03125", "--n": "2",
                 "--seed": "11", "--out": str(tmp_path / "out"), flag: value}
-        assert main(["simulate", path, *(x for kv in args.items() for x in kv)]) == 2
+        assert main(["simulate", path, *(x for kv in args.items() for x in kv)]) == code
         captured = capsys.readouterr()
         assert message in captured.err
+        assert "Traceback" not in captured.err
         assert "wrote" not in captured.out
         assert not list(tmp_path.glob("out/*.csv"))
 
@@ -238,6 +270,7 @@ class TestNonFiniteParams:
         "validate": [],
         "simulate": ["--x0", "1,1", "--T", "0.25", "--dt", "0.0625", "--seed", "1"],
         "laplace": ["--x", "1,1", "--lam", "1,1", "--t", "1"],
+        "mean": ["--m0", "1,1", "--t", "1"],
     }
 
     @staticmethod
@@ -255,7 +288,7 @@ class TestNonFiniteParams:
         }[field]
 
     # json writes the floats as the tokens Infinity and NaN
-    @pytest.mark.parametrize("command", ["validate", "simulate", "laplace"])
+    @pytest.mark.parametrize("command", ARGS)
     @pytest.mark.parametrize("value", [math.inf, math.nan, "inf"])
     @pytest.mark.parametrize("field", ["c", "beta", "B", "atom_z", "atom_w", "mass",
                                        "rates", "alpha", "theta", "scale"])
@@ -350,10 +383,37 @@ class TestNumericOverflow:
         assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
+def test_far_apart_rates_derive_matches_reference(tmp_path, capsys):
+    # product-exponential rates 1e5 apart: D[1][0] = 1/2 - int z_2
+    # 1{||z|| >= 1} mu_1(dz) against a one-dimensional reference in
+    # u = 1e5 z_1 (the z_2 integral exact), or a numeric failure, never a
+    # silently wrong value
+    params = dict(PAIR, c=[0.5, 0.5], beta=[0.5, 0.5], mu=[
+        {"family": "product_exponential", "mass": 1, "rates": [1e5, 2]}, None])
+    path = write_params(tmp_path, "far-rates.json", params)
+    out = tmp_path / "derived.json"
+    code = main(["derive", path, "--json-out", str(out)])
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 4:
+        return
+    assert code == 0
+
+    def f(u):
+        a = 2.0 * math.sqrt(max(1.0 - (u / 1e5) ** 2, 0.0))
+        return math.exp(-u) * (1.0 + a) * math.exp(-a) / 2.0
+
+    want = 0.5 - integrate.quad(f, 0.0, 800.0, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+    got = parse_float(json.loads(out.read_text())["D"][1][0])
+    assert abs(got - want) <= 1e-8
+
+
 class TestTemperedEdgeFiles:
     """Tempered leaves whose region integrals quadrature could not take: a
     density z^(s-1) with s = p - alpha near 0, and a tail out to
-    1/theta = 1e6. Every command runs them."""
+    1/theta = 1e6; and a d = 2 mixture of tempered leaves and product
+    exponentials, which runs the closed-form Laplace exponents and the
+    rejection sampler. Every command runs them, and their paths repeat byte
+    for byte."""
 
     LEAF = {"family": "tempered_power_law", "axis": 1, "alpha": 0.99999,
             "theta": 1.0, "scale": 0.1}
@@ -362,24 +422,36 @@ class TestTemperedEdgeFiles:
         "nu-alpha-near-one": dict(BASE, nu=LEAF),
         "mu-alpha-near-two": dict(BASE, mu=[dict(LEAF, alpha=1.9999)]),
         "nu-long-tail": dict(BASE, nu=dict(LEAF, alpha=0.5, theta=1e-6)),
+        "mixture-d2": {
+            "d": 2, "c": [0.3, 0.0], "beta": [0.2, 0.5], "B": [[-1, 0.3], [0.2, -0.8]],
+            "nu": {"family": "mixture", "components": [
+                {"family": "product_exponential", "mass": 0.5, "rates": [2, 3]},
+                {"family": "tempered_power_law", "axis": 1, "alpha": 0.6, "theta": 2,
+                 "scale": 0.3}]},
+            "mu": [{"family": "product_exponential", "mass": 0.2, "rates": [1, 4]},
+                   {"family": "tempered_power_law", "axis": 2, "alpha": 1.5, "theta": 1,
+                    "scale": 0.2}]},
     }
 
     @pytest.mark.parametrize("name", FILES)
     def test_every_command_exits_zero(self, name, tmp_path, capsys):
         path = write_params(tmp_path, f"{name}.json", self.FILES[name])
+        x = ",".join(["1"] * self.FILES[name]["d"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["validate", path]) == 0
             assert "admissible: True" in capsys.readouterr().out
             for command, args in [
                 ("derive", []),
-                ("mean", ["--m0", "1", "--t", "1"]),
-                ("laplace", ["--x", "1", "--lam", "1", "--t", "1"]),
-                ("simulate", ["--x0", "1", "--T", "1", "--dt", "0.0625", "--seed", "3",
-                              "--n", "2", "--out", str(tmp_path / "out")]),
+                ("mean", ["--m0", x, "--t", "1"]),
+                ("laplace", ["--x", x, "--lam", x, "--t", "1"]),
+                *(("simulate", ["--x0", x, "--T", "1", "--dt", "0.0625", "--seed", "3",
+                                "--n", "2", "--record-jumps", "--out", str(tmp_path / run)])
+                  for run in ("a", "b")),
             ]:
                 assert main([command, path, *args]) == 0, command
-        assert len(list(tmp_path.glob("out/*.csv"))) == 2
+        a, b = ({f.name: f.read_bytes() for f in (tmp_path / run).iterdir()} for run in "ab")
+        assert len(a) == 4 and a == b
 
 
 def reference_path_csv(path_obj) -> str:

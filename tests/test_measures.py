@@ -260,6 +260,7 @@ class TestProductExponentialShells:
 
     @pytest.mark.parametrize("first", [True, False], ids=["large-first", "large-second"])
     @pytest.mark.parametrize("rate", FAR_RATES)
+    @pytest.mark.filterwarnings("error")
     def test_far_apart_rates_match_reference(self, rate, first):
         # every shell mass meets the quadrature policy against the scaled
         # one-dimensional reference, or fails as a numeric error (exit 4):
@@ -269,9 +270,7 @@ class TestProductExponentialShells:
         masses = {}
         for region in self.REGION_KINDS:
             try:
-                # numpy's overflow warnings are off, as in params.validate
-                with np.errstate(over="ignore", invalid="ignore"):
-                    got = m.mass(region)
+                got = m.mass(region)
             except OverflowError:
                 assert rate > 1e150
                 continue
@@ -699,8 +698,7 @@ class TestConstruction:
 
 class TestOverflow:
     """An integral that converges by construction but overflows raises
-    OverflowError; +inf stays a divergence. (params.validate and derive
-    silence numpy's overflow warnings on the way; test_cli checks that.)"""
+    OverflowError, without a numpy warning; +inf stays a divergence."""
 
     @pytest.mark.parametrize("integral", [
         lambda: DiscreteAtoms(1, [(np.array([2.0]), 1.7e308),
@@ -708,14 +706,16 @@ class TestOverflow:
         lambda: ProductExponential(1e308, [0.5]).coord(0, ALL),
         lambda: ProductExponential(1e308, [1.0, 2.0]).mass(LARGE_JUMPS),
         lambda: ProductExponential(1.0, [1e308, 2.0]).norm_sq_moment(SMALL_JUMPS),
+        # 2 / theta^2 at theta = 1e-200: theta^2 underflows to 0
+        lambda: ProductExponential(1.0, [1e-200, 2.0]).norm_sq_moment(ALL),
         # 1e308 Gamma(1/2) theta^(-1/2) = 3.5e308 at theta = 1/4
         lambda: TemperedPowerLawAxis(1, 0, alpha=0.5, theta=0.25, scale=1e308).coord(0, ALL),
     ], ids=["atom-sum", "product-closed-form", "product-shell",
-            "product-scale", "tempered-closed-form"])
+            "product-scale", "product-tiny-rate", "tempered-closed-form"])
+    @pytest.mark.filterwarnings("error")
     def test_finite_integral_overflow_raises(self, integral):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(OverflowError):
-                integral()
+        with pytest.raises(OverflowError):
+            integral()
 
     def test_divergence_stays_infinite(self):
         m = TemperedPowerLawAxis(1, 0, alpha=0.5, theta=1.0, scale=1e308)

@@ -11,6 +11,7 @@ Usage: python3 tools/calibrate_bias.py [--n-paths 400000] [--threads 4]
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,9 +19,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cbi import moments, riccati
 from cbi.config import dumps_canonical
-from cbi.montecarlo import estimate_laplace_grid, estimate_mean
+from cbi.montecarlo import verify_laplace, verify_mean
 from cbi.scenarios import BUNDLED_NAMES, load_scenario, scenario_to_json
 
 CAL_SEED = 990_001  # separate from verification seeds: calibration is out-of-sample
@@ -32,24 +32,20 @@ def headroom(bias, se, dt):
 
 
 def calibrate(name, n_paths, threads):
-    """(C_mean, C_laplace) of one scenario, rounded as the file stores them."""
-    s = load_scenario(name)
-    p, cfg = s.params, s.sim_config()
+    """(C_mean, C_laplace) of one scenario, rounded as the file stores them,
+    from the scenario's own verification run at n_paths and CAL_SEED."""
+    s = dataclasses.replace(load_scenario(name), n_paths=n_paths, seed=CAL_SEED)
 
-    analytic = moments.mean(p, s.x0, s.t)
-    value, se = estimate_mean(p, s.x0, s.t, n_paths, cfg, CAL_SEED, threads=threads)
-    bias = np.abs(value - analytic)
-    c_mean = max(0.25, headroom(bias, se, s.dt))
-    print(f"{name}: mean bias {bias} se {se} -> C_mean {c_mean:.3f}")
+    report = verify_mean(s, threads=threads)
+    bias = np.abs(report.estimate - report.analytic)
+    c_mean = max(0.25, headroom(bias, report.stderr, s.dt))
+    print(f"{name}: mean bias {bias} se {report.stderr} -> C_mean {c_mean:.3f}")
 
     c_laplace = 0.25
     if s.laplace_points:
-        exact = riccati.laplace_grid(p, s.x0, s.laplace_points,
-                                     rtol=1e-10, atol=1e-12)
-        values, ses = estimate_laplace_grid(p, s.x0, s.laplace_points, n_paths,
-                                            cfg, CAL_SEED, threads=threads)
-        lbias = np.abs(values - exact)
-        c_laplace = max(0.1, headroom(lbias, ses, s.dt))
+        report = verify_laplace(s, threads=threads)
+        lbias = np.abs(report.estimate - report.analytic)
+        c_laplace = max(0.1, headroom(lbias, report.stderr, s.dt))
         print(f"{name}: laplace bias {lbias} -> C_laplace {c_laplace:.3f}")
     return round(c_mean, 3), round(c_laplace, 3)
 
