@@ -46,7 +46,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 # quad_strict is bound here for the benchmark's tracer (perfbench/tracing.py),
 # which wraps both quadratures of this module by name
@@ -287,18 +286,83 @@ class DiscreteAtoms(JumpMeasure):
 
 def _orthant_direction(phis):
     """Unit vector omega in the closed positive orthant at hyperspherical angles
-    phis in [0, pi/2]^(d-1), and the surface element of S^(d-1) there."""
+    phis in [0, pi/2]^(d-1), as a list of its d coordinates, and the surface
+    element of S^(d-1) there. Each angle is a float or an array; the
+    coordinates and the element broadcast over them."""
     d = len(phis) + 1
-    omega = np.empty(d)
-    jacobian = 1.0
-    sin_prod = 1.0
-    for k, phi in enumerate(phis):
-        sin_phi = math.sin(phi)
-        omega[k] = sin_prod * math.cos(phi)
-        jacobian *= sin_phi ** (d - 2 - k)
-        sin_prod *= sin_phi
-    omega[d - 1] = sin_prod
+    omega = [np.cos(phis[0])]
+    sin_prod = np.sin(phis[0])
+    jacobian = 1.0 if d == 2 else sin_prod ** (d - 2)
+    for k, phi in enumerate(phis[1:], 1):
+        sin_phi = np.sin(phi)
+        omega.append(sin_prod * np.cos(phi))
+        if d - 2 - k:
+            jacobian = jacobian * sin_phi ** (d - 2 - k)
+        sin_prod = sin_prod * sin_phi
+    omega.append(sin_prod)
     return omega, jacobian
+
+
+# The radial factor of a product-exponential shell at integer s: with x a
+# float (exp = math.exp) or an array (exp = np.exp), these take the
+# regularised incomplete gammas P(s, x) and Q(s, x) = 1 - P(s, x) in closed
+# form. Where a x stays at most s, the shell is a difference of lower tails,
+# else of upper tails, so neither loses digits to 1 - Q.
+
+def _gamma_q(s, x, exp):
+    """Q(s, x) = e^-x sum_(j < s) x^j / j!, its terms added upward."""
+    term = total = exp(-x)
+    for j in range(1, s):
+        term = term * x / j
+        total = total + term
+    return total
+
+
+def _gamma_p_over_power(s, x, largest, exp):
+    """P(s, x) / x^s = e^-x / s! sum_n x^n / ((s + 1) ... (s + n)) for
+    0 <= x <= largest <= s, without a division by x^s; the sum, at least 1,
+    stops once its term at largest is below 1e-17."""
+    term = total = 1.0
+    bound, n = 1.0, s
+    while bound > 1e-17:
+        n += 1
+        term = term * x / n
+        total = total + term
+        bound *= largest / n
+    return exp(-x) * total / math.factorial(s)
+
+
+def _upper_tails(s, a, lo, hi, exp):
+    """Q(s, a lo) - Q(s, a hi), which is a^s / Gamma(s) times
+    int_lo^hi rho^(s-1) e^(-a rho) drho."""
+    q_hi = 0.0 if hi == INF else _gamma_q(s, a * hi, exp)
+    return _gamma_q(s, a * lo, exp) - q_hi
+
+
+def _lower_shell(s, a, lo, hi, a_max, exp):
+    """int_lo^hi rho^(s-1) e^(-a rho) drho / Gamma(s) for a hi <= s (a_max
+    the largest a), as hi^s
+    P(s, a hi) / (a hi)^s - lo^s P(s, a lo) / (a lo)^s: a rate far below 1
+    makes a^s underflow, but not these ratios."""
+    value = hi ** s * _gamma_p_over_power(s, a * hi, a_max * hi, exp)
+    if lo > 0.0:
+        value = value - lo ** s * _gamma_p_over_power(s, a * lo, a_max * lo, exp)
+    return value
+
+
+def _radial(s, a, lo, hi):
+    """int_lo^hi rho^(s-1) e^(-a rho) drho / Gamma(s) at every a of an
+    array, each branch evaluated only at the nodes that take it."""
+    upper = a * hi > s
+    if upper.all():
+        return _upper_tails(s, a, lo, hi, np.exp) / a ** s
+    if not upper.any():
+        return _lower_shell(s, a, lo, hi, float(a.max()), np.exp)
+    out = np.empty_like(a)
+    a_up, a_low = a[upper], a[~upper]
+    out[upper] = _upper_tails(s, a_up, lo, hi, np.exp) / a_up ** s
+    out[~upper] = _lower_shell(s, a_low, lo, hi, float(a_low.max()), np.exp)
+    return out
 
 
 class ProductExponential(JumpMeasure):
@@ -327,37 +391,39 @@ class ProductExponential(JumpMeasure):
         over the norm shell, in hyperspherical coordinates z = rho * omega.
 
         With a = <theta, omega> and s = d + k the radial factor
-        int_lo^hi rho^(s-1) e^(-a rho) drho is exactly Gamma(s) / a^s times a
-        difference of regularised incomplete gammas; the remaining angular
-        integral over the positive orthant of S^(d-1) is one (d-1)-dimensional
-        quadrature (none for d == 1), over the axes in ascending order of
-        rate (see :meth:`_angle_breaks`).
+        int_lo^hi rho^(s-1) e^(-a rho) drho is exactly Gamma(s) times a
+        closed-form difference of regularised incomplete gammas (see
+        :func:`_radial`); the remaining angular integral over the positive
+        orthant of S^(d-1) is one (d-1)-dimensional quadrature (none for
+        d == 1, which stays on Python floats), over the axes in ascending
+        order of rate (see :meth:`_angle_breaks`).
         """
         d = self.dim
         s = d + k
         lo, hi = region.lo, region.hi
         order = np.argsort(self.theta, kind="stable")
         theta = self.theta[order]
+        # inside the integrand, so the absolute tolerance applies to the result
+        scale = self.r * float(np.prod(theta)) * math.gamma(s)
+        if d == 1:
+            a = float(theta[0])
+            if hi == INF or a * hi > s:
+                # scale / a^s = r Gamma(s) a^-k: 0 for a huge rate, and
+                # Python's OverflowError where a tiny one overflows
+                return self.r * math.gamma(s) * _upper_tails(s, a, lo, hi, math.exp) * a ** -k
+            return scale * _lower_shell(s, a, lo, hi, a, math.exp)
+        theta = theta.tolist()
         if i is not None:
             i = order.tolist().index(i)
 
         def integrand(*phis):
             omega, jacobian = _orthant_direction(phis)
-            a = float(theta @ omega)
-            if hi == INF:
-                radial = gammaincc(s, a * lo)
-            elif a * hi <= s:
-                # lower tail: P values stay small, no 1 - Q cancellation
-                radial = gammainc(s, a * hi) - gammainc(s, a * lo)
-            else:
-                radial = gammaincc(s, a * lo) - gammaincc(s, a * hi)
+            a = theta[0] * omega[0]
+            for t, w in zip(theta[1:], omega[1:]):
+                a = a + t * w
             weight = jacobian if i is None else jacobian * omega[i]
-            return scale * weight * radial / a ** s
+            return scale * weight * _radial(s, a, lo, hi)
 
-        # inside the integrand, so the absolute tolerance applies to the result
-        scale = self.r * float(np.prod(theta)) * math.gamma(s)
-        if d == 1:
-            return integrand()
         return nquad_strict(integrand, [(0.0, 0.5 * math.pi)] * (d - 1), self._angle_breaks)
 
     @functools.cached_property
@@ -690,6 +756,8 @@ class MeasureSum(JumpMeasure):
         self.dim = comps[0].dim
         self._components = tuple(comps)
         self.is_finite_activity = all(c.is_finite_activity for c in comps)
+        self._masses_cache = {}
+        self._masses_lock = threading.Lock()
 
     def components(self):
         return self._components
@@ -725,8 +793,18 @@ class MeasureSum(JumpMeasure):
     def exp_immigration(self, lam):
         return sum(c.exp_immigration(lam) for c in self._components)
 
+    def _masses(self, region):
+        """Every component's mass on region, integrated once per region."""
+        key = (region.lo, region.hi)
+        with self._masses_lock:
+            masses = self._masses_cache.get(key)
+            if masses is None:
+                masses = self._masses_cache[key] = tuple(
+                    c.mass(region) for c in self._components)
+            return masses
+
     def sample_n(self, region, n, rng):
-        parts = [(c, region, c.mass(region)) for c in self._components]
+        parts = [(c, region, mass) for c, mass in zip(self._components, self._masses(region))]
         if any(math.isinf(mass) for _, _, mass in parts):
             raise InfiniteMass("a mixture component has infinite mass on the region")
         parts = [part for part in parts if part[2] > 0.0]

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import cbi
 from cbi.cli import _path_template, _write_jump_csv, _write_path_csv, main
 from cbi.config import dumps_canonical, format_float, params_to_json, parse_float
 from cbi.scenarios import load_scenario, scenario_to_json
@@ -179,6 +183,37 @@ def scenario_sim_args(tmp_path, name):
             "--eps", repr(s.eps_trunc)]
 
 
+def test_commands_do_not_import_scipy(tmp_path):
+    # a fresh interpreter runs every view of S3 through the CLI, against the
+    # same cbi package as this test (the checkout or the install), and never
+    # imports scipy, which only the tests need
+    sim = scenario_sim_args(tmp_path, "S3")
+    params = sim[0]
+    commands = [
+        ["validate", params],
+        ["derive", params],
+        ["mean", params, "--m0", "4,0.4", "--t", "1"],
+        ["laplace", params, "--x", "4,0.4", "--lam", "1,0.5", "--t", "1"],
+        ["simulate", *sim, "--n", "2", "--record-jumps", "--out", str(tmp_path / "paths")],
+        ["verify", "comparison", "--scenario", "S3", "--budget", "1"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from cbi.cli import main\n"
+        f"codes = [main(args) for args in {commands!r}]\n"
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'codes': codes, 'scipy': scipy}))\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cbi.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0, 0, 4]
+    assert result["scipy"] == []
+
+
 class TestSimulateCommand:
     def run_sim(self, cir_file, out_dir, extra=()):
         return main(["simulate", cir_file, "--x0", "1.0", "--T", "0.25",
@@ -348,8 +383,13 @@ class TestNumericOverflow:
                              "rates": [1.0, 2.0]})
     HUGE_RATE = dict(PAIR, mu=[{"family": "product_exponential", "mass": 1.0,
                                 "rates": [1e308, 2.0]}, None])
+    # its small-jump shells are finite (about 1e-200), but the angular weight
+    # of its large-jump first moment, about 1 / a^3 at a = 1e-200, is not
+    TINY_RATE = dict(PAIR, mu=[{"family": "product_exponential", "mass": 1.0,
+                                "rates": [1e-200, 2.0]}, None])
 
-    @pytest.mark.parametrize("params", [HUGE_NU, HUGE_RATE], ids=["nu-mass", "mu-rate"])
+    @pytest.mark.parametrize("params", [HUGE_NU, HUGE_RATE, TINY_RATE],
+                             ids=["nu-mass", "mu-rate", "mu-tiny-rate"])
     @pytest.mark.parametrize("command, args", [
         ("validate", []),
         ("derive", []),
@@ -365,7 +405,8 @@ class TestNumericOverflow:
             warnings.simplefilter("error")
             assert main([command, path, *args]) == 4
         captured = capsys.readouterr()
-        assert "numeric failure: OverflowError" in captured.err
+        assert captured.err.startswith("numeric failure: OverflowError")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
         assert "divergent" not in captured.out
 

@@ -293,6 +293,57 @@ class TestProductExponentialShells:
         with pytest.raises(QuadratureFailure, match="too far apart"):
             ProductExponential(1.5, [2.0, 1e9, 2.0]).mass(LARGE_JUMPS)
 
+    @pytest.mark.parametrize("rate", [1e80, 1e150, 1e300])
+    @pytest.mark.filterwarnings("error")
+    def test_huge_rate_moments_reach_their_limit(self, rate):
+        # as theta_0 -> inf the measure sits on the z_1 axis with density
+        # r 2 e^(-2 z_1); a^s overflows on most nodes, where the weight is
+        # below 1e-150 of its peak
+        m = ProductExponential(1.0, [rate, 2.0])
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        z = 0.5 * (nodes + 1.0)
+        density = weights * np.exp(-2.0 * z)
+
+        def on_unit(p):
+            return float(density @ z ** p)
+
+        assert m.mass(SMALL_JUMPS) == pytest.approx(-math.expm1(-2.0), rel=1e-13)
+        assert m.norm_moment(SMALL_JUMPS) == pytest.approx(on_unit(1), rel=1e-13)
+        assert m.norm_sq_moment(SMALL_JUMPS) == pytest.approx(on_unit(2), rel=1e-13)
+        assert m.norm_moment(LARGE_JUMPS) == pytest.approx(0.5 - on_unit(1), rel=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_dimensional_extreme_rates(self):
+        # on one axis the shells are elementary: int_1^inf z theta
+        # e^(-theta z) dz = (1 + theta) e^(-theta) / theta
+        tiny, huge = ProductExponential(1.0, [1e-200]), ProductExponential(1.0, [1e200])
+        assert tiny.norm_moment(LARGE_JUMPS) == pytest.approx(1e200, rel=1e-14)
+        assert tiny.mass(LARGE_JUMPS) == 1.0
+        assert tiny.norm_sq_moment(SMALL_JUMPS) == pytest.approx(1e-200 / 3.0, rel=1e-14)
+        with pytest.raises(OverflowError):
+            tiny.norm_sq_moment(LARGE_JUMPS)
+        assert huge.norm_moment(LARGE_JUMPS) == 0.0
+        # 2 / theta^2 underflows
+        assert huge.norm_sq_moment(SMALL_JUMPS) == 0.0
+
+    def test_tiny_rate_small_jump_shells(self):
+        # a rate of 1e-200 makes a^s underflow near its face; the lower-tail
+        # shells are formed without it and keep their value, about 1e-200:
+        # to first order in theta_0 the mass on the unit quarter disk is
+        # r theta_0 int_0^(pi/2) theta_1 e^(-theta_1 sin t) cos^2 t dt
+        m = ProductExponential(1.0, [1e-200, 2.0])
+        got = m.mass(SMALL_JUMPS)
+        nodes, weights = np.polynomial.legendre.leggauss(60)
+        t = (nodes + 1.0) * math.pi / 4.0
+        first_order = 1e-200 * math.pi / 4.0 * float(
+            weights @ (2.0 * np.exp(-2.0 * np.sin(t)) * np.cos(t) ** 2))
+        assert got == pytest.approx(first_order, rel=1e-12, abs=0.0)
+        want = product_exp_shell_mass_2d(1.0, [1e-200, 2.0], 0.0, 1.0)
+        assert abs(got - want) <= max(1e-12, 1e-10 * want)
+        for region in (SMALL_JUMPS, below(0.05), measures.Region(0.3, 3.0)):
+            for value in (m.mass(region), m.norm_moment(region), m.norm_sq_moment(region)):
+                assert 0.0 < value < 1e-198, region
+
     def test_s3_setup_uses_angular_quadrature_only(self, monkeypatch):
         # shell integrals must stay (d-1)-dimensional, never d-dimensional
         scenario = load_scenario("S3")
@@ -722,6 +773,62 @@ class TestOverflow:
         assert m.mass(ALL) == math.inf
 
 
+class TestIncompleteGamma:
+    """The closed-form regularised incomplete gammas at integer order s =
+    d + k against scipy.special, on both sides of the lower/upper split."""
+
+    XS = np.concatenate([[1e-300, 1e-200, 1e-100, 1e-30], np.logspace(-12, 3, 200)])
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_upper_tail(self, s):
+        from scipy.special import gammaincc
+
+        for exp, xs in ((np.exp, self.XS), (math.exp, self.XS.tolist())):
+            got = np.array([measures._gamma_q(s, x, exp) for x in xs]) if exp is math.exp \
+                else measures._gamma_q(s, xs, exp)
+            want = gammaincc(s, np.asarray(xs))
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_lower_tail_over_power(self, s):
+        # P(s, x) / x^s on its domain x <= s; x^s underflows below about
+        # 1e-300^(1/s), where the ratio is 1/s! to double precision
+        from scipy.special import gammainc
+
+        xs = self.XS[self.XS <= s]
+        got = measures._gamma_p_over_power(s, xs, float(xs.max()), np.exp)
+        # one node at a time the sum stops at its own term, not the largest's
+        scalar = [measures._gamma_p_over_power(s, x, x, math.exp) for x in xs.tolist()]
+        assert np.allclose(got, scalar, rtol=1e-15, atol=0.0)
+        power = xs ** s
+        ok = power > 1e-290
+        assert np.allclose(got[ok] * power[ok], gammainc(s, xs[ok]), rtol=1e-13, atol=0.0)
+        assert np.allclose(got[~ok], 1.0 / math.factorial(s), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.05, 0.4), (0.3, 3.0), (1.0, math.inf),
+                                        (0.0, math.inf)])
+    def test_radial_factor_takes_each_branch(self, lo, hi):
+        # a from 0.1 to 40: a hi on both sides of s, so both branches run
+        # in one array and must agree with the per-node scalar evaluation
+        from scipy.special import gammainc, gammaincc
+
+        a = np.logspace(-1.0, 1.6, 57)
+        for s in (2, 3, 4):
+            got = measures._radial(s, a, lo, hi)
+            if hi == math.inf:
+                want = gammaincc(s, a * lo) / a ** s
+            else:
+                want = (gammainc(s, a * hi) - gammainc(s, a * lo)) / a ** s
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            scalar = []
+            for x in a.tolist():
+                if hi == math.inf or x * hi > s:
+                    scalar.append(measures._upper_tails(s, x, lo, hi, math.exp) / x ** s)
+                else:
+                    scalar.append(measures._lower_shell(s, x, lo, hi, x, math.exp))
+            assert np.allclose(got, scalar, rtol=1e-14, atol=0.0)
+
+
 class TestMixture:
     def test_operations_distribute(self):
         a = atom1(2.0, 3.0)
@@ -734,3 +841,25 @@ class TestMixture:
     def test_nested_mixtures_flatten(self):
         m = MeasureSum([MeasureSum([atom1(1.0, 1.0)]), atom1(2.0, 1.0)])
         assert len(m.components()) == 2
+
+    def test_sampling_integrates_each_mass_once(self, monkeypatch):
+        # atoms plus a tempered leaf: 100 draws of 3 on two regions take each
+        # component's mass once per region, and draw the same bits as the
+        # parts built afresh
+        leaf = TemperedPowerLawAxis(2, 0, alpha=0.7, theta=2.0, scale=0.4)
+        atoms = DiscreteAtoms(2, [(np.array([0.5, 0.2]), 1.0), (np.array([0.1, 2.0]), 0.5)])
+        m = MeasureSum([atoms, leaf])
+        calls = []
+        for comp in m.components():
+            mass = comp.mass
+            monkeypatch.setattr(comp, "mass", lambda region, _mass=mass: (
+                calls.append((id(_mass), region)), _mass(region))[1])
+        regions = [above(0.05), measures.Region(0.3, 3.0)]
+        rng = np.random.default_rng(5)
+        got = [m.sample_n(regions[k % 2], 3, rng) for k in range(100)]
+        assert len(calls) == 4 and len(set(calls)) == 4
+        rng = np.random.default_rng(5)
+        for k, draws in enumerate(got):
+            region = regions[k % 2]
+            parts = [(c, region, c.mass(region)) for c in m.components()]
+            assert np.array_equal(draws, measures.sample_parts(parts, 3, rng))

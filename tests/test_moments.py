@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cbi.moments import integrated_expm, mean
-from cbi.params import AdmissibleParams
+from cbi.moments import expm, integrated_expm, mean
+from cbi.params import AdmissibleParams, derive
 from cbi.riccati import laplace_transform
+from cbi.scenarios import load_scenario
 
 from helpers import random_discrete_params
 
@@ -37,6 +38,49 @@ class TestExpmAction:
             total += term
         propagator, _ = integrated_expm(A, 1.0)
         assert np.allclose(propagator @ v, total, rtol=1e-12)
+
+
+class TestExpm:
+    """The numpy Pade exponential against scipy's, and exact where it can be."""
+
+    def test_matches_scipy_on_random_matrices(self):
+        # 1-norms from 1e-3 to 8, so every Pade degree and a few squarings
+        # run; scipy's own error at these norms is about 1e-14 (against a
+        # 40-digit reference)
+        from scipy.linalg import expm as scipy_expm
+
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 4, 6, 8):
+            for norm in (1e-3, 0.05, 0.5, 1.5, 3.0, 8.0):
+                A = rng.normal(size=(n, n))
+                A *= norm / np.linalg.norm(A, 1)
+                want = scipy_expm(A)
+                assert np.abs(expm(A) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
+    def test_matches_scipy_on_scenario_blocks(self, name):
+        # the augmented block [[B_tilde, I], [0, 0]] t that mean exponentiates
+        from scipy.linalg import expm as scipy_expm
+
+        s = load_scenario(name)
+        A = derive(s.params).B_tilde
+        d = len(A)
+        block = np.zeros((2 * d, 2 * d))
+        block[:d, :d] = A
+        block[:d, d:] = np.eye(d)
+        want = scipy_expm(s.t * block)
+        assert np.abs(expm(s.t * block) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exact_on_zero_diagonal_and_nilpotent_blocks(self, d):
+        assert np.array_equal(expm(np.zeros((d, d))), np.eye(d))
+        diagonal = np.linspace(-2.0, 1.5, d)
+        assert np.array_equal(expm(np.diag(diagonal)), np.diag(np.exp(diagonal)))
+        nilpotent = np.zeros((2 * d, 2 * d))
+        nilpotent[:d, d:] = np.eye(d)
+        want = np.eye(2 * d)
+        want[:d, d:] = np.eye(d)
+        assert np.array_equal(expm(nilpotent), want)
 
 
 class TestMean:
