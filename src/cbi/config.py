@@ -74,6 +74,21 @@ def dumps_canonical(obj, indent=0) -> str:
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
+# what a numeric field of a parameter or scenario file must be: (description,
+# test of a JSON number); a seed's range is checked where its substreams are keyed
+_INTEGER = ("an integer", lambda v: isinstance(v, int) or v.is_integer())
+_COUNT = ("an integer of at least 1", lambda v: _INTEGER[1](v) and v >= 1)
+_POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = ("a non-negative finite number", lambda v: 0 <= v < math.inf)
+
+
+def _number(value, name, kind):
+    what, ok = kind
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+        raise SchemaError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def parse_float(value) -> float:
     if value == "inf":
         return float("inf")
@@ -143,7 +158,7 @@ def params_from_json(obj) -> AdmissibleParams:
     if not isinstance(obj, dict):
         raise SchemaError("parameter file must hold a JSON object")
     try:
-        d = int(obj["d"])
+        d = int(_number(obj["d"], "d", _COUNT))
         c = [parse_float(v) for v in obj["c"]]
         beta = [parse_float(v) for v in obj["beta"]]
         B = [[parse_float(v) for v in row] for row in obj["B"]]

@@ -12,14 +12,16 @@ verification outcomes are reproducible bit for bit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .config import SchemaError, params_from_json, params_to_json
+from .config import (
+    _COUNT, _INTEGER, _NON_NEGATIVE, _POSITIVE, SchemaError, _number,
+    params_from_json, params_to_json,
+)
 from .errors import CbiError
 from .params import DEFAULT_EPS_TRUNC, AdmissibleParams, DerivedParams, derive
 from .simulate import SimConfig
@@ -49,21 +51,6 @@ class Scenario:
 
     def derived(self) -> DerivedParams:
         return derive(self.params, self.eps_trunc)
-
-
-# what a numeric scenario field must be: (description, test of a JSON number);
-# a seed's range is checked where its substreams are keyed
-_INTEGER = ("an integer", lambda v: isinstance(v, int) or v.is_integer())
-_COUNT = ("an integer of at least 1", lambda v: _INTEGER[1](v) and v >= 1)
-_POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
-_NON_NEGATIVE = ("a non-negative finite number", lambda v: 0 <= v < math.inf)
-
-
-def _number(value, name, kind):
-    what, ok = kind
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
-        raise SchemaError(f"{name} must be {what}, got {value!r}")
-    return value
 
 
 def _comparison_from_json(comp, d):

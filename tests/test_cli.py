@@ -83,6 +83,18 @@ class TestValidateCommand:
         assert main(["validate", path]) == 2
         assert "schema error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params, d", [
+        (PAIR, 2.5), (PAIR, "2"), (CIR, True), (CIR, 0),
+    ], ids=["fraction", "string", "bool", "zero"])
+    def test_non_count_dimension_exit_two(self, params, d, tmp_path, capsys):
+        # d is not truncated or coerced to the count the file's arrays have
+        path = write_params(tmp_path, "dim.json", dict(params, d=d))
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert (f"schema error: SchemaError: d must be an integer of at least 1, "
+                f"got {d!r}") in captured.err
+        assert not captured.out
+
     def test_json_artifact(self, cir_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         main(["validate", cir_file, "--json-out", str(out)])

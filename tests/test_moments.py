@@ -41,12 +41,11 @@ class TestExpmAction:
 
 
 class TestExpm:
-    """The numpy Pade exponential against scipy's, and exact where it can be."""
+    """The numpy Taylor exponential against scipy's, and exact where it can be."""
 
     def test_matches_scipy_on_random_matrices(self):
-        # 1-norms from 1e-3 to 8, so every Pade degree and a few squarings
-        # run; scipy's own error at these norms is about 1e-14 (against a
-        # 40-digit reference)
+        # 1-norms from 1e-3 to 8, so from no squaring up to five; scipy's own
+        # error at these norms is about 1e-14 (against a 40-digit reference)
         from scipy.linalg import expm as scipy_expm
 
         rng = np.random.default_rng(23)
@@ -70,6 +69,21 @@ class TestExpm:
         block[:d, d:] = np.eye(d)
         want = scipy_expm(s.t * block)
         assert np.abs(expm(s.t * block) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
+    def test_matches_scipy_where_squaring_dominates(self, name):
+        # horizons up to mean's limit ||t B_tilde||_1 = 500, where the block
+        # is scaled down by up to 2^13 and squared back as often
+        from scipy.linalg import expm as scipy_expm
+
+        A = derive(load_scenario(name).params).B_tilde
+        d = len(A)
+        block = np.zeros((2 * d, 2 * d))
+        block[:d, :d] = A
+        block[:d, d:] = np.eye(d)
+        for t in (10.0, 100.0, 500.0 / np.linalg.norm(A, 1)):
+            want = scipy_expm(t * block)
+            assert np.abs(expm(t * block) - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_exact_on_zero_diagonal_and_nilpotent_blocks(self, d):
