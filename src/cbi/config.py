@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import CbiError
+from .errors import CbiError, DimensionMismatch
 from .measures import (
     DiscreteAtoms, JumpMeasure, MeasureSum, ProductExponential,
     TemperedPowerLawAxis,
@@ -118,7 +118,8 @@ def measure_from_json(obj, dim: int) -> JumpMeasure | None:
                 raise SchemaError("product_exponential rates must have length d")
             return ProductExponential(float(obj["mass"]), rates)
         if family == "tempered_power_law":
-            axis = int(obj["axis"]) - 1  # 1-based in files
+            # 1-based in files
+            axis = int(_number(obj["axis"], "tempered_power_law axis", _COUNT)) - 1
             return TemperedPowerLawAxis(
                 dim, axis, alpha=float(obj["alpha"]), theta=float(obj["theta"]),
                 scale=float(obj["scale"]))
@@ -159,6 +160,9 @@ def params_from_json(obj) -> AdmissibleParams:
         raise SchemaError("parameter file must hold a JSON object")
     try:
         d = int(_number(obj["d"], "d", _COUNT))
+        # before anything of size d is built: a huge d would exhaust memory
+        if d != len(obj["c"]):
+            raise DimensionMismatch(f"c must have shape ({d},), got ({len(obj['c'])},)")
         c = [parse_float(v) for v in obj["c"]]
         beta = [parse_float(v) for v in obj["beta"]]
         B = [[parse_float(v) for v in row] for row in obj["B"]]

@@ -505,9 +505,11 @@ class ProductExponential(JumpMeasure):
         return self.r * (1.0 - self._laplace(np.asarray(lam, dtype=float)))
 
     def sample_n(self, region, n, rng):
+        # standard_exponential(shape) * scale are the floats exponential(scale,
+        # shape) draws, without its per-call broadcasting of scale
         scale = 1.0 / self.theta
         if region.lo == 0.0 and region.hi == INF:
-            return rng.exponential(scale, size=(n, self.dim))
+            return rng.standard_exponential((n, self.dim)) * scale
         accept_p = self.mass(region) / self.r
         if accept_p <= 0.0:
             raise EmptyRegion("product-exponential mass vanishes on the region")
@@ -518,7 +520,7 @@ class ProductExponential(JumpMeasure):
         out = np.empty((n, self.dim))
         filled = 0
         while filled < n:
-            draws = rng.exponential(scale, size=(max(n - filled, 64), self.dim))
+            draws = rng.standard_exponential((max(n - filled, 64), self.dim)) * scale
             take = draws[region.contains(np.linalg.norm(draws, axis=1))]
             k = min(len(take), n - filled)
             out[filled:filled + k] = take[:k]

@@ -19,7 +19,10 @@ for a time on the Euler grid.
 
 One step kernel advances a stack of k block states that share all noise:
 k = 1 is a block of independent paths, k = 2 the coupled pair of
-:func:`simulate_coupled_block`. Jump counts are superposed: the candidates of
+:func:`simulate_coupled_block`, and k = 4 that pair at dt and at 2 dt, on
+one grid of step dt. A state with refresh period q reads its left endpoint
+only every q-th step, so that q short steps make one long Euler step in
+law. Jump counts are superposed: the candidates of
 a measure over a whole block form one Poisson process whose points are split
 among the n paths in proportion to their intensities (uniformly for
 immigration), which has the law of independent per-path counts. Each
@@ -40,13 +43,13 @@ max(1, min(n_steps, _CHUNK_VALUES // (n * d))), the state-independent noise
 of the whole chunk, that is the diffusion normals of all m steps, then the
 immigration total of the chunk, each arrival's step (m > 1), owner and
 size; then per step, only for a branching type that fires, its Poisson
-count, its new gap, the owners, sizes, and the thinning marks when k = 2,
+count, its new gap, the owners, sizes, and the thinning marks when k > 1,
 for a single path, or when a block records jumps. A one-path block draws no
 owners. A Poisson total spread uniformly over the m * n (step, path) cells
 gives independent Poisson counts per cell, and a carried gap gives each step
 a Poisson count independent of the others, so neither changes the law. A
-fixed Generator state thus reproduces paths bit-for-bit; counter-based
-substreams for block-parallel runs live in :func:`block_generator`.
+fixed Generator state thus reproduces paths bit-for-bit; the spawned SFC64
+substreams of block-parallel runs come from :func:`block_generator`.
 
 A single path, as ``cbi simulate`` writes them, is held as d Python floats
 and advanced by a straight-line step generated once per dimension
@@ -152,12 +155,16 @@ class Path:
 
 
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
-    """Counter-based substream for one path block; scheduling-independent."""
+    """The random stream of one path block: SFC64 seeded by child block_index
+    of the seed sequence of seed, SeedSequence(seed).spawn(block_index + 1)
+    [block_index]. A spawn key, unlike list entropy, keeps distinct (seed,
+    index) pairs apart, and no stream depends on how blocks are scheduled."""
     key = [int(seed), int(block_index)]
     if not all(0 <= v < 2 ** 64 for v in key):
         raise InvalidConfig(
             f"seed {seed} and block index {block_index} must lie in [0, 2**64)")
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(key[0], spawn_key=(key[1],))))
 
 
 def _log(events, time, kind, j, owners, sizes, marks):
@@ -246,14 +253,28 @@ def _add_floats(x, sizes):
 # an overflowing array state ends in the final-state check's OverflowError,
 # which reports it; no numpy warnings on the way
 @np.errstate(over="ignore", invalid="ignore")
-def _euler(p, X, beta, cfg, rng, observe=None):
+def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
     """Euler steps of a stack of k block states, shape (k, n, d), sharing all noise.
 
-    k is 1 (a block of paths) or 2 (a coupled pair); beta has shape (k, 1, d),
-    and the mean of the sub-cutoff immigration jumps is added to it here.
-    Branching candidates arrive at the larger thinning intensity of the
-    stack; state s accepts one when its uniform mark is at most the state's
-    own left-endpoint value (k = 1 accepts all).
+    k is 1 (a block of paths), 2 (a coupled pair) or 4 (a coupled pair at
+    two step sizes); beta has shape (k, 1, d), and the mean of the
+    sub-cutoff immigration jumps is added to it here. Branching candidates
+    arrive at the largest thinning bound of the stack; state s accepts one
+    when its uniform mark is at most the state's own bound (k = 1 accepts
+    all).
+
+    State s has a refresh period q_s (periods, default 1 for every state).
+    It takes its left-endpoint copy X_s^+ = max(X_s, 0) only at the steps
+    that are multiples of q_s, and that copy sets its drift, its diffusion
+    factor sqrt(X_s^+), which scales each step's own normals, its thinning
+    bound and its marks; immigration and accepted jumps are added as they
+    arrive, and in clamp mode the state clamps only at the end of its own
+    step. So q steps of length dt sum to one Euler step of length q dt, in
+    law: the drifts add up to q dt times the drift, q normals to one of
+    variance q dt, and the candidates a frozen bound accepts over q steps to
+    one Poisson count of the long step's mean. Every period must divide
+    n_steps, so that each state ends on a whole step, and the period before
+    it (else InvalidConfig).
 
     The candidates of type j over the whole block form one unit-rate Poisson
     process run on the clock rate_j * dt * (sum over paths of the bound) per
@@ -268,7 +289,7 @@ def _euler(p, X, beta, cfg, rng, observe=None):
     simulated branching mass at the start of the call; per chunk of at most
     _CHUNK_VALUES normals the Gaussian increments and the immigration
     arrivals; per step, only for a type that fires, its Poisson count, its
-    new gap, then the owners (n > 1), sizes and marks (k = 2, a single path
+    new gap, then the owners (n > 1), sizes and marks (k > 1, a single path
     or jumps recorded).
 
     The state has two representations; the draws, the jumps and the event
@@ -281,17 +302,20 @@ def _euler(p, X, beta, cfg, rng, observe=None):
     diffusion and the jumps are added in place: step i of a chunk writes row
     i of one of two (chunk, k * n, d) buffers, used alternately, so a
     chunk's first step reads the other buffer's last row and no state is
-    copied. The two lanes differ only in the rounding of the drift's dot
-    product.
+    copied. A refreshed row's drift increment X^+ dt D + dt beta is kept
+    until its next refresh; for d = 1 its product is one multiplication,
+    the float a one-term dot product gives, with no BLAS call per step. The
+    two lanes differ only in the rounding of the drift's dot product.
 
     observe(first, states), when given, is the only output of the states:
     it sees step 0 as states of shape (1, k, n, d), then each chunk of m
-    steps as (m, k, n, d), the grid points first, ..., first + m - 1. The
-    array it gets is overwritten two chunks later, so an observer copies
-    whatever it keeps. Returns the final stack and, with cfg.record_jumps
-    and k = 1, per-path JumpEvent lists, else None. A Poisson mean that
-    numpy cannot draw from, or a non-finite final state, raises
-    OverflowError.
+    steps as (m, k, n, d), the grid points first, ..., first + m - 1; a
+    state with period q is a state of its own chain at the multiples of q
+    only. The array it gets is overwritten two chunks later, so an observer
+    copies whatever it keeps. Returns the final stack and, with
+    cfg.record_jumps and k = 1, per-path JumpEvent lists, else None. A
+    Poisson mean that numpy cannot draw from, or a non-finite final state,
+    raises OverflowError.
     """
     der = params_mod.derive(p, cfg.eps_trunc)
     # the sub-cutoff immigration jumps do not depend on the state: their
@@ -300,7 +324,11 @@ def _euler(p, X, beta, cfg, rng, observe=None):
     k, n, d = np.shape(X)
     n_steps = cfg.n_steps
     dt = cfg.dt
-    # the types with simulated branching mass, each with its expected
+    periods = (1,) * k if periods is None else tuple(periods)
+    if any(n_steps % q or q % after for q, after in zip(periods, periods[1:] + (1,))):
+        raise InvalidConfig(f"refresh periods {periods} must divide the {n_steps} "
+                            "steps and each the period before it")
+    # the branching types with simulated mass, each with its expected
     # candidates per unit of bound and step, and its gap
     branching = [(j, parts, der.branching_rates[j] * dt)
                  for j, parts in enumerate(der.branching_parts) if parts]
@@ -335,13 +363,26 @@ def _euler(p, X, beta, cfg, rng, observe=None):
         buffers = [np.empty((chunk, k * n, d)) for _ in range(2)]
         Xp = np.empty_like(X)
         Xp3 = Xp.reshape(k, n, d)
+        bounds = Xp if k == 1 else np.empty((n, d))
+        drift = np.empty_like(X)
         # a zero array and same-shape operands skip numpy's scalar conversion
         # and broadcasting set-up, which dominate an operation on few paths
         zero = np.zeros_like(X)
+        root = np.empty_like(X)
         if use_diffusion:
             noise = np.empty_like(X)
             # the stack's states share each step's normals
-            noise_k = noise if k == 1 else noise.reshape(k, n, d)
+            root_k, noise_k = (root, noise) if k == 1 else (
+                root.reshape(k, n, d), noise.reshape(k, n, d))
+        # per step modulo the first period, the rows from which the
+        # left-endpoint copies are retaken: each period being a multiple of
+        # the next, the states due are the last ones (all when every period
+        # is 1). They are also the rows that clamp at the end of the step
+        # before. Each comes with the views of the fixed buffers it writes.
+        refresh = []
+        for r in range(periods[0]):
+            lo = n * sum(r % q != 0 for q in periods)
+            refresh.append((lo, Xp[lo:], zero[lo:], drift[lo:], beta_dt[lo:], root[lo:]))
 
     for first in range(0, n_steps, chunk):
         m = min(chunk, n_steps - first)
@@ -369,24 +410,32 @@ def _euler(p, X, beta, cfg, rng, observe=None):
                 # the bounds of all types are the left-endpoint floats
                 x, bounds = advance(x, zrows[i])
             else:
-                X_new = rows[i]
-                np.maximum(X, zero, out=Xp)
-                np.dot(Xp, drift_dt, out=X_new)
-                X_new += beta_dt
-                X_new += X
+                lo, xp, zr, dr, bt, rt = refresh[step % periods[0]]
+                np.maximum(X[lo:], zr, out=xp)
+                if d == 1:
+                    np.multiply(xp, drift_dt[0, 0], out=dr)
+                else:
+                    np.dot(xp, drift_dt, out=dr)
+                dr += bt
                 if use_diffusion:
-                    np.sqrt(Xp, out=noise)
-                    noise_k *= zrows[i]
+                    np.sqrt(xp, out=rt)
+                X_new = rows[i]
+                np.add(drift, X, out=X_new)
+                if use_diffusion:
+                    np.multiply(root_k, zrows[i], out=noise_k)
                     X_new += noise
                 X3 = X_new.reshape(k, n, d)
+                if branching and k > 1:
+                    # the thinning bounds: the stack's largest left endpoints
+                    np.maximum.reduce(Xp3, out=bounds)
 
             if i in arrivals:
                 owners, sizes = arrivals[i]
                 if floats:
                     _add_floats(x, sizes)
                 else:
-                    for s in range(k):
-                        np.add.at(X3[s], owners, sizes)
+                    # to every state of the stack, each in draw order
+                    np.add.at(X3, (slice(None), owners), sizes)
                 if events is not None:
                     _log(events, (step + 1) * dt, "immigration", None,
                          owners, sizes, None)
@@ -395,8 +444,8 @@ def _euler(p, X, beta, cfg, rng, observe=None):
                 if floats:
                     top = bounds[j]
                 else:
-                    bound = Xp[:, j] if k == 1 else np.maximum(Xp3[0, :, j], Xp3[1, :, j])
-                    cum = np.cumsum(bound)
+                    bound = bounds[:, j]
+                    cum = bound.cumsum()
                     top = float(cum[-1])
                 clock = top * rate_dt
                 gap = gaps[b]
@@ -424,8 +473,8 @@ def _euler(p, X, beta, cfg, rng, observe=None):
                 elif k == 1:
                     np.add.at(X_new, owners, sizes)
                 else:
-                    # nonzero lists state 0's acceptances before state 1's
-                    s, c = np.nonzero(marks <= Xp3[:, owners, j])
+                    # nonzero lists the acceptances state by state
+                    s, c = (marks <= Xp3[:, owners, j]).nonzero()
                     np.add.at(X3, (s, owners[c]), sizes[c])
                 if events is not None:
                     _log(events, (step + 1) * dt, "branching", j, owners, sizes, marks)
@@ -437,7 +486,8 @@ def _euler(p, X, beta, cfg, rng, observe=None):
                     kept += x
                 continue
             if clamp:
-                np.maximum(X_new, zero, out=X_new)
+                lo, _, zr, *_ = refresh[(step + 1) % periods[0]]
+                np.maximum(X_new[lo:], zr, out=X_new[lo:])
             X = X_new
 
         if observe is not None:
@@ -467,7 +517,7 @@ def simulate_block(p: AdmissibleParams, x0, cfg: SimConfig, rng, observe=None):
 
 
 def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
-                           cfg: SimConfig, rng, observe=None):
+                           cfg: SimConfig, rng, observe=None, coarse=False):
     """Simulate (X, X') sharing noise, with beta <= beta_prime and X0 <= X0'.
 
     Branching candidates are drawn per step with the dominating intensity
@@ -477,6 +527,15 @@ def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
     points and Gaussian increments are shared identically. observe sees the
     kernel's (m, 2, n, d) chunks, X before X'. A pair keeps no jump log, so
     cfg.record_jumps changes nothing here. Returns (final, final_prime).
+
+    With coarse, the same noise also drives the pair at step 2 cfg.dt (the
+    level coupling of Giles, Oper. Res. 56, 2008): the stack is (X_2dt,
+    X'_2dt, X, X'), the coarse pair refreshes its left endpoint every second
+    step (see :func:`_euler`), and its Gaussian increment is the sum of the
+    two fine ones. cfg.n_steps must be even. observe sees (m, 4, n, d)
+    chunks, in which the coarse pair's states at odd grid points are
+    mid-step sums, not states of its chain; the return is (coarse_final,
+    coarse_final_prime, final, final_prime).
     """
     beta_prime = np.asarray(beta_prime, dtype=float)
     if beta_prime.shape != (p.d,):
@@ -489,9 +548,11 @@ def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
         raise PreconditionViolated("x0 and x0_prime must have matching shapes")
     if np.any(Xq < X):
         raise PreconditionViolated("x0_prime must dominate x0 componentwise")
-    betas = np.stack([p.beta, beta_prime])[:, None, :]
-    X, _ = _euler(p, np.stack([X, Xq]), betas, cfg, rng, observe)
-    return X[0], X[1]
+    levels = 2 if coarse else 1
+    betas = np.tile(np.stack([p.beta, beta_prime])[:, None, :], (levels, 1, 1))
+    X, _ = _euler(p, np.tile(np.stack([X, Xq]), (levels, 1, 1)), betas, cfg, rng,
+                  observe, periods=(2, 2, 1, 1) if coarse else None)
+    return tuple(X)
 
 
 def _recorder(cfg, shape):

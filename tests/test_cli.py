@@ -95,6 +95,30 @@ class TestValidateCommand:
                 f"got {d!r}") in captured.err
         assert not captured.out
 
+    @pytest.mark.parametrize("d", [2, 10 ** 18, 1e18], ids=["two", "huge", "huge-float"])
+    def test_dimension_beyond_the_arrays_exit_two(self, d, tmp_path, capsys):
+        # d is compared with the length of c before anything of size d is
+        # built, so no mu of 10^18 entries is attempted
+        path = write_params(tmp_path, "dim.json",
+                            {"d": d, "c": [1.0], "beta": [1.0], "B": [[-1.0]]})
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert (f"schema error: DimensionMismatch: c must have shape ({int(d)},), "
+                f"got (1,)") in captured.err
+        assert not captured.out
+
+    @pytest.mark.parametrize("axis", [1.5, True, "1"], ids=["fraction", "bool", "string"])
+    def test_non_count_axis_exit_two(self, axis, tmp_path, capsys):
+        # a tempered leaf's axis is not truncated or coerced to an axis
+        leaf = {"family": "tempered_power_law", "axis": axis, "alpha": 0.5,
+                "theta": 1.0, "scale": 1.0}
+        path = write_params(tmp_path, "axis.json", dict(PAIR, mu=[leaf, None]))
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert (f"schema error: SchemaError: tempered_power_law axis must be an "
+                f"integer of at least 1, got {axis!r}") in captured.err
+        assert not captured.out
+
     def test_json_artifact(self, cir_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         main(["validate", cir_file, "--json-out", str(out)])

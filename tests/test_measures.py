@@ -657,6 +657,17 @@ class TestSampling:
             assert np.array_equal(got, want)
             assert ours.random() == ref.random()
 
+    @pytest.mark.parametrize("n", [1, 20, 1000])
+    def test_product_exponential_draws_like_generator_exponential(self, n):
+        # standard exponentials times the scales are the floats of
+        # Generator.exponential(scales, shape), from the same generator state
+        m = ProductExponential(0.5, [10.0, 0.3])
+        ours = np.random.Generator(np.random.SFC64(n))
+        ref = np.random.Generator(np.random.SFC64(n))
+        got = m.sample_n(ALL, n, ours)
+        assert got.tobytes() == ref.exponential(1.0 / m.theta, (n, 2)).tobytes()
+        assert ours.random() == ref.random()
+
     def test_product_exponential_region_rejection(self):
         m = ProductExponential(2.0, [1.0, 0.7])
         rng = np.random.default_rng(5)

@@ -7,9 +7,10 @@ import pytest
 
 from cbi.errors import BudgetExceeded, InvalidConfig, PreconditionViolated
 from cbi.measures import DiscreteAtoms
+from cbi import simulate
 from cbi.montecarlo import (
-    BLOCK_SIZE, estimate_laplace_grid, estimate_mean, verify_comparison, verify_laplace,
-    verify_mean,
+    BLOCK_SIZE, CoupledStats, _ordering, estimate_laplace_grid, estimate_mean,
+    verify_comparison, verify_laplace, verify_mean,
 )
 from cbi.params import AdmissibleParams
 from cbi.riccati import laplace_transform
@@ -216,6 +217,32 @@ class TestVerify:
         rep = verify_comparison(jumpy_scenario())
         assert rep.passed
         assert rep.details["coarse"]["means_ordered"]
+
+    @pytest.mark.parametrize("steps_per_chunk", [1, 3])
+    def test_comparison_reads_one_stacked_run(self, steps_per_chunk, monkeypatch):
+        # one block; chunks of 1 and 3 fine steps begin at odd grid points.
+        # Diffusion near 0 on a coarse grid: both levels see crossings
+        p = AdmissibleParams(d=1, c=[2.0], beta=[0.0], B=[[0.0]], nu=None, mu=(None,))
+        s = jumpy_scenario(params=p, x0=np.array([0.02]), comparison={
+            "beta_shift": [1e-3], "n_paths": 2000, "dt": 2.0 ** -4, "T": 1.0, "seed": 7})
+        comp = s.comparison
+        n, d = comp["n_paths"], s.params.d
+        monkeypatch.setattr(simulate, "_CHUNK_VALUES", n * d * steps_per_chunk)
+        cfg = SimConfig(T=comp["T"], dt=comp["dt"] / 2.0, eps_trunc=s.eps_trunc)
+        # budget is one check, against the pairs times the steps of dt/2
+        with pytest.raises(BudgetExceeded):
+            verify_comparison(s, budget=n * cfg.n_steps - 1)
+        rep = verify_comparison(s, budget=n * cfg.n_steps)
+        full, observe = simulate._recorder(cfg, (4, n, d))
+        x0 = np.tile(s.x0, (n, 1))
+        simulate.simulate_coupled_block(
+            s.params, s.params.beta + comp["beta_shift"], x0, x0, cfg,
+            simulate.block_generator(comp["seed"], 0), observe, coarse=True)
+        for level, states in (("coarse", full[::2, :2]), ("fine", full[:, 2:])):
+            stats = CoupledStats(len(states), d)
+            stats(0, states)
+            assert rep.details[level] == _ordering([stats], n)
+        assert 0.0 < rep.details["coarse"]["fraction"] != rep.details["fine"]["fraction"]
 
     def test_halving_ratio_runs(self):
         ratios = mean_error_halving_ratio(jumpy_scenario())

@@ -103,6 +103,20 @@ class TestConfig:
         top = 2 ** 64 - 1
         assert block_generator(top, top).random() != block_generator(0, 0).random()
 
+    def test_generator_is_spawned_child(self):
+        # the same key gives the same stream: child k of SeedSequence(seed)
+        want = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(31).spawn(8)[7])).random(5)
+        assert np.array_equal(block_generator(31, 7).random(5), want)
+        assert np.array_equal(block_generator(31, 7).random(5), want)
+
+    def test_generator_keys_do_not_collide(self):
+        # as list entropy these two (seed, index) pairs give one state
+        a, b = (5, 7 * 2 ** 32 + 3), (3 * 2 ** 32 + 5, 7)
+        assert np.array_equal(np.random.SeedSequence(list(a)).generate_state(4),
+                              np.random.SeedSequence(list(b)).generate_state(4))
+        assert block_generator(*a).random() != block_generator(*b).random()
+
 
 class TestNonFiniteStates:
     """A non-finite initial state fails before the generator is touched."""
@@ -332,6 +346,116 @@ class TestCoupling:
         var = stats.diff_sq_sum / n - mean_diff ** 2
         se = np.sqrt(np.maximum(var, 0.0) / n)
         assert np.all(mean_diff >= -3.0 * se)
+
+
+class TestCoarseLevel:
+    """The pair at 2 dt stacked on the pair at dt (simulate_coupled_block
+    with coarse) against the pair run directly at 2 dt."""
+
+    def instance(self):
+        return TestCoupling().coupled_instance()
+
+    @staticmethod
+    def moments(finals):
+        """Per state and type: the samples of X_T, X_T^2 and e^{-X_T}."""
+        X = np.concatenate(finals, axis=1)          # (2, paths, d)
+        return np.concatenate([X, X ** 2, np.exp(-X)], axis=2)
+
+    def test_stacked_coarse_pair_has_the_law_of_a_direct_run(self):
+        # diffusion, branching jumps and immigration; 4 steps of 2 dt = 1/4,
+        # where the Euler laws at dt and 2 dt lie about 11 stderr apart
+        p = self.instance()
+        shift = p.beta + np.array([0.5, 0.5])
+        x0 = np.tile([3.0, 2.0], (4000, 1))
+        fine, coarse = SimConfig(T=1.0, dt=2.0 ** -3), SimConfig(T=1.0, dt=2.0 ** -2)
+        stacked, direct = [], []
+        for block in range(4):
+            out = simulate_coupled_block(p, shift, x0, x0 + 0.25, fine,
+                                         block_generator(301, block), coarse=True)
+            assert len(out) == 4
+            stacked.append(np.stack(out[:2]))
+            direct.append(np.stack(simulate_coupled_block(
+                p, shift, x0, x0 + 0.25, coarse, block_generator(302, block))))
+        a, b = self.moments(stacked), self.moments(direct)
+        n = a.shape[1]
+        se = np.sqrt((a.var(axis=1) + b.var(axis=1)) / n)
+        z = (a.mean(axis=1) - b.mean(axis=1)) / se
+        # 12 statistics with no bias allowance: the laws are the same
+        assert np.max(np.abs(z)) <= 4.0, z
+
+    @pytest.mark.parametrize("mode", ["raw", "clamp"])
+    def test_drift_only_coarse_pair_is_the_direct_run(self, mode):
+        p = make(d=2, c=(0.0, 0.0), beta=(0.3, 0.0),
+                 B=((-1.5, 0.4), (0.2, -2.0)))
+        x0 = np.array([[1.0, 0.5], [0.0, 0.0], [2.0, 3.0]])
+        fine = SimConfig(T=1.0, dt=2.0 ** -6, positivity_mode=mode)
+        coarse = SimConfig(T=1.0, dt=2.0 ** -5, positivity_mode=mode)
+        full, observe = _recorder(fine, (4, 3, 2))
+        out = simulate_coupled_block(p, p.beta + 0.2, x0, x0 + 0.1, fine,
+                                     block_generator(303, 0), observe, coarse=True)
+        want, want_observe = _recorder(coarse, (2, 3, 2))
+        direct = simulate_coupled_block(p, p.beta + 0.2, x0, x0 + 0.1, coarse,
+                                        block_generator(304, 0), want_observe)
+        np.testing.assert_allclose(full[::2, :2], want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.stack(out[:2]), np.stack(direct),
+                                   rtol=0.0, atol=1e-12)
+        # and the fine pair is the run at dt
+        again = simulate_coupled_block(p, p.beta + 0.2, x0, x0 + 0.1, fine,
+                                       block_generator(305, 0))
+        np.testing.assert_allclose(np.stack(out[2:]), np.stack(again),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_period_must_divide_the_steps(self):
+        p = self.instance()
+        x0 = np.tile([1.0, 0.5], (3, 1))
+        odd = SimConfig(T=3 * 2.0 ** -6, dt=2.0 ** -6)
+        with pytest.raises(InvalidConfig, match="refresh periods"):
+            simulate_coupled_block(p, p.beta, x0, x0, odd, block_generator(306, 0),
+                                   coarse=True)
+        cfg = SimConfig(T=0.25, dt=2.0 ** -6)
+        with pytest.raises(InvalidConfig, match="refresh periods"):
+            _euler(p, x0[None], p.beta[None, None, :], cfg, block_generator(306, 0),
+                   periods=(3,))
+        # each period a multiple of the next: the states due are the last ones
+        with pytest.raises(InvalidConfig, match="refresh periods"):
+            _euler(p, np.stack([x0, x0]), np.stack([p.beta, p.beta])[:, None, :], cfg,
+                   block_generator(306, 0), periods=(1, 2))
+
+
+class DotForm:
+    """np.multiply, except that a product by a scalar into out is taken as
+    the np.dot of the column with that scalar as a 1 x 1 matrix."""
+
+    def __init__(self, multiply):
+        self._multiply = multiply
+        self.calls = 0
+
+    def __call__(self, a, b, out=None, **kwargs):
+        if np.ndim(b) == 0 and out is not None:
+            self.calls += 1
+            return np.dot(a, np.full((1, 1), b), out=out)
+        return self._multiply(a, b, out=out, **kwargs)
+
+    def __getattr__(self, item):
+        return getattr(self._multiply, item)
+
+
+class TestScalarDrift:
+    """For d = 1 the drift product is one multiplication, not a BLAS call."""
+
+    @pytest.mark.parametrize("name", ["S1", "S4"])
+    def test_block_finals_match_the_dot_form(self, name, monkeypatch):
+        s = load_scenario(name)
+        assert derive(s.params).drift_matrix[0, 0] < 0.0
+        cfg = SimConfig(T=0.25, dt=s.dt)
+        x0 = np.tile(s.x0, (2000, 1))
+        x0[::7] = 0.0          # 0 times a negative coefficient is -0.0
+        final, _ = simulate_block(s.params, x0, cfg, block_generator(307, 0))
+        dot_form = DotForm(np.multiply)
+        monkeypatch.setattr(np, "multiply", dot_form)
+        again, _ = simulate_block(s.params, x0, cfg, block_generator(307, 0))
+        assert dot_form.calls == cfg.n_steps
+        assert final.tobytes() == again.tobytes()
 
 
 def reference_record(stats, step, diff):
