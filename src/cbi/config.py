@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -75,11 +76,15 @@ def dumps_canonical(obj, indent=0) -> str:
 
 
 # what a numeric field of a parameter or scenario file must be: (description,
-# test of a JSON number); a seed's range is checked where its substreams are keyed
+# test of a JSON number); a seed's range is checked where its substreams are keyed.
+# A finite number is at most the largest float: JSON integers have no bound,
+# and float() of a larger one overflows.
 _INTEGER = ("an integer", lambda v: isinstance(v, int) or v.is_integer())
 _COUNT = ("an integer of at least 1", lambda v: _INTEGER[1](v) and v >= 1)
-_POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
-_NON_NEGATIVE = ("a non-negative finite number", lambda v: 0 <= v < math.inf)
+_FLOAT_MAX = sys.float_info.max
+_POSITIVE = ("a positive finite number", lambda v: 0 < v <= _FLOAT_MAX)
+_NON_NEGATIVE = ("a non-negative finite number", lambda v: 0 <= v <= _FLOAT_MAX)
+_REAL = ("a finite number", lambda v: -_FLOAT_MAX <= v <= _FLOAT_MAX)
 
 
 def _number(value, name, kind):
@@ -89,12 +94,11 @@ def _number(value, name, kind):
     return value
 
 
-def parse_float(value) -> float:
-    if value == "inf":
-        return float("inf")
-    if value == "-inf":
-        return float("-inf")
-    return float(value)
+def _reals(values, name):
+    """The entries of a JSON list as floats, each a finite number."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{name} must be a list of numbers, got {values!r}")
+    return [float(_number(v, name, _REAL)) for v in values]
 
 
 # --------------------------------------------------------------------------
@@ -109,20 +113,22 @@ def measure_from_json(obj, dim: int) -> JumpMeasure | None:
     family = obj["family"]
     try:
         if family == "discrete":
-            atoms = [(np.asarray(a["z"], dtype=float), float(a["w"]))
+            atoms = [(np.array(_reals(a["z"], "discrete atom z")),
+                      float(_number(a["w"], "discrete atom w", _REAL)))
                      for a in obj.get("atoms", [])]
             return DiscreteAtoms(dim, atoms)
         if family == "product_exponential":
-            rates = np.asarray(obj["rates"], dtype=float)
-            if rates.size != dim:
+            rates = _reals(obj["rates"], "product_exponential rates")
+            if len(rates) != dim:
                 raise SchemaError("product_exponential rates must have length d")
-            return ProductExponential(float(obj["mass"]), rates)
+            return ProductExponential(
+                float(_number(obj["mass"], "product_exponential mass", _REAL)), rates)
         if family == "tempered_power_law":
             # 1-based in files
             axis = int(_number(obj["axis"], "tempered_power_law axis", _COUNT)) - 1
-            return TemperedPowerLawAxis(
-                dim, axis, alpha=float(obj["alpha"]), theta=float(obj["theta"]),
-                scale=float(obj["scale"]))
+            return TemperedPowerLawAxis(dim, axis, **{
+                key: float(_number(obj[key], f"tempered_power_law {key}", _REAL))
+                for key in ("alpha", "theta", "scale")})
         if family == "mixture":
             comps = [measure_from_json(c, dim) for c in obj["components"]]
             return MeasureSum(comps)
@@ -163,9 +169,9 @@ def params_from_json(obj) -> AdmissibleParams:
         # before anything of size d is built: a huge d would exhaust memory
         if d != len(obj["c"]):
             raise DimensionMismatch(f"c must have shape ({d},), got ({len(obj['c'])},)")
-        c = [parse_float(v) for v in obj["c"]]
-        beta = [parse_float(v) for v in obj["beta"]]
-        B = [[parse_float(v) for v in row] for row in obj["B"]]
+        c = _reals(obj["c"], "c")
+        beta = _reals(obj["beta"], "beta")
+        B = [_reals(row, "B") for row in obj["B"]]
         nu = measure_from_json(obj.get("nu"), d)
         mu_list = obj.get("mu")
         if mu_list is None:

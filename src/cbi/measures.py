@@ -394,9 +394,10 @@ class ProductExponential(JumpMeasure):
         int_lo^hi rho^(s-1) e^(-a rho) drho is exactly Gamma(s) times a
         closed-form difference of regularised incomplete gammas (see
         :func:`_radial`); the remaining angular integral over the positive
-        orthant of S^(d-1) is one (d-1)-dimensional quadrature (none for
+        orthant of S^(d-1) is one (d-1)-dimensional product rule (none for
         d == 1, which stays on Python floats), over the axes in ascending
-        order of rate (see :meth:`_angle_breaks`).
+        order of rate (see :meth:`_angle_breaks`); the integrand takes every
+        angle as an array and broadcasts them to the rule's grid.
         """
         d = self.dim
         s = d + k
@@ -437,22 +438,18 @@ class ProductExponential(JumpMeasure):
         integrals put the smallest rate first, so that every such face lies
         at an angle near 0, where floats resolve the angle finely (near pi/2
         a peak of width 1e-10 would be spread over a few ulps). An unbroken
-        rule steps over a narrow peak and returns about 0 without a warning:
-        in d = 2 it held the quadrature policy for rates up to about 1.6e3
-        apart, missed it from 5e3 and read about 0 from 1.5e4 (mass above 1
-        at rates (3e4, 2)). So rates more than 100 apart break the range at
-        pi/2 * 10^-j, j = 1, 2, ..., down to that scale, which gives every
-        decade its own rule. In d >= 3 the rules nest and their cost grows
-        with the square of the decades: rates more than 1e8 apart raise
-        QuadratureFailure there.
+        rule steps over a narrow peak and can return about 0 without a
+        warning: in d = 2 the doubling rule held the quadrature policy for
+        rates up to 5e3 apart, exceeded its node budget on some shells from
+        6e3 and read about 0 from 7e3 (mass above 2 at rates (7e3, 2)). So
+        rates more than 100 apart break the range at pi/2 * 10^-j,
+        j = 1, 2, ..., down to that scale, which gives every decade its own
+        boxes. In d = 3 the boxes of the two angles multiply: rates more
+        than about 1e13 apart exceed the node budget there.
         """
         decades = math.log10(self.theta.max()) - math.log10(self.theta.min())
         if decades <= 2.0:
             return None
-        if self.dim > 2 and decades > 8.0:
-            raise QuadratureFailure(
-                f"product-exponential rates {self.theta.min():g} and {self.theta.max():g} "
-                f"are too far apart for the nested angular quadrature in d = {self.dim}")
         return (0.5 * math.pi * 10.0 ** -np.arange(math.ceil(decades) + 2, 0, -1)).tolist()
 
     @_convergent_integral

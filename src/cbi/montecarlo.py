@@ -43,17 +43,20 @@ THREADS_ENV_VAR = "CBI_NUM_THREADS"
 def _sweep(p, cfg, n_paths, seed, threads, budget, run_block):
     """run_block(rng, count) on each fixed-size block of n_paths paths, rng
     the block's spawned substream of seed, after the budget of
-    path-steps is checked; on threads workers (default: $CBI_NUM_THREADS or
-    1), with the results in block order."""
+    path-steps is checked; on threads workers, at least 1 (default:
+    $CBI_NUM_THREADS or 1), with the results in block order."""
     if budget is not None and budget < 0:
         raise InvalidConfig(f"budget must be non-negative, got {budget}")
+    source = "threads"
+    if threads is None:
+        threads, source = os.environ.get(THREADS_ENV_VAR) or 1, f"${THREADS_ENV_VAR}"
+    threads = int(threads)
+    if threads < 1:
+        raise InvalidConfig(f"{source} must be at least 1, got {threads}")
     if budget is not None and n_paths * cfg.n_steps > budget:
         raise BudgetExceeded(f"{n_paths} paths x {cfg.n_steps} steps exceeds "
                              f"the budget of {budget} path-steps")
     derive(p, cfg.eps_trunc)   # once, before the blocks share it
-    if threads is None:
-        threads = os.environ.get(THREADS_ENV_VAR) or 1
-    threads = max(1, int(threads))
     blocks = [(index, min(BLOCK_SIZE, n_paths - start))
               for index, start in enumerate(range(0, n_paths, BLOCK_SIZE))]
 

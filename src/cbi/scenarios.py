@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    _COUNT, _INTEGER, _NON_NEGATIVE, _POSITIVE, SchemaError, _number,
+    _COUNT, _INTEGER, _NON_NEGATIVE, _POSITIVE, _REAL, SchemaError, _number, _reals,
     params_from_json, params_to_json,
 )
 from .errors import CbiError
@@ -71,18 +71,20 @@ def scenario_from_json(obj) -> Scenario:
     try:
         params = params_from_json(obj["params"])
         comparison = obj.get("comparison")
-        points = [(float(pt["t"]), np.asarray(pt["lam"], dtype=float))
+        points = [(float(_number(pt["t"], "laplace_points t", _REAL)),
+                   np.array(_reals(pt["lam"], "laplace_points lam")))
                   for pt in obj.get("laplace_points", [])]
         return Scenario(
             name=obj["name"],
             description=obj.get("description", ""),
             params=params,
-            x0=np.asarray(obj["x0"], dtype=float),
-            t=float(obj["t"]),
-            dt=float(obj["dt"]),
+            x0=np.array(_reals(obj["x0"], "x0")),
+            t=float(_number(obj["t"], "t", _REAL)),
+            dt=float(_number(obj["dt"], "dt", _REAL)),
             n_paths=int(_number(obj["n_paths"], "n_paths", _COUNT)),
             seed=int(_number(obj["seed"], "seed", _INTEGER)),
-            eps_trunc=float(obj.get("eps_trunc", DEFAULT_EPS_TRUNC)),
+            eps_trunc=float(_number(obj.get("eps_trunc", DEFAULT_EPS_TRUNC), "eps_trunc",
+                                    _REAL)),
             bias_constant_mean=float(_number(obj["bias_constant_mean"],
                                              "bias_constant_mean", _NON_NEGATIVE)),
             bias_constant_laplace=float(_number(obj["bias_constant_laplace"],

@@ -13,7 +13,7 @@ from scipy import integrate
 
 import cbi
 from cbi.cli import _path_template, _write_jump_csv, _write_path_csv, main
-from cbi.config import dumps_canonical, format_float, params_to_json, parse_float
+from cbi.config import dumps_canonical, format_float, params_to_json
 from cbi.scenarios import load_scenario, scenario_to_json
 from cbi.simulate import JumpEvent, Path
 
@@ -205,7 +205,7 @@ class TestScalarCommands:
         from cbi.params import derive
         from cbi.config import params_from_json
         der = derive(params_from_json(obj))
-        assert parse_float(blob["beta_tilde"][0]) == der.beta_tilde[0]
+        assert float(blob["beta_tilde"][0]) == der.beta_tilde[0]
 
 
 def scenario_sim_args(tmp_path, name):
@@ -222,7 +222,7 @@ def scenario_sim_args(tmp_path, name):
 def test_commands_do_not_import_scipy(tmp_path):
     # a fresh interpreter runs every view of S3 through the CLI, against the
     # same cbi package as this test (the checkout or the install), and never
-    # imports scipy, which only the tests need
+    # imports scipy or numpy.polynomial, which only the tests need
     sim = scenario_sim_args(tmp_path, "S3")
     params = sim[0]
     commands = [
@@ -237,8 +237,9 @@ def test_commands_do_not_import_scipy(tmp_path):
         "import json, sys\n"
         "from cbi.cli import main\n"
         f"codes = [main(args) for args in {commands!r}]\n"
-        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "print(json.dumps({'codes': codes, 'scipy': scipy}))\n"
+        "heavy = sorted(m for m in sys.modules for top in ('scipy', 'numpy.polynomial')\n"
+        "               if m == top or m.startswith(top + '.'))\n"
+        "print(json.dumps({'codes': codes, 'heavy': heavy}))\n"
     )
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cbi.__file__)))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
@@ -247,7 +248,7 @@ def test_commands_do_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0, 0, 4]
-    assert result["scipy"] == []
+    assert result["heavy"] == []
 
 
 class TestSimulateCommand:
@@ -335,7 +336,8 @@ class TestSimulateInputs:
 class TestNonFiniteParams:
     """A non-finite entry of c, beta or B, or a non-finite number in a
     measure field, is an input error (exit 2) for every command that reads
-    a parameter file."""
+    a parameter file; so is a boolean, a numeric string or an integer past
+    the float range."""
 
     ARGS = {
         "validate": [],
@@ -358,23 +360,30 @@ class TestNonFiniteParams:
             "rates": ("mu", {"family": "product_exponential", "mass": 1.0, "rates": [value, 2.0]}),
         }[field]
 
+    # the name each field has in the schema's messages
+    NAMES = {"atom_z": "discrete atom z", "atom_w": "discrete atom w",
+             "mass": "product_exponential mass", "rates": "product_exponential rates",
+             "alpha": "tempered_power_law alpha", "theta": "tempered_power_law theta",
+             "scale": "tempered_power_law scale"}
+
     # json writes the floats as the tokens Infinity and NaN
     @pytest.mark.parametrize("command", ARGS)
-    @pytest.mark.parametrize("value", [math.inf, math.nan, "inf"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "inf", True, "0.5", 10 ** 400],
+                             ids=["inf0", "nan", "inf1", "True", "0.5", "huge-int"])
     @pytest.mark.parametrize("field", ["c", "beta", "B", "atom_z", "atom_w", "mass",
                                        "rates", "alpha", "theta", "scale"])
     def test_exit_two(self, field, value, command, tmp_path, capsys):
         params = json.loads(json.dumps(PAIR))
         if field in ("c", "beta", "B"):
             (params["B"][1] if field == "B" else params[field])[1] = value
-            message = f"schema error: InvalidConfig: {field} must be finite"
         else:
             key, measure = self.measure(field, value)
             if key == "nu":
                 params["nu"] = measure
             else:
                 params["mu"][0] = measure
-            message = "schema error: SchemaError: bad measure object"
+        message = (f"schema error: SchemaError: {self.NAMES.get(field, field)} "
+                   f"must be a finite number, got {value!r}")
         path = write_params(tmp_path, "params.json", params)
         out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
         with warnings.catch_warnings():
@@ -480,7 +489,7 @@ def test_far_apart_rates_derive_matches_reference(tmp_path, capsys):
         return math.exp(-u) * (1.0 + a) * math.exp(-a) / 2.0
 
     want = 0.5 - integrate.quad(f, 0.0, 800.0, epsabs=0.0, epsrel=1e-12, limit=500)[0]
-    got = parse_float(json.loads(out.read_text())["D"][1][0])
+    got = float(json.loads(out.read_text())["D"][1][0])
     assert abs(got - want) <= 1e-8
 
 
@@ -693,6 +702,30 @@ class TestExitCodeFuzz:
         assert got == code, err
         assert "Traceback" not in err and "Warning" not in err
 
+    @pytest.mark.parametrize("flag, env, code, message", [
+        ("0", None, 2, "threads must be at least 1, got 0"),
+        ("-3", None, 2, "threads must be at least 1, got -3"),
+        (None, "0", 2, "$CBI_NUM_THREADS must be at least 1, got 0"),
+        (None, "-3", 2, "$CBI_NUM_THREADS must be at least 1, got -3"),
+        ("1", "0", 4, "numeric failure: BudgetExceeded"),
+        (None, "2", 4, "numeric failure: BudgetExceeded"),
+    ])
+    def test_verify_thread_count(self, flag, env, code, message, monkeypatch, capsys):
+        # a thread count below 1, from --threads or from $CBI_NUM_THREADS
+        # when the flag is absent, is an input error; a valid one reaches
+        # the budget check
+        if env is None:
+            monkeypatch.delenv("CBI_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CBI_NUM_THREADS", env)
+        args = ["verify", "mean", "--scenario", "S1", "--budget", "1"]
+        if flag is not None:
+            args.append(f"--threads={flag}")
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestLaplaceInputs:
     """Inputs the Riccati flow cannot honour exit 2 before it integrates."""
@@ -837,10 +870,36 @@ class TestVerifyCommand:
          "bias_constant_laplace must be a non-negative finite number, got inf"),
         ("laplace", {"bias_constant_laplace": "0.5"},
          "bias_constant_laplace must be a non-negative finite number, got '0.5'"),
+        ("mean", {"x0": [True]}, "x0 must be a finite number, got True"),
+        ("mean", {"x0": ["1.0"]}, "x0 must be a finite number, got '1.0'"),
+        ("mean", {"x0": "1.0"}, "x0 must be a list of numbers, got '1.0'"),
+        ("mean", {"t": True}, "t must be a finite number, got True"),
+        ("mean", {"t": "0.25"}, "t must be a finite number, got '0.25'"),
+        ("mean", {"dt": True}, "dt must be a finite number, got True"),
+        ("mean", {"dt": "0.03125"}, "dt must be a finite number, got '0.03125'"),
+        ("mean", {"eps_trunc": True}, "eps_trunc must be a finite number, got True"),
+        ("mean", {"eps_trunc": "0.001"}, "eps_trunc must be a finite number, got '0.001'"),
+        ("laplace", {"laplace_points": [{"t": True, "lam": [1.0]}]},
+         "laplace_points t must be a finite number, got True"),
+        ("laplace", {"laplace_points": [{"t": "0.25", "lam": [1.0]}]},
+         "laplace_points t must be a finite number, got '0.25'"),
+        ("laplace", {"laplace_points": [{"t": 0.25, "lam": [True]}]},
+         "laplace_points lam must be a finite number, got True"),
+        ("laplace", {"laplace_points": [{"t": 0.25, "lam": ["0.3"]}]},
+         "laplace_points lam must be a finite number, got '0.3'"),
+        # JSON integers have no bound: one past the float range is no number
+        ("mean", {"dt": 10 ** 400}, f"dt must be a finite number, got {10 ** 400}"),
+        ("mean", {"bias_constant_mean": 10 ** 400},
+         f"bias_constant_mean must be a non-negative finite number, got {10 ** 400}"),
+        ("comparison", {"comparison": dict(COMPARISON, T=10 ** 400)},
+         f"comparison.T must be a positive finite number, got {10 ** 400}"),
     ], ids=["comparison-without-seed", "string-n-paths", "string-dt",
             "zero-comparison-paths", "short-beta-shift", "zero-paths", "negative-paths",
             "nan-mean-bias", "negative-mean-bias", "inf-laplace-bias",
-            "string-laplace-bias"])
+            "string-laplace-bias", "bool-x0", "string-x0", "scalar-x0", "bool-t", "string-t",
+            "bool-dt", "string-dt-step", "bool-eps", "string-eps", "bool-point-t",
+            "string-point-t", "bool-lam", "string-lam", "huge-dt", "huge-mean-bias",
+            "huge-comparison-horizon"])
     def test_malformed_scenario_fields_exit_two(self, check, overrides, message,
                                                 tmp_path, cir_file, capsys):
         scen = tiny_scenario(tmp_path, cir_file, **overrides)

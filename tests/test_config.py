@@ -7,7 +7,7 @@ import pytest
 
 from cbi.config import (
     SchemaError, dumps_canonical, format_float, measure_from_json,
-    measure_to_json, params_from_json, params_to_json, parse_float,
+    measure_to_json, params_from_json, params_to_json,
 )
 from cbi.measures import (
     DiscreteAtoms, MeasureSum, ProductExponential, TemperedPowerLawAxis,
@@ -28,7 +28,7 @@ class TestCanonicalJson:
 
     def test_infinities_become_strings(self):
         assert format_float(float("inf")) == '"inf"'
-        assert parse_float("-inf") == float("-inf")
+        assert float(json.loads(format_float(float("-inf")))) == float("-inf")
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -112,8 +112,8 @@ class TestParamsSchema:
         from cbi.config import derived_to_json
         text = dumps_canonical(derived_to_json(der))
         blob = json.loads(text)
-        assert parse_float(blob["beta_tilde"][0]) == der.beta_tilde[0]
-        assert parse_float(blob["B_tilde"][0][0]) == der.B_tilde[0, 0]
+        assert float(blob["beta_tilde"][0]) == der.beta_tilde[0]
+        assert float(blob["B_tilde"][0][0]) == der.B_tilde[0, 0]
 
     def test_bad_top_level(self):
         with pytest.raises(SchemaError):

@@ -26,7 +26,7 @@ from helpers import (
 INF = math.inf
 
 # a few integrals at the package's quadrature policy (relative 1e-10,
-# absolute 1e-12 per nested quadrature) are summed in each identity
+# absolute 1e-12 per angular quadrature) are summed in each identity
 SHELL_REL, SHELL_ABS = 1e-9, 1e-11
 SHELL_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
@@ -282,16 +282,18 @@ class TestProductExponentialShells:
                 1.5, rel=1e-10, abs=0.0)
 
     def test_far_apart_rates_in_three_dimensions(self):
-        # the nested angular rules take rates 1e3 apart; 1e9 apart would
-        # take minutes, and fails as a numeric error instead
-        m = ProductExponential(1.5, [2.0, 1e3, 2.0])
-        assert m.mass(SMALL_JUMPS) + m.mass(LARGE_JUMPS) == pytest.approx(
-            1.5, rel=1e-10, abs=0.0)
-        # the limit of a vanishing middle coordinate, to about 1e-3 / 2
+        # the product rule takes rates 1e3 and 1e9 apart, a break point per
+        # decade on both angles
         flat = ProductExponential(1.5, [2.0, 2.0])
-        assert m.mass(LARGE_JUMPS) == pytest.approx(flat.mass(LARGE_JUMPS), rel=1e-5)
-        with pytest.raises(QuadratureFailure, match="too far apart"):
-            ProductExponential(1.5, [2.0, 1e9, 2.0]).mass(LARGE_JUMPS)
+        for rate, rel in ((1e3, 1e-5), (1e9, 1e-9)):
+            m = ProductExponential(1.5, [2.0, rate, 2.0])
+            assert m.mass(SMALL_JUMPS) + m.mass(LARGE_JUMPS) == pytest.approx(
+                1.5, rel=1e-10, abs=0.0)
+            # the limit of a vanishing middle coordinate, whose mean is 1 / rate
+            assert m.mass(LARGE_JUMPS) == pytest.approx(flat.mass(LARGE_JUMPS), rel=rel)
+        # 303 pieces per angle: the first rule alone exceeds the node budget
+        with pytest.raises(QuadratureFailure, match="budget"):
+            ProductExponential(1.5, [2.0, 1e300, 2.0]).mass(LARGE_JUMPS)
 
     @pytest.mark.parametrize("rate", [1e80, 1e150, 1e300])
     @pytest.mark.filterwarnings("error")
