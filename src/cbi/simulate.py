@@ -22,12 +22,16 @@ k = 1 is a block of independent paths, k = 2 the coupled pair of
 :func:`simulate_coupled_block`, and k = 4 that pair at dt and at 2 dt, on
 one grid of step dt. A state with refresh period q reads its left endpoint
 only every q-th step, so that q short steps make one long Euler step in
-law. Jump counts are superposed: the candidates of
-a measure over a whole block form one Poisson process whose points are split
-among the n paths in proportion to their intensities (uniformly for
-immigration), which has the law of independent per-path counts. Each
-branching type carries the exponential waiting time to its next candidate
-across steps, so a step draws nothing for a type without a candidate.
+law. The kernel holds an array stack coordinate-major, as k * d rows of n
+paths, so that each coordinate and each type's thinning bound is one
+contiguous row and the drift one (d, d) @ (d, n) product per state;
+observers still see (steps, k, n, d) arrays. Jump counts are superposed:
+the candidates of a measure over a whole block form one Poisson process
+whose points are split among the n paths in proportion to their
+intensities (uniformly for immigration), which has the law of independent
+per-path counts. Each branching type carries the exponential waiting time
+to its next candidate across steps, so a step draws nothing for a type
+without a candidate.
 
 The states leave this module in one way only: an observer, observe(first,
 states), sees step 0 and then each chunk of steps as one array of
@@ -185,6 +189,15 @@ def _branching_owners(rng, cum, total):
     return np.minimum(owners, cum.searchsorted(top), out=owners)
 
 
+def _add_rows(rows, owners, sizes):
+    """Add sizes, one (count, d) row per jump, to the d rows of paths of a
+    block at owners: coordinate by coordinate, each in draw order, so that
+    every element sees the additions of an (n, d) array in the same order.
+    np.add.at takes a 1-d row about three times faster than a 2-d array."""
+    for row, column in zip(rows, sizes.T):
+        np.add.at(row, owners, column)
+
+
 def _immigration_draw(rng, parts, mean, m, n):
     """Immigration arrivals of a chunk of m steps: a Poisson(mean) total
     spread uniformly over the m * n (step, path) cells, with sizes.
@@ -298,18 +311,26 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
     generates for d: a numpy call on a length-d row costs more than the
     step's whole arithmetic, so this lane makes none per step; it collects
     a chunk's states in one flat list. Otherwise buffers are allocated once
-    per call, the stack is worked on as (k * n, d) rows and the drift, the
-    diffusion and the jumps are added in place: step i of a chunk writes row
-    i of one of two (chunk, k * n, d) buffers, used alternately, so a
-    chunk's first step reads the other buffer's last row and no state is
-    copied. A refreshed row's drift increment X^+ dt D + dt beta is kept
-    until its next refresh; for d = 1 its product is one multiplication,
-    the float a one-term dot product gives, with no BLAS call per step. The
-    two lanes differ only in the rounding of the drift's dot product.
+    per call and the stack is held coordinate-major, as k * d rows of n
+    paths (row s * d + i is coordinate i of state s), so that every
+    coordinate and every type's thinning bound is one contiguous row. The
+    drift, the diffusion and the jumps are added in place: step i of a chunk
+    writes plane i of one of two (chunk, k * d, n) buffers, used
+    alternately, so a chunk's first step reads the other buffer's last
+    plane and no state is copied. A refreshed state's drift increment
+    dt D X^+ + dt beta is kept until its next refresh; it is one (d, d) @
+    (d, n) matmul per state, bitwise the row-major product of the (n, d)
+    states with dt D^T, and for d = 1 one multiplication, the float a
+    one-term dot product gives, with no BLAS call per step. The normals are
+    drawn as (chunk, n, d), path-major as in the float lane, and enter the
+    stack transposed; jump sizes are added one coordinate row at a time, in
+    draw order. The two lanes differ only in the rounding of the drift's
+    dot product.
 
     observe(first, states), when given, is the only output of the states:
     it sees step 0 as states of shape (1, k, n, d), then each chunk of m
-    steps as (m, k, n, d), the grid points first, ..., first + m - 1; a
+    steps as (m, k, n, d), the grid points first, ..., first + m - 1 (for
+    an array stack, a transposed view of the coordinate-major buffer); a
     state with period q is a state of its own chain at the multiples of q
     only. The array it gets is overwritten two chunks later, so an observer
     copies whatever it keeps. Returns the final stack and, with
@@ -353,18 +374,23 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
             *drift_dt.ravel().tolist(), *(dt * beta).ravel().tolist())
         x = np.asarray(X, dtype=float).ravel().tolist()
     else:
-        # beta_dt and sig are spelled out to the full shape, because
-        # broadcasting a length-d row runs numpy's inner loop over d elements
-        # at a time, ten times slower
-        beta_dt = np.broadcast_to(dt * beta, (k, n, d)).copy().reshape(k * n, d)
+        # the stack as k * d rows of n paths. beta_dt and sig are spelled out
+        # to the full shape, because broadcasting a short column runs numpy's
+        # inner loop over a few elements at a time
+        beta_dt = np.broadcast_to((dt * beta).transpose(0, 2, 1), (k, d, n)).copy()
+        beta_dt = beta_dt.reshape(k * d, n)
         if use_diffusion:
-            sig = np.broadcast_to(sig, (n, d)).copy()
-        X = np.array(X, dtype=float, order="C").reshape(k * n, d)
-        buffers = [np.empty((chunk, k * n, d)) for _ in range(2)]
+            sig = np.broadcast_to(sig[:, None], (d, n)).copy()
+            # each chunk's normals times sig, coordinate-major
+            zt = np.empty((chunk, d, n))
+        X = np.array(np.transpose(X, (0, 2, 1)), dtype=float, order="C").reshape(k * d, n)
+        buffers = [np.empty((chunk, k * d, n)) for _ in range(2)]
         Xp = np.empty_like(X)
-        Xp3 = Xp.reshape(k, n, d)
-        bounds = Xp if k == 1 else np.empty((n, d))
+        Xp3 = Xp.reshape(k, d, n)
+        bounds = Xp if k == 1 else np.empty((d, n))
         drift = np.empty_like(X)
+        # dt D, against which a stack of (d, n) left endpoints is one matmul
+        drift_rows = dt * der.drift_matrix
         # a zero array and same-shape operands skip numpy's scalar conversion
         # and broadcasting set-up, which dominate an operation on few paths
         zero = np.zeros_like(X)
@@ -373,16 +399,18 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
             noise = np.empty_like(X)
             # the stack's states share each step's normals
             root_k, noise_k = (root, noise) if k == 1 else (
-                root.reshape(k, n, d), noise.reshape(k, n, d))
+                root.reshape(k, d, n), noise.reshape(k, d, n))
         # per step modulo the first period, the rows from which the
         # left-endpoint copies are retaken: each period being a multiple of
         # the next, the states due are the last ones (all when every period
         # is 1). They are also the rows that clamp at the end of the step
-        # before. Each comes with the views of the fixed buffers it writes.
+        # before. Each comes with the views of the fixed buffers it writes,
+        # the left endpoints and the drift also as (states, d, n) stacks.
         refresh = []
         for r in range(periods[0]):
-            lo = n * sum(r % q != 0 for q in periods)
-            refresh.append((lo, Xp[lo:], zero[lo:], drift[lo:], beta_dt[lo:], root[lo:]))
+            lo = d * sum(r % q != 0 for q in periods)
+            refresh.append((lo, Xp[lo:], zero[lo:], drift[lo:], beta_dt[lo:], root[lo:],
+                            Xp[lo:].reshape(-1, d, n), drift[lo:].reshape(-1, d, n)))
 
     for first in range(0, n_steps, chunk):
         m = min(chunk, n_steps - first)
@@ -395,8 +423,11 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
         if use_diffusion:
             zc = z[:m]
             rng.standard_normal(out=zc)
-            zc *= sig
-            zrows = zc.reshape(m, d).tolist() if floats else list(zc)
+            if floats:
+                zc *= sig
+                zrows = zc.reshape(m, d).tolist()
+            else:
+                zrows = np.multiply(zc.transpose(0, 2, 1), sig, out=zt[:m])
         arrivals = {}
         if der.immigration_parts:
             mean = n * der.immigration_rate * dt * m
@@ -410,12 +441,12 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                 # the bounds of all types are the left-endpoint floats
                 x, bounds = advance(x, zrows[i])
             else:
-                lo, xp, zr, dr, bt, rt = refresh[step % periods[0]]
+                lo, xp, zr, dr, bt, rt, xp3, dr3 = refresh[step % periods[0]]
                 np.maximum(X[lo:], zr, out=xp)
                 if d == 1:
                     np.multiply(xp, drift_dt[0, 0], out=dr)
                 else:
-                    np.dot(xp, drift_dt, out=dr)
+                    np.matmul(drift_rows, xp3, out=dr3)
                 dr += bt
                 if use_diffusion:
                     np.sqrt(xp, out=rt)
@@ -424,7 +455,8 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                 if use_diffusion:
                     np.multiply(root_k, zrows[i], out=noise_k)
                     X_new += noise
-                X3 = X_new.reshape(k, n, d)
+                # a stack takes its jumps in one np.add.at on its (k, n, d) view
+                stack = None if k == 1 else X_new.reshape(k, d, n).transpose(0, 2, 1)
                 if branching and k > 1:
                     # the thinning bounds: the stack's largest left endpoints
                     np.maximum.reduce(Xp3, out=bounds)
@@ -435,7 +467,10 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                     _add_floats(x, sizes)
                 else:
                     # to every state of the stack, each in draw order
-                    np.add.at(X3, (slice(None), owners), sizes)
+                    if k == 1:
+                        _add_rows(X_new, owners, sizes)
+                    else:
+                        np.add.at(stack, (slice(None), owners), sizes)
                 if events is not None:
                     _log(events, (step + 1) * dt, "immigration", None,
                          owners, sizes, None)
@@ -444,7 +479,7 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                 if floats:
                     top = bounds[j]
                 else:
-                    bound = bounds[:, j]
+                    bound = bounds[j]
                     cum = bound.cumsum()
                     top = float(cum[-1])
                 clock = top * rate_dt
@@ -471,11 +506,11 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                 if floats:
                     _add_floats(x, sizes)
                 elif k == 1:
-                    np.add.at(X_new, owners, sizes)
+                    _add_rows(X_new, owners, sizes)
                 else:
                     # nonzero lists the acceptances state by state
-                    s, c = (marks <= Xp3[:, owners, j]).nonzero()
-                    np.add.at(X3, (s, owners[c]), sizes[c])
+                    s, c = (marks <= Xp3[:, j, owners]).nonzero()
+                    np.add.at(stack, (s, owners[c]), sizes[c])
                 if events is not None:
                     _log(events, (step + 1) * dt, "branching", j, owners, sizes, marks)
 
@@ -492,9 +527,10 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
 
         if observe is not None:
             observe(first + 1, np.array(kept).reshape(m, 1, 1, d) if floats
-                    else rows[:m].reshape(m, k, n, d))
+                    else rows[:m].reshape(m, k, d, n).transpose(0, 1, 3, 2))
 
-    X = np.array(x).reshape(1, 1, d) if floats else X.reshape(k, n, d)
+    X = (np.array(x).reshape(1, 1, d) if floats
+         else np.ascontiguousarray(X.reshape(k, d, n).transpose(0, 2, 1)))
     # a step keeps a non-finite coordinate non-finite (clamp maps -inf to
     # 0), so the final state shows whether any step overflowed
     if not np.isfinite(X).all():

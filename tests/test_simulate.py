@@ -424,7 +424,8 @@ class TestCoarseLevel:
 
 class DotForm:
     """np.multiply, except that a product by a scalar into out is taken as
-    the np.dot of the column with that scalar as a 1 x 1 matrix."""
+    the matmul of that scalar as a 1 x 1 matrix with each row of paths, the
+    product the kernel forms for d >= 2."""
 
     def __init__(self, multiply):
         self._multiply = multiply
@@ -433,7 +434,7 @@ class DotForm:
     def __call__(self, a, b, out=None, **kwargs):
         if np.ndim(b) == 0 and out is not None:
             self.calls += 1
-            return np.dot(a, np.full((1, 1), b), out=out)
+            return np.matmul(np.full((1, 1), b), a[:, None], out=out[:, None])
         return self._multiply(a, b, out=out, **kwargs)
 
     def __getattr__(self, item):
@@ -455,6 +456,62 @@ class TestScalarDrift:
         monkeypatch.setattr(np, "multiply", dot_form)
         again, _ = simulate_block(s.params, x0, cfg, block_generator(307, 0))
         assert dot_form.calls == cfg.n_steps
+        assert final.tobytes() == again.tobytes()
+
+
+class DotDrift:
+    """np.matmul, except that the drift product dt D @ (states, d, n) is
+    taken in the row-major form np.dot((states * n, d), dt D^T)."""
+
+    def __init__(self, matmul):
+        self._matmul = matmul
+        self.calls = 0
+
+    def __call__(self, a, b, out=None, **kwargs):
+        if out is None or np.ndim(a) != 2 or np.ndim(b) != 3:
+            return self._matmul(a, b, out=out, **kwargs)
+        self.calls += 1
+        k, d, n = b.shape
+        rows = np.dot(np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(k * n, d),
+                      np.ascontiguousarray(a.T))
+        out[...] = rows.reshape(k, n, d).transpose(0, 2, 1)
+        return out
+
+    def __getattr__(self, item):
+        return getattr(self._matmul, item)
+
+
+class TestDriftProduct:
+    """For d >= 2 the kernel holds its stack coordinate-major and forms the
+    drift as dt D @ (d, n); it must equal the row-major product np.dot of
+    the (n, d) left endpoints with dt D^T bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matmul_is_the_dot_form(self, d):
+        rng = np.random.default_rng(401 + d)
+        for _ in range(50):
+            k = int(rng.choice([1, 2, 4]))
+            n = int(rng.integers(1, 20000))
+            D = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            drift_dt = np.ascontiguousarray(2.0 ** -8 * D.T)
+            xp = rng.standard_normal((k * n, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (k * n, 1))
+            xp = np.maximum(xp, 0.0)
+            want = np.dot(xp, drift_dt)
+            got = np.empty((k, d, n))
+            np.matmul(np.ascontiguousarray(drift_dt.T),
+                      np.ascontiguousarray(xp.reshape(k, n, d).transpose(0, 2, 1)), out=got)
+            assert got.transpose(0, 2, 1).reshape(k * n, d).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["S3", "S5"])
+    def test_block_finals_match_the_dot_form(self, name, monkeypatch):
+        s = load_scenario(name)
+        cfg = SimConfig(T=0.25, dt=s.dt)
+        x0 = np.tile(s.x0, (2000, 1))
+        final, _ = simulate_block(s.params, x0, cfg, block_generator(409, 0))
+        dot_drift = DotDrift(np.matmul)
+        monkeypatch.setattr(np, "matmul", dot_drift)
+        again, _ = simulate_block(s.params, x0, cfg, block_generator(409, 0))
+        assert dot_drift.calls == cfg.n_steps
         assert final.tobytes() == again.tobytes()
 
 
