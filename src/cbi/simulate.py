@@ -29,9 +29,17 @@ observers still see (steps, k, n, d) arrays. Jump counts are superposed:
 the candidates of a measure over a whole block form one Poisson process
 whose points are split among the n paths in proportion to their
 intensities (uniformly for immigration), which has the law of independent
-per-path counts. Each branching type carries the exponential waiting time
-to its next candidate across steps, so a step draws nothing for a type
-without a candidate.
+per-path counts. A block of n > 1 paths splits a branching type's candidates
+by classical thinning: they arrive at n times the block's largest bound,
+each with a uniform owner, and one is kept when its uniform mark on [0, that
+bound) lies below its owner's bound. A Poisson count at the largest bound,
+thinned by independent marks, is a Poisson count at each owner's bound
+(Lewis & Shedler, Naval Res. Logist. Q. 26, 1979). Where n max exceeds
+_THINNING_EXCESS times the sum of the bounds, and for a coupled stack, the
+candidates arrive at the sum of the bounds and a prefix sum places them.
+Each branching type carries the exponential waiting time to its next
+candidate across steps, so a step draws nothing for a type without a
+candidate.
 
 The states leave this module in one way only: an observer, observe(first,
 states), sees step 0 and then each chunk of steps as one array of
@@ -47,11 +55,13 @@ max(1, min(n_steps, _CHUNK_VALUES // (n * d))), the state-independent noise
 of the whole chunk, that is the diffusion normals of all m steps, then the
 immigration total of the chunk, each arrival's step (m > 1), owner and
 size; then per step, only for a branching type that fires, its Poisson
-count, its new gap, the owners, sizes, and the thinning marks when k > 1,
-for a single path, or when a block records jumps. A one-path block draws no
-owners. A Poisson total spread uniformly over the m * n (step, path) cells
-gives independent Poisson counts per cell, and a carried gap gives each step
-a Poisson count independent of the others, so neither changes the law. A
+count and its new gap, then in a thinned block the owners, the marks and
+the sizes of the accepted candidates, and otherwise the owners, the sizes
+and the marks. A one-path block draws no owners. Marks are drawn whether
+or not jumps are recorded, so recording leaves every path unchanged. A
+Poisson total spread uniformly over the m * n (step, path) cells gives
+independent Poisson counts per cell, and a carried gap gives each step a
+Poisson count independent of the others, so neither changes the law. A
 fixed Generator state thus reproduces paths bit-for-bit; the spawned SFC64
 substreams of block-parallel runs come from :func:`block_generator`.
 
@@ -81,6 +91,13 @@ from .params import AdmissibleParams, check_state
 _CHUNK_VALUES = 2 ** 15
 # Generator.poisson refuses a mean above int64 max - 10 sqrt(int64 max)
 _POISSON_MAX = 9.2e18
+# a block of n paths thins a type's candidates at its largest bound while n
+# times that bound is at most this many times the sum of the bounds, and
+# otherwise places them by a prefix sum of the bounds. At 10 000 paths an
+# excess candidate costs about 9 ns and the prefix sum about 35 us a step:
+# thinning stays the cheaper up to a ratio of about 16 at 0.05 candidates
+# per path and step, and of about 64 at 0.005
+_THINNING_EXCESS = 16.0
 
 
 @dataclass(frozen=True)
@@ -271,10 +288,15 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
 
     k is 1 (a block of paths), 2 (a coupled pair) or 4 (a coupled pair at
     two step sizes); beta has shape (k, 1, d), and the mean of the
-    sub-cutoff immigration jumps is added to it here. Branching candidates
-    arrive at the largest thinning bound of the stack; state s accepts one
-    when its uniform mark is at most the state's own bound (k = 1 accepts
-    all).
+    sub-cutoff immigration jumps is added to it here. A block (k = 1) of
+    n > 1 paths thins type j: its candidates arrive on the clock rate_j *
+    dt * n * max_i X_ij^+, each takes a uniform owner i and a mark u uniform
+    on [0, max_i X_ij^+), and it is accepted when u < X_ij^+. A step whose
+    n max exceeds _THINNING_EXCESS times the sum of the bounds, a single
+    path and a stack (k > 1) run the clock on the sum of the bounds instead
+    (for a stack, of its states' largest bounds) and place the candidates
+    by its prefix sum; a block accepts each placed candidate, and state s
+    of a stack accepts one when its uniform mark is at most its own bound.
 
     State s has a refresh period q_s (periods, default 1 for every state).
     It takes its left-endpoint copy X_s^+ = max(X_s, 0) only at the steps
@@ -290,20 +312,23 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
     it (else InvalidConfig).
 
     The candidates of type j over the whole block form one unit-rate Poisson
-    process run on the clock rate_j * dt * (sum over paths of the bound) per
-    step. The kernel carries each type's exponential gap g_j, the clock time
-    left to that process's next point: a step whose clock increment l_j is at
-    most g_j takes l_j off the gap and draws nothing; otherwise it has
-    1 + Poisson(l_j - g_j) candidates and g_j is redrawn. Given the past, g_j
-    is Exp(1), so a step's count is Poisson(l_j), independent of every other
-    step and variate (the modified next reaction method).
+    process run on the clock above, rate_j * dt times n max or the sum of
+    the bounds per step. The kernel carries each type's exponential gap g_j,
+    the clock time left to that process's next point: a step whose clock
+    increment l_j is at most g_j takes l_j off the gap and draws nothing;
+    otherwise it has 1 + Poisson(l_j - g_j) candidates and g_j is redrawn.
+    Given the past, g_j is Exp(1), so a step's count is Poisson(l_j),
+    independent of every other step and variate (the modified next reaction
+    method), whichever clock the step runs.
 
     Randomness is consumed in this order: the gaps of the types with
     simulated branching mass at the start of the call; per chunk of at most
     _CHUNK_VALUES normals the Gaussian increments and the immigration
-    arrivals; per step, only for a type that fires, its Poisson count, its
-    new gap, then the owners (n > 1), sizes and marks (k > 1, a single path
-    or jumps recorded).
+    arrivals; per step, only for a type that fires, its Poisson count and
+    its new gap, then in a thinned block the owners, the marks and the
+    sizes of the accepted candidates, and otherwise the owners (n > 1), the
+    sizes and the marks. The marks are drawn whether or not jumps are
+    recorded, and the log keeps each accepted jump with its mark.
 
     The state has two representations; the draws, the jumps and the event
     log above are the same code for both. A single path (k * n = 1) is a
@@ -322,10 +347,11 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
     (d, n) matmul per state, bitwise the row-major product of the (n, d)
     states with dt D^T, and for d = 1 one multiplication, the float a
     one-term dot product gives, with no BLAS call per step. The normals are
-    drawn as (chunk, n, d), path-major as in the float lane, and enter the
-    stack transposed; jump sizes are added one coordinate row at a time, in
-    draw order. The two lanes differ only in the rounding of the drift's
-    dot product.
+    drawn and scaled as (chunk, n, d), path-major as in the float lane, and
+    each step reads its normals as a transposed (d, n) view; a block adds
+    jump sizes one coordinate row at a time and a stack through its (k, n,
+    d) view, each in draw order. The two lanes differ only in the rounding
+    of the drift's dot product.
 
     observe(first, states), when given, is the only output of the states:
     it sees step 0 as states of shape (1, k, n, d), then each chunk of m
@@ -375,14 +401,12 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
         x = np.asarray(X, dtype=float).ravel().tolist()
     else:
         # the stack as k * d rows of n paths. beta_dt and sig are spelled out
-        # to the full shape, because broadcasting a short column runs numpy's
-        # inner loop over a few elements at a time
+        # to the full shape, because broadcasting d values runs numpy's inner
+        # loop over a few elements at a time, ten times slower
         beta_dt = np.broadcast_to((dt * beta).transpose(0, 2, 1), (k, d, n)).copy()
         beta_dt = beta_dt.reshape(k * d, n)
         if use_diffusion:
-            sig = np.broadcast_to(sig[:, None], (d, n)).copy()
-            # each chunk's normals times sig, coordinate-major
-            zt = np.empty((chunk, d, n))
+            sig = np.broadcast_to(sig, (n, d)).copy()
         X = np.array(np.transpose(X, (0, 2, 1)), dtype=float, order="C").reshape(k * d, n)
         buffers = [np.empty((chunk, k * d, n)) for _ in range(2)]
         Xp = np.empty_like(X)
@@ -423,11 +447,9 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
         if use_diffusion:
             zc = z[:m]
             rng.standard_normal(out=zc)
-            if floats:
-                zc *= sig
-                zrows = zc.reshape(m, d).tolist()
-            else:
-                zrows = np.multiply(zc.transpose(0, 2, 1), sig, out=zt[:m])
+            zc *= sig
+            # the array lane reads each step's normals as a (d, n) view
+            zrows = zc.reshape(m, d).tolist() if floats else zc.transpose(0, 2, 1)
         arrivals = {}
         if der.immigration_parts:
             mean = n * der.immigration_rate * dt * m
@@ -476,13 +498,20 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                          owners, sizes, None)
 
             for b, (j, parts, rate_dt) in enumerate(branching):
+                thin = False
                 if floats:
-                    top = bounds[j]
+                    scale = bounds[j]
                 else:
                     bound = bounds[j]
-                    cum = bound.cumsum()
-                    top = float(cum[-1])
-                clock = top * rate_dt
+                    if k == 1:
+                        top = float(bound.max())
+                        thin = n * top <= _THINNING_EXCESS * float(bound.sum())
+                    if thin:
+                        scale = n * top
+                    else:
+                        cum = bound.cumsum()
+                        scale = float(cum[-1])
+                clock = scale * rate_dt
                 gap = gaps[b]
                 if gap >= clock:
                     gaps[b] = gap - clock
@@ -491,17 +520,24 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                     raise OverflowError("branching candidate rate overflowed")
                 total = 1 + int(rng.poisson(clock - gap))
                 gaps[b] = rng.exponential()
-                if n == 1:
-                    owners = np.zeros(total, np.intp)
-                    owner_bound = top
+                if thin:
+                    # uniform owners, each kept when its mark is below its
+                    # own bound; only the kept candidates draw sizes
+                    owners = rng.integers(0, n, total)
+                    marks = rng.random(total) * top
+                    kept_at = (marks < bound[owners]).nonzero()[0]
+                    if not kept_at.size:
+                        continue
+                    owners, marks = owners[kept_at], marks[kept_at]
+                    sizes = sample_parts(parts, kept_at.size, rng)
                 else:
-                    owners = _branching_owners(rng, cum, total)
-                    owner_bound = bound[owners]
-                sizes = sample_parts(parts, total, rng)
-                marks = None
-                # a single path draws its marks whether or not it logs them,
-                # so that recording its jumps leaves its path unchanged
-                if k > 1 or floats or events is not None:
+                    if n == 1:
+                        owners = np.zeros(total, np.intp)
+                        owner_bound = scale
+                    else:
+                        owners = _branching_owners(rng, cum, total)
+                        owner_bound = bound[owners]
+                    sizes = sample_parts(parts, total, rng)
                     marks = rng.random(total) * owner_bound
                 if floats:
                     _add_floats(x, sizes)
@@ -529,8 +565,7 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
             observe(first + 1, np.array(kept).reshape(m, 1, 1, d) if floats
                     else rows[:m].reshape(m, k, d, n).transpose(0, 1, 3, 2))
 
-    X = (np.array(x).reshape(1, 1, d) if floats
-         else np.ascontiguousarray(X.reshape(k, d, n).transpose(0, 2, 1)))
+    X = np.array(x).reshape(1, 1, d) if floats else X.reshape(k, d, n).transpose(0, 2, 1)
     # a step keeps a non-finite coordinate non-finite (clamp maps -inf to
     # 0), so the final state shows whether any step overflowed
     if not np.isfinite(X).all():

@@ -354,6 +354,34 @@ def norm_cube_bound(m):
     return total
 
 
+def chain_mean(p, x0, t, dt, eps_trunc):
+    """The exact mean of the Euler chain the kernel runs, while its states
+    stay non-negative: m_{k+1} = (I + dt B~) m_k + dt beta~ over the steps
+    of t. B~ is the kernel's drift matrix plus the first moments of each
+    type's simulated jump parts, and beta~ is beta plus the mean of the
+    sub-cutoff immigration jumps plus the first moment of nu's simulated
+    parts; a step's candidate counts are Poisson with means rate_j dt x_j
+    and rate_nu dt, so its conditional mean is affine in x >= 0."""
+    from cbi.params import derive
+    from cbi.simulate import SimConfig
+
+    der = derive(p, eps_trunc)
+    d = p.d
+
+    def first_moment(parts):
+        return sum((np.array([leaf.coord(i, region) for i in range(d)])
+                    for leaf, region, _ in parts), np.zeros(d))
+
+    B = der.drift_matrix + np.column_stack(
+        [first_moment(parts) for parts in der.branching_parts])
+    beta = p.beta + der.immigration_small_mean + first_moment(der.immigration_parts)
+    step = np.eye(d) + dt * B
+    m = np.asarray(x0, dtype=float)
+    for _ in range(SimConfig(T=t, dt=dt).n_steps):
+        m = step @ m + dt * beta
+    return m
+
+
 def mean_error_halving_ratio(scenario, threads=None, budget=None):
     """Per-seed ratios of the Monte Carlo mean's error at dt/2 to that at dt
     against the closed form: about 1/2 for a scheme of weak order one."""

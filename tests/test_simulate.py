@@ -750,6 +750,7 @@ class TestSuperposedCounts:
 
             def __init__(self, rng):
                 self._rng = rng
+                self.uniform_calls = 0
 
             def exponential(self, scale=1.0, size=None):
                 return np.zeros(size) if size is not None else 0.0
@@ -758,17 +759,23 @@ class TestSuperposedCounts:
                 return 2
 
             def uniform(self, low, high, size=None):
+                self.uniform_calls += 1
                 return np.broadcast_to(np.asarray(high, dtype=float),
                                        np.shape(high) if size is None else size).copy()
 
             def __getattr__(self, item):
                 return getattr(self._rng, item)
 
+        # 40 paths, n max / sum = 80 / 3: above the thinning excess, so the
+        # owners come from the prefix sum of the bounds
+        states = [1.0, 0.0, 2.0, -0.5] + [0.0] * 36
+        assert len(states) * 2.0 > simulate._THINNING_EXCESS * 3.0
         p = make(mu=(DiscreteAtoms(1, [(np.array([TINY]), 2.0)]),))
         cfg = SimConfig(T=0.125, dt=0.125, record_jumps=True)
-        _, events = _run_stack(p, [1.0, 0.0, 2.0, -0.5, 0.0], cfg,
-                               TopUniform(block_generator(71, 0)))
-        assert [len(evs) for evs in events] == [0, 0, 3, 0, 0]
+        rng = TopUniform(block_generator(71, 0))
+        _, events = _run_stack(p, states, cfg, rng)
+        assert rng.uniform_calls == 1
+        assert [len(evs) for evs in events] == [0, 0, 3] + [0] * 37
 
 
 class CountingGenerator:
@@ -796,7 +803,9 @@ class TestPoissonCallGuard:
     """One Exp(1) gap per branching type at the start (here only type 1);
     then one scalar Poisson total per chunk for immigration, and one scalar
     Poisson exactly on each step whose clock increment passes the carried
-    gap, followed by the new gap. Never an array-valued Poisson draw."""
+    gap, followed by the new gap. Never an array-valued Poisson draw. The
+    clock runs at n times the largest bound in a block of n > 1 paths that
+    thins, and at the sum of the bounds otherwise."""
 
     T, DT = 0.25, 2.0 ** -6   # 16 steps
 
@@ -828,7 +837,11 @@ class TestPoissonCallGuard:
             want_means.append(n * der.immigration_rate * self.DT * m)
             for _ in range(m):
                 bound = np.maximum(stacks[step, :, :, 0].max(axis=0), 0.0)
-                clock = float(np.cumsum(bound)[-1]) * rate_dt
+                if len(stacks[step]) == 1 and n > 1 and \
+                        n * bound.max() <= simulate._THINNING_EXCESS * bound.sum():
+                    clock = n * float(bound.max()) * rate_dt
+                else:
+                    clock = float(np.cumsum(bound)[-1]) * rate_dt
                 if gap >= clock:
                     gap -= clock
                 else:
@@ -937,31 +950,98 @@ class TestCarriedGaps:
     ])
     def test_zero_gap_never_fires_zero_bound(self, k, states, monkeypatch):
         # type 2 has zero bound everywhere, paths 2, 3 and 5 on type 1 too:
-        # a gap of exactly 0 must fire neither, and fires type 1 every step;
-        # a coupled pair (k = 2) keeps no log, so its owners are watched
+        # a gap of exactly 0 must fire neither, and fires type 1 every step.
+        # A block (k = 1) logs what it accepts; a coupled pair (k = 2) keeps
+        # no log, so the owners its prefix sum draws are watched
         p = self.tiny_types(2.0)
         cfg = SimConfig(T=2.0, dt=0.125, record_jumps=True)
         X = np.tile(np.asarray(states, dtype=float), (k, 1, 1))
         rng = ZeroGaps(block_generator(107, k))
         drawn = []
-        pick = simulate._branching_owners
+        if k == 2:
+            pick = simulate._branching_owners
 
-        def spy(*args):
-            owners = pick(*args)
-            drawn.extend(owners.tolist())
-            return owners
+            def spy(*args):
+                owners = pick(*args)
+                drawn.extend(owners.tolist())
+                return owners
 
-        monkeypatch.setattr(simulate, "_branching_owners", spy)
+            monkeypatch.setattr(simulate, "_branching_owners", spy)
         final, events = _euler(p, X, np.zeros((k, 1, 2)), cfg, rng)
         assert np.array_equal(final, X)
         assert rng.poisson_calls == cfg.n_steps
-        positive = np.asarray(states)[:, 0] > 0.0
-        assert all(positive[owner] for owner in drawn)
+        bounds = np.maximum(np.asarray(states)[:, 0], 0.0)
         assert (events is None) == (k == 2)
-        for owner, evs in enumerate(events or ()):
-            assert all(ev.type_index == 0 for ev in evs)
-            if not positive[owner]:
-                assert not evs
+        if k == 2:
+            # a pair of single paths draws no owners
+            assert bool(drawn) == (len(states) > 1)
+            assert all(bounds[owner] > 0.0 for owner in drawn)
+            return
+        assert any(events)
+        for owner, evs in enumerate(events):
+            assert all(ev.type_index == 0 and ev.u < bounds[owner] for ev in evs)
+
+
+class TestThinning:
+    """A block of n > 1 paths draws a type's candidates at n times its
+    largest bound, with uniform owners, and keeps a candidate when its mark
+    is below the owner's bound; a step whose n max exceeds the thinning
+    excess times the sum of the bounds places them by prefix sum instead."""
+
+    @pytest.mark.parametrize("n", [2, 300])
+    def test_paths_do_not_depend_on_the_log(self, n):
+        s = load_scenario("S3")
+        x0 = np.tile(s.x0, (n, 1))
+        runs = {}
+        for record in (False, True):
+            cfg = SimConfig(T=0.25, dt=s.dt, eps_trunc=s.eps_trunc, record_jumps=record)
+            runs[record] = block_states(s.params, x0, cfg, block_generator(5, 0))
+        (plain, _, none), (final, full, events) = runs[False], runs[True]
+        assert none is None
+        assert plain.tobytes() == final.tobytes()
+        branching = [(owner, ev) for owner, evs in enumerate(events) for ev in evs
+                     if ev.kind == "branching"]
+        assert branching
+        for owner, ev in branching:
+            step = round(ev.time / s.dt) - 1
+            assert 0.0 <= ev.u < max(full[step, owner, ev.type_index], 0.0)
+
+    # zeros, negative states and one path 100 times the others: n max / sum
+    # is 12 * 100 / 107.05, about 11 (thinning); with 28 more zeros, 40 paths
+    # give about 37 (prefix sum)
+    UNEVEN = [0.0, 1.0, -0.5, 100.0, 0.3, 1.0, 0.0, 2.0, -1e-3, 1.5, 0.05, 1.2]
+
+    @pytest.mark.parametrize("thinned", [True, False])
+    def test_counts_are_poisson_at_each_bound(self, thinned, monkeypatch):
+        states = np.array(self.UNEVEN + ([] if thinned else [0.0] * 28))
+        ratio = len(states) * states.max() / np.maximum(states, 0.0).sum()
+        assert (ratio <= simulate._THINNING_EXCESS) == thinned
+        placed = []
+        pick = simulate._branching_owners
+
+        def spy(*args):
+            placed.append(1)
+            return pick(*args)
+
+        monkeypatch.setattr(simulate, "_branching_owners", spy)
+        rate = 0.4
+        p = make(mu=(DiscreteAtoms(1, [(np.array([TINY]), rate)]),))
+        cfg = SimConfig(T=2500.0, dt=0.125, record_jumps=True)
+        final, events = _run_stack(p, states, cfg, block_generator(409, int(thinned)))
+        assert np.array_equal(final[0, :, 0], states)
+        assert bool(placed) != thinned
+        steps = cfg.n_steps
+        counts = _counts_per_step(events, "branching", steps, cfg.dt)
+        lam = np.maximum(states, 0.0) * rate * cfg.dt
+        assert np.all(counts[:, lam == 0.0] == 0)
+        for c, rate_i in zip(counts.T[lam > 0.0], lam[lam > 0.0]):
+            assert abs(c.mean() - rate_i) <= 4.0 * math.sqrt(rate_i / steps)
+            var_se = math.sqrt((rate_i + 2.0 * rate_i ** 2) / steps)
+            assert abs(c.var(ddof=1) - rate_i) <= 4.0 * var_se
+            # the carried gap runs on the clock n max: consecutive steps of
+            # one path stay uncorrelated
+            r = np.corrcoef(c[:-1], c[1:])[0, 1]
+            assert abs(r) <= 4.0 / math.sqrt(steps)
 
 
 class TestChunkedImmigration:
