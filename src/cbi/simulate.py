@@ -296,7 +296,7 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
     path and a stack (k > 1) run the clock on the sum of the bounds instead
     (for a stack, of its states' largest bounds) and place the candidates
     by its prefix sum; a block accepts each placed candidate, and state s
-    of a stack accepts one when its uniform mark is at most its own bound.
+    of a stack accepts one when its uniform mark lies below its own bound.
 
     State s has a refresh period q_s (periods, default 1 for every state).
     It takes its left-endpoint copy X_s^+ = max(X_s, 0) only at the steps
@@ -545,7 +545,7 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                     _add_rows(X_new, owners, sizes)
                 else:
                     # nonzero lists the acceptances state by state
-                    s, c = (marks <= Xp3[:, j, owners]).nonzero()
+                    s, c = (marks < Xp3[:, j, owners]).nonzero()
                     np.add.at(stack, (s, owners[c]), sizes[c])
                 if events is not None:
                     _log(events, (step + 1) * dt, "branching", j, owners, sizes, marks)
@@ -592,9 +592,10 @@ def simulate_coupled_block(p: AdmissibleParams, beta_prime, x0, x0_prime,
     """Simulate (X, X') sharing noise, with beta <= beta_prime and X0 <= X0'.
 
     Branching candidates are drawn per step with the dominating intensity
-    max(X_j^+, X'_j^+) and a uniform mark u on [0, that bound]; a candidate is
-    accepted for a path exactly when u <= that path's left-endpoint state, so
-    the accepted sets are nested whenever the states are ordered. Immigration
+    max(X_j^+, X'_j^+) and a uniform mark u on [0, that bound); a candidate is
+    accepted for a path exactly when u lies below that path's left-endpoint
+    state, so the accepted sets are nested whenever the states are ordered and
+    a state at zero accepts none. Immigration
     points and Gaussian increments are shared identically. observe sees the
     kernel's (m, 2, n, d) chunks, X before X'. A pair keeps no jump log, so
     cfg.record_jumps changes nothing here. Returns (final, final_prime).

@@ -312,6 +312,19 @@ class TestCoupling:
             simulate_coupled(p, p.beta, [1.0, 0.5], [0.5, 0.5], cfg,
                              block_generator(41, 0))
 
+    def test_zero_state_accepts_no_branching_jump(self):
+        # every gap and every mark exactly 0: a candidate fires each step at
+        # X' = 1, and X = 0, absorbing without drift or immigration, takes none
+        class ZeroMarks(ZeroGaps):
+            def random(self, size=None):
+                return np.zeros(size) if size is not None else 0.0
+
+        p = make(mu=(DiscreteAtoms(1, [(np.array([0.7]), 0.6)]),))
+        cfg = SimConfig(T=1.0, dt=0.125)
+        a, b = simulate_coupled_block(p, p.beta, [[0.0]], [[1.0]], cfg,
+                                      ZeroMarks(block_generator(53, 0)))
+        assert a[0, 0] == 0.0 and b[0, 0] > 1.0
+
     def test_pure_jump_coupling_has_no_violations(self):
         p = self.coupled_instance()
         p = AdmissibleParams(d=2, c=[0.0, 0.0], beta=p.beta, B=p.B, nu=p.nu, mu=p.mu)
