@@ -311,6 +311,15 @@ class TestCoupling:
         with pytest.raises(PreconditionViolated):
             simulate_coupled(p, p.beta, [1.0, 0.5], [0.5, 0.5], cfg,
                              block_generator(41, 0))
+        # a non-finite beta_prime is an input error, not an overflow
+        for bad in ([math.nan, 1.0], [math.inf, 1.0]):
+            with pytest.raises(PreconditionViolated, match="beta_prime must be finite"):
+                simulate_coupled(p, bad, [1.0, 0.5], [1.0, 0.5], cfg,
+                                 block_generator(41, 0))
+        for bad in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+            with pytest.raises(InvalidConfig, match="beta_prime must have shape"):
+                simulate_coupled(p, bad, [1.0, 0.5], [1.0, 0.5], cfg,
+                                 block_generator(41, 0))
 
     def test_zero_state_accepts_no_branching_jump(self):
         # every gap and every mark exactly 0: a candidate fires each step at
@@ -813,12 +822,13 @@ class CountingGenerator:
 
 
 class TestPoissonCallGuard:
-    """One Exp(1) gap per branching type at the start (here only type 1);
-    then one scalar Poisson total per chunk for immigration, and one scalar
-    Poisson exactly on each step whose clock increment passes the carried
-    gap, followed by the new gap. Never an array-valued Poisson draw. The
-    clock runs at n times the largest bound in a block of n > 1 paths that
-    thins, and at the sum of the bounds otherwise."""
+    """One Exp(1) gap per clock at the start: each branching type with
+    simulated mass (here only type 1), then immigration. Then per step,
+    immigration first and then each type, one scalar Poisson exactly when
+    the clock increment passes the carried gap, followed by the new gap.
+    Never an array-valued Poisson draw. Immigration's clock runs at n times
+    its rate; a type's at n times the largest bound in a block of n > 1
+    paths that thins, and at the sum of the bounds otherwise."""
 
     T, DT = 0.25, 2.0 ** -6   # 16 steps
 
@@ -828,40 +838,32 @@ class TestPoissonCallGuard:
         return make(d=2, c=(0.3, 0.3), beta=(0.2, 0.1),
                     B=((-1.0, 0.2), (0.1, -0.8)), nu=nu, mu=(mu, None))
 
-    # the steps of each chunk, _CHUNK_VALUES // (n * d) capped at the 16
-    # steps: one chunk up to n = 1024, ten-step chunks at n = 1500, one step
-    # per chunk once n * d reaches 2 ** 15
-    CHUNKS = {1: [16], 7: [16], 300: [16], 1500: [10, 6], 20000: [1] * 16}
-
     def check(self, rng, p, n, stacks):
         """Replay the gaps the kernel drew against the kept (k, n, d) stacks."""
-        chunks = self.CHUNKS[n]
-        assert sum(chunks) == round(self.T / self.DT)
-        assert max(1, min(16, _CHUNK_VALUES // (2 * n))) == chunks[0]
+        assert len(stacks) == round(self.T / self.DT) + 1
         der = derive(p)
-        rate_dt = der.branching_rates[0] * self.DT
         drawn = [v for name, _, _, v in rng.calls if name == "exponential"]
-        gap = float(drawn.pop(0)[0])
-        want = [("exponential", 0, 1)]
+        # the start draws type 1's gap, then immigration's; a step runs
+        # immigration first
+        gaps = drawn.pop(0).tolist()[::-1]
+        want = [("exponential", 0, 2)]
         want_means = []
-        step = 0
-        for m in chunks:
-            want.append(("poisson", 0, None))
-            want_means.append(n * der.immigration_rate * self.DT * m)
-            for _ in range(m):
-                bound = np.maximum(stacks[step, :, :, 0].max(axis=0), 0.0)
-                if len(stacks[step]) == 1 and n > 1 and \
-                        n * bound.max() <= simulate._THINNING_EXCESS * bound.sum():
-                    clock = n * float(bound.max()) * rate_dt
-                else:
-                    clock = float(np.cumsum(bound)[-1]) * rate_dt
-                if gap >= clock:
-                    gap -= clock
+        for states in stacks[:-1]:
+            bound = np.maximum(states[:, :, 0].max(axis=0), 0.0)
+            if len(states) == 1 and n > 1 and \
+                    n * bound.max() <= simulate._THINNING_EXCESS * bound.sum():
+                scale = n * float(bound.max())
+            else:
+                scale = float(np.cumsum(bound)[-1])
+            clocks = (n * (der.immigration_rate * self.DT),
+                      scale * (der.branching_rates[0] * self.DT))
+            for c, clock in enumerate(clocks):
+                if gaps[c] >= clock:
+                    gaps[c] -= clock
                 else:
                     want += [("poisson", 0, None), ("exponential", 0, None)]
-                    want_means.append(clock - gap)
-                    gap = drawn.pop(0)
-                step += 1
+                    want_means.append(clock - gaps[c])
+                    gaps[c] = drawn.pop(0)
         assert [call[:3] for call in rng.calls] == want
         assert [lam for name, _, _, lam in rng.calls if name == "poisson"] \
             == pytest.approx(want_means, rel=1e-12)
@@ -919,42 +921,45 @@ class ZeroGaps:
         return getattr(self._rng, item)
 
 
-def _branching_counts(events, n_steps, dt, d):
-    """(n_steps, d) branching events per step and type, over all paths."""
-    counts = np.zeros((n_steps, d), dtype=int)
+def _clock_counts(events, n_steps, dt, d):
+    """(n_steps, d + 1) events per step over all paths: the branching
+    events of each type, then the immigration events."""
+    counts = np.zeros((n_steps, d + 1), dtype=int)
     for evs in events:
         for ev in evs:
-            counts[round(ev.time / dt) - 1, ev.type_index] += 1
+            counts[round(ev.time / dt) - 1, d if ev.type_index is None else ev.type_index] += 1
     return counts
 
 
 class TestCarriedGaps:
-    def tiny_types(self, rate):
+    def tiny_types(self, rate, nu=None):
         # tiny own-axis jumps at rate per unit state on both types
         mu = tuple(DiscreteAtoms(2, [(np.eye(2)[j] * TINY, rate)]) for j in range(2))
         return make(d=2, c=(0.0, 0.0), beta=(0.0, 0.0), B=((0.0, 0.0), (0.0, 0.0)),
-                    mu=mu)
+                    nu=nu, mu=mu)
 
     def test_single_path_counts_iid_poisson(self):
-        # one path, two types with clock increments 0.75 and 0.05 per step
+        # one path, two types with clock increments 0.75 and 0.05 per step,
+        # and tiny immigration jumps with 0.3
         rate, dt = 4.0, 0.125
         state = np.array([1.5, 0.1])
-        p = self.tiny_types(rate)
+        p = self.tiny_types(rate, nu=DiscreteAtoms(2, [(np.full(2, TINY), 2.4)]))
         cfg = SimConfig(T=12_500.0, dt=dt, record_jumps=True)
         path = simulate_path(p, state, cfg, block_generator(103, 0))
         assert np.array_equal(path.final, state)
         steps = cfg.n_steps
         assert steps >= 10 ** 5
-        counts = _branching_counts([path.jumps], steps, dt, 2)
-        for lam, c in zip(state * rate * dt, counts.T):
+        counts = _clock_counts([path.jumps], steps, dt, 2)
+        for lam, c in zip([*(state * rate * dt), 2.4 * dt], counts.T):
             assert abs(c.mean() - lam) <= 4.0 * math.sqrt(lam / steps)
             var_se = math.sqrt((lam + 2.0 * lam ** 2) / steps)
             assert abs(c.var(ddof=1) - lam) <= 4.0 * var_se
             # a carried gap must not correlate consecutive steps
             r = np.corrcoef(c[:-1], c[1:])[0, 1]
             assert abs(r) <= 4.0 / math.sqrt(steps)
-        r = np.corrcoef(counts[:, 0], counts[:, 1])[0, 1]
-        assert abs(r) <= 4.0 / math.sqrt(steps)
+        # nor one clock's counts with another's
+        corr = np.corrcoef(counts, rowvar=False)
+        assert np.all(np.abs(corr[np.triu_indices(3, 1)]) <= 4.0 / math.sqrt(steps))
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("states", [

@@ -1,4 +1,5 @@
-"""The bias-calibration tool, run small enough for the suite."""
+"""The repository tools: bias calibration, run small enough for the suite,
+and the source line counter."""
 
 import importlib.util
 import math
@@ -8,9 +9,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "src" / "cbi" / "data" / "scenarios"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "calibrate_bias", ROOT / "tools" / "calibrate_bias.py")
+def load_tool(name="calibrate_bias"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -23,3 +23,34 @@ def test_calibrate_returns_constants_and_writes_nothing(capsys):
     assert math.isfinite(c_laplace) and c_laplace >= 0.1
     assert {f.name: f.read_bytes() for f in SCENARIOS.glob("*.json")} == before
     assert "S4: laplace bias" in capsys.readouterr().out
+
+
+SOURCE = '''"""Module docstring,
+on two lines."""
+
+# a comment line
+import math
+
+
+class Box:
+    """Class docstring."""
+
+    def area(self, w,
+             h):
+        # the product
+        text = """a string,
+        not a docstring"""
+        return (w *   # continued
+                h)
+'''
+
+
+def test_src_lines_counts_code_only(capsys):
+    tool = load_tool("src_lines")
+    # 17 lines; code: import, class, def (2), text (2), return (2)
+    assert tool.count(SOURCE) == (17, 8)
+    assert tool.main() == 0
+    *rows, total = capsys.readouterr().out.splitlines()[1:]
+    counts = [tuple(map(int, row.split()[1:])) for row in rows]
+    assert total.split()[0] == "total" and len(counts) >= 10
+    assert tuple(map(int, total.split()[1:])) == tuple(map(sum, zip(*counts)))
