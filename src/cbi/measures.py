@@ -26,23 +26,33 @@ above(eps) and below(eps).
 Every family exposes the same region integrals of 1, z_i, ||z|| and ||z||^2
 and the kinked integrals int (1 ^ z_i) and int (z_i - 1)^+; each
 returns +inf exactly when it diverges, and raises OverflowError when it
-converges but its value overflows. The paper's admissibility conditions
-and modified drifts are sums of these, composed in :mod:`cbi.params`.
-Every numeric field of a family, and the norm of every atom, must be
-finite; a non-finite one raises ValueError at construction.
+converges but its value overflows. The four region integrals are defined
+once, on :class:`JumpMeasure`, as cases of one hook that each family (and
+:class:`MeasureSum`) implements: ``_moment(region, k, i)``, the integral
+of ||z||^k over the region, or of z_i when i is given. The paper's
+admissibility conditions and modified drifts are sums of these, composed
+in :mod:`cbi.params`. Every numeric field of a family, and the norm of
+every atom, must be finite; a non-finite one raises ValueError at
+construction.
 
 Mixtures are sampled by :func:`sample_parts`, the one place that picks a
 mixture leaf by mass, for :class:`MeasureSum` and the Euler scheme alike.
+Atoms keep one sampling table, that of ALL: the scheme simulates a
+finite-activity leaf whole, so any other region's table is built per call.
+A mixture caches no masses: :func:`cbi.params.derive` already holds those
+of the parts the scheme samples.
 
 All measure objects are immutable after construction and safe to share across
-parallel workers; sampling takes an explicit numpy Generator.
+parallel workers: every cache is a ``functools.cached_property`` whose value
+depends only on the measure, so two threads that build it at once (it holds
+no lock from Python 3.12) build the same value. Sampling takes an explicit
+numpy Generator.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,17 +118,21 @@ class JumpMeasure:
     def components(self):
         return (self,)
 
-    # region integrals of 1, z_i, ||z||, ||z||^2
+    # region integrals of 1, z_i, ||z||, ||z||^2, each a case of _moment
     def mass(self, region: Region) -> float:
-        raise NotImplementedError
+        return self._moment(region, 0)
 
     def coord(self, i: int, region: Region) -> float:
-        raise NotImplementedError
+        return self._moment(region, 1, i)
 
     def norm_moment(self, region: Region) -> float:
-        raise NotImplementedError
+        return self._moment(region, 1)
 
     def norm_sq_moment(self, region: Region) -> float:
+        return self._moment(region, 2)
+
+    def _moment(self, region: Region, k: int, i=None) -> float:
+        """int ||z||^k over region, or int z_i there when i is given (k = 1)."""
         raise NotImplementedError
 
     # kinked integrands in a single coordinate: (1 ^ z_i) and (z_i - 1)^+
@@ -200,8 +214,6 @@ class DiscreteAtoms(JumpMeasure):
         # an atom without a finite norm would fall outside every region
         if not np.all(np.isfinite(self._norms)):
             raise ValueError("atom locations must be finite, with a finite norm")
-        self._cdf_cache = {}
-        self._cdf_lock = threading.Lock()
 
     @property
     def atoms(self):
@@ -216,17 +228,8 @@ class DiscreteAtoms(JumpMeasure):
         mask = region.contains(self._norms)
         return float(np.dot(self._w[mask], np.asarray(values)[mask]))
 
-    def mass(self, region):
-        return self._wsum(np.ones(len(self._w)), region)
-
-    def coord(self, i, region):
-        return self._wsum(self._z[:, i], region)
-
-    def norm_moment(self, region):
-        return self._wsum(self._norms, region)
-
-    def norm_sq_moment(self, region):
-        return self._wsum(self._norms ** 2, region)
+    def _moment(self, region, k, i=None):
+        return self._wsum(self._norms ** k if i is None else self._z[:, i], region)
 
     def one_wedge_coord(self, i):
         return self._wsum(np.minimum(1.0, self._z[:, i]))
@@ -259,24 +262,26 @@ class DiscreteAtoms(JumpMeasure):
         lam = np.asarray(lam, dtype=float)
         return (1.0 - np.exp(lam @ self._exp_constants[0])) @ self._w
 
-    def _cdf(self, region):
-        """(normalised CDF, locations) of the atoms inside region, cached."""
-        key = (region.lo, region.hi)
-        with self._cdf_lock:
-            cached = self._cdf_cache.get(key)
-            if cached is None:
-                mask = region.contains(self._norms)
-                w = self._w[mask]
-                if w.size == 0:
-                    raise EmptyRegion("no atoms inside the requested region")
-                # the CDF Generator.choice(p=w / w.sum()) builds on every call
-                cdf = (w / w.sum()).cumsum()
-                cdf /= cdf[-1]
-                cached = self._cdf_cache[key] = (cdf, self._z[mask])
-            return cached
+    def _table(self, region):
+        """(normalised CDF, locations) of the atoms inside region."""
+        mask = region.contains(self._norms)
+        w = self._w[mask]
+        if w.size == 0:
+            raise EmptyRegion("no atoms inside the requested region")
+        # the CDF Generator.choice(p=w / w.sum()) builds on every call
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf, self._z[mask]
+
+    @functools.cached_property
+    def _all_table(self):
+        """The table of ALL, the one region the Euler scheme samples atoms
+        on (a finite-activity leaf is simulated whole), built at its first
+        draw; a table of any other region is built per call."""
+        return self._table(ALL)
 
     def sample_n(self, region, n, rng):
-        cdf, locs = self._cdf(region)
+        cdf, locs = self._all_table if region == ALL else self._table(region)
         return locs[cdf.searchsorted(rng.random(n), side="right")]
 
 
@@ -453,31 +458,23 @@ class ProductExponential(JumpMeasure):
         return (0.5 * math.pi * 10.0 ** -np.arange(math.ceil(decades) + 2, 0, -1)).tolist()
 
     @_convergent_integral
-    def mass(self, region):
-        if region.lo == 0.0 and region.hi == INF:
-            return self.r
-        return self._shell_integral(region, 0)
+    def _moment(self, region, k, i=None):
+        # the whole orthant's separable integrals are closed-form; int ||z||
+        # is not separable
+        if region == ALL:
+            if i is not None:
+                return self.r / self.theta[i]
+            if k == 0:
+                return self.r
+            if k == 2:
+                return self.r * float(np.sum(2.0 / self.theta ** 2))
+        return self._shell_integral(region, k, i)
 
-    @_convergent_integral
-    def coord(self, i, region):
-        if region.lo == 0.0 and region.hi == INF:
-            return self.r / self.theta[i]
-        return self._shell_integral(region, 1, i)
-
-    @_convergent_integral
-    def norm_moment(self, region):
-        return self._shell_integral(region, 1)
-
-    @_convergent_integral
-    def norm_sq_moment(self, region):
-        if region.lo == 0.0 and region.hi == INF:
-            return self.r * float(np.sum(2.0 / self.theta ** 2))
-        return self._shell_integral(region, 2)
-
-    @_convergent_integral
     def one_wedge_coord(self, i):
+        # (1 - e^-theta) / theta lies in (0, 1]: no overflow, and expm1
+        # keeps its digits at rates far below 1
         th = self.theta[i]
-        return self.r * (1.0 - math.exp(-th)) / th
+        return self.r * (-math.expm1(-th) / th)
 
     @_convergent_integral
     def excess_over_one(self, i):
@@ -492,7 +489,7 @@ class ProductExponential(JumpMeasure):
         lam = np.asarray(lam, dtype=float)
         th = self.theta[i]
         return self.r * (self._laplace(lam) - 1.0
-                         + lam[..., i] * (1.0 - math.exp(-th)) / th)
+                         + lam[..., i] * (-math.expm1(-th) / th))
 
     def exp_branching_full(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -505,7 +502,7 @@ class ProductExponential(JumpMeasure):
         # standard_exponential(shape) * scale are the floats exponential(scale,
         # shape) draws, without its per-call broadcasting of scale
         scale = 1.0 / self.theta
-        if region.lo == 0.0 and region.hi == INF:
+        if region == ALL:
             return rng.standard_exponential((n, self.dim)) * scale
         accept_p = self.mass(region) / self.r
         if accept_p <= 0.0:
@@ -637,13 +634,15 @@ class TemperedPowerLawAxis(JumpMeasure):
         self.theta = float(theta)
         self.scale = float(scale)
 
-    def _power(self, p, lo, hi):
-        """Integral of z^p against the density over [lo, hi): C times
-        int_lo^hi z^(s-1) e^(-theta z) dz at s = p - alpha, +inf when it
-        diverges at the origin (lo == 0 and s <= 0). Below kappa = 1/theta
-        it is :func:`_tempered_series`, above it a difference of
-        :func:`_tempered_tail` values."""
-        s = p - self.alpha
+    def _moment(self, region, k, i=None):
+        """C times int_lo^hi z^(s-1) e^(-theta z) dz at s = k - alpha (0 off
+        the axis), +inf when it diverges at the origin (lo == 0 and s <= 0).
+        Below kappa = 1/theta it is :func:`_tempered_series`, above it a
+        difference of :func:`_tempered_tail` values."""
+        if i is not None and i != self.axis:
+            return 0.0
+        lo, hi = region.lo, region.hi
+        s = k - self.alpha
         if lo == 0.0 and s <= 0.0:
             return INF
         kappa = 1.0 / self.theta
@@ -655,24 +654,10 @@ class TemperedPowerLawAxis(JumpMeasure):
             total += _tempered_tail(s, self.theta, start) - _tempered_tail(s, self.theta, hi)
         return _convergent(self.scale * total)
 
-    def mass(self, region):
-        return self._power(0, region.lo, region.hi)
-
-    def coord(self, i, region):
-        if i != self.axis:
-            return 0.0
-        return self._power(1, region.lo, region.hi)
-
-    def norm_moment(self, region):
-        return self._power(1, region.lo, region.hi)
-
-    def norm_sq_moment(self, region):
-        return self._power(2, region.lo, region.hi)
-
     def one_wedge_coord(self, i):
         if i != self.axis:
             return 0.0
-        return self._power(1, 0.0, 1.0) + self._power(0, 1.0, INF)
+        return self.norm_moment(SMALL_JUMPS) + self.mass(LARGE_JUMPS)
 
     def excess_over_one(self, i):
         return self._excess_over_one if i == self.axis else 0.0
@@ -681,7 +666,7 @@ class TemperedPowerLawAxis(JumpMeasure):
     def _excess_over_one(self):
         """int (z - 1)^+ on the axis, taken once: the Riccati right-hand side
         reads it at every own-axis branching exponent."""
-        return self._power(1, 1.0, INF) - self._power(0, 1.0, INF)
+        return self.norm_moment(LARGE_JUMPS) - self.mass(LARGE_JUMPS)
 
     def _closed_form(self, lam, diverges_from, shape):
         """C theta^alpha shape(alpha, x) at x = la / theta of each row of lam,
@@ -755,8 +740,6 @@ class MeasureSum(JumpMeasure):
         self.dim = comps[0].dim
         self._components = tuple(comps)
         self.is_finite_activity = all(c.is_finite_activity for c in comps)
-        self._masses_cache = {}
-        self._masses_lock = threading.Lock()
 
     def components(self):
         return self._components
@@ -764,17 +747,8 @@ class MeasureSum(JumpMeasure):
     def _sum(self, op):
         return float(sum(op(c) for c in self._components))
 
-    def mass(self, region):
-        return self._sum(lambda c: c.mass(region))
-
-    def coord(self, i, region):
-        return self._sum(lambda c: c.coord(i, region))
-
-    def norm_moment(self, region):
-        return self._sum(lambda c: c.norm_moment(region))
-
-    def norm_sq_moment(self, region):
-        return self._sum(lambda c: c.norm_sq_moment(region))
+    def _moment(self, region, k, i=None):
+        return self._sum(lambda c: c._moment(region, k, i))
 
     def one_wedge_coord(self, i):
         return self._sum(lambda c: c.one_wedge_coord(i))
@@ -792,18 +766,10 @@ class MeasureSum(JumpMeasure):
     def exp_immigration(self, lam):
         return sum(c.exp_immigration(lam) for c in self._components)
 
-    def _masses(self, region):
-        """Every component's mass on region, integrated once per region."""
-        key = (region.lo, region.hi)
-        with self._masses_lock:
-            masses = self._masses_cache.get(key)
-            if masses is None:
-                masses = self._masses_cache[key] = tuple(
-                    c.mass(region) for c in self._components)
-            return masses
-
     def sample_n(self, region, n, rng):
-        parts = [(c, region, mass) for c, mass in zip(self._components, self._masses(region))]
+        # the Euler scheme samples the parts that params.derive keeps, with
+        # their masses; only a direct call integrates them here
+        parts = [(c, region, c.mass(region)) for c in self._components]
         if any(math.isinf(mass) for _, _, mass in parts):
             raise InfiniteMass("a mixture component has infinite mass on the region")
         parts = [part for part in parts if part[2] > 0.0]

@@ -8,6 +8,7 @@ import pytest
 
 from cbi.errors import BudgetExceeded, InvalidConfig, PreconditionViolated
 from cbi.measures import DiscreteAtoms
+from cbi.moments import mean
 from cbi import simulate
 from cbi.montecarlo import (
     BLOCK_SIZE, CoupledStats, _ordering, estimate_laplace_grid, estimate_mean,
@@ -116,9 +117,11 @@ class TestChainMean:
     error with a Bonferroni bound over the five coordinates of S3, S4 and
     S5 (family-wise level 1e-3). With c > 0 (S3, S4) the chain's mean is
     exact only while no state goes negative, so a failure there measures
-    the raw mode's positivity remainder: it is reported, never absorbed."""
+    the raw mode's positivity remainder: it is reported, never absorbed.
+    The chain's own error against the closed-form mean is A4's halving
+    ratio without Monte Carlo noise."""
 
-    Z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 5))
+    Z =NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 5))
 
     def test_oracle_is_the_drift_only_recursion(self):
         # no noise: the estimate is the chain itself, path for path
@@ -138,6 +141,19 @@ class TestChainMean:
         z = np.abs(value - chain) / stderr
         assert np.all(z <= self.Z), f"{name}: |z| {z} against the chain {chain}"
 
+
+    @pytest.mark.parametrize("name", ["S2", "S3", "S4", "S5"])
+    def test_chain_error_halves_with_dt(self, name):
+        # the chain's error against the closed-form mean is e(dt) = a dt +
+        # b dt^2 + ..., so e(dt/2) / e(dt) = 1/2 - (b / 4a) dt + O(dt^2);
+        # b / 4a reads 0.02-0.10 here, and a bound of dt leaves ten times
+        # that. S3 runs at A4's dt, the others at their own.
+        s = load_scenario(name)
+        dt = s.ratio_check["dt"] if name == "S3" else s.dt
+        exact = mean(s.params, s.x0, s.t)
+        err = [np.linalg.norm(exact - chain_mean(s.params, s.x0, s.t, h, s.eps_trunc))
+               for h in (dt, dt / 2.0)]
+        assert abs(err[1] / err[0] - 0.5) <= dt
 
 class TestEstimateLaplace:
     def test_zero_lambda_exact(self):
