@@ -7,7 +7,9 @@ e^{-<lam, X_t^+>} per (t, lam) for :func:`estimate_laplace_grid`; both
 return (value, stderr) and their verifications share one pass rule,
 |estimate - analytic| <= 3 stderr + C dt. The comparison check reduces the
 ordering statistics of coupled pairs, :class:`CoupledStats`, taken at two
-step sizes from one stacked run of the kernel. The initial
+step sizes from one stacked run of the kernel, and tests the paired excess
+of the fine level's violation share over the coarse one's against 3 of its
+standard errors, one-sided. The initial
 state passes the shared check of :mod:`cbi.params` (check_state) and each
 snapshot time the grid rule :meth:`cbi.simulate.SimConfig.steps`, both
 before any path is drawn.
@@ -269,11 +271,13 @@ class CoupledStats:
     """Ordering statistics of one coupled block, taken as the observer of
     :func:`simulate_coupled_block` over the grid points 0, ..., n_points - 1:
     the count of (path, type, point) triples with X' - X below
-    -COMPARISON_SLACK, the count of all triples, the largest violation, and
-    per point and type the sums of X' - X and of its square over the paths."""
+    -COMPARISON_SLACK, also per path (0 until a chunk has one), the count
+    of all triples, the largest violation, and per point and type the sums
+    of X' - X and of its square over the paths."""
 
     def __init__(self, n_points, d):
         self.violations = 0
+        self.path_violations = 0
         self.triples = 0
         self.worst = 0.0
         self.diff_sum = np.zeros((n_points, d))
@@ -287,7 +291,9 @@ class CoupledStats:
         diffs = np.subtract(high, low, out=np.empty(high.shape))
         lo = float(diffs.min())
         if lo < -COMPARISON_SLACK:
-            self.violations += int(np.count_nonzero(diffs < -COMPARISON_SLACK))
+            per_path = np.count_nonzero(diffs < -COMPARISON_SLACK, axis=(0, 1))
+            self.violations += int(per_path.sum())
+            self.path_violations = self.path_violations + per_path
         self.triples += diffs.size
         self.worst = max(self.worst, -lo)
         points = slice(first, first + diffs.shape[1])
@@ -309,7 +315,9 @@ def _ordering(stats, n):
 
 def _comparison_run(p, scenario, threads, budget):
     """The coupled pairs at dt and dt/2 as one stack on the grid of dt/2;
-    returns the ordering diagnostics (coarse, fine)."""
+    returns the ordering diagnostics (coarse, fine) and the mean and
+    standard error of the paired excess F_fine - F_coarse, F a path's share
+    of violating (type, point) pairs at that level."""
     comp = scenario.comparison
     SimConfig(T=comp["T"], dt=comp["dt"]).n_steps   # T on the grid of dt
     cfg = SimConfig(T=comp["T"], dt=comp["dt"] / 2.0, eps_trunc=scenario.eps_trunc)
@@ -330,11 +338,14 @@ def _comparison_run(p, scenario, threads, budget):
 
         simulate_coupled_block(p, beta_prime, block, block, cfg, rng, observe,
                                coarse=True)
-        return coarse, fine
+        excess = np.zeros((count, 1))
+        excess[:, 0] += (fine.path_violations / (fine.triples // count)
+                         - coarse.path_violations / (coarse.triples // count))
+        return coarse, fine, _block_moments(excess)
 
     n = comp["n_paths"]
-    results = _sweep(p, cfg, n, comp["seed"], threads, budget, run_block)
-    return tuple(_ordering(level, n) for level in zip(*results))
+    coarse, fine, excess = zip(*_sweep(p, cfg, n, comp["seed"], threads, budget, run_block))
+    return _ordering(coarse, n), _ordering(fine, n), _reduce_moments(excess, n)
 
 
 def verify_comparison(scenario, threads=None, budget=None) -> VerifyReport:
@@ -345,6 +356,13 @@ def verify_comparison(scenario, threads=None, budget=None) -> VerifyReport:
     coarse), driven by the same noise; the dt pair's diagnostics read its
     states at the even grid points only. budget, in path-steps, is checked
     once, against the pairs times the steps of dt/2.
+
+    It passes when the coarse pair violates the ordering in at most 1 % of
+    its (path, type, point) triples, both levels' mean differences are
+    ordered, and the fine pair is not worse: the paired excess of the fine
+    level's violation share over the coarse one's is at most 3 standard
+    errors, a one-sided test over the independent paths. The estimate, its
+    stderr and the z-score are that excess's.
     """
     if scenario.comparison is None:
         raise InvalidConfig(
@@ -352,16 +370,16 @@ def verify_comparison(scenario, threads=None, budget=None) -> VerifyReport:
     start = time.perf_counter()
     p = scenario.params
     dt = scenario.comparison["dt"]
-    coarse, fine = _comparison_run(p, scenario, threads, budget)
-    passed = (coarse["fraction"] <= 0.01
-              and fine["fraction"] <= coarse["fraction"] + 1e-12
+    coarse, fine, (excess, stderr) = _comparison_run(p, scenario, threads, budget)
+    z = float(_zscores(np.maximum(excess, 0.0), stderr, 0.0)[0])
+    passed = (coarse["fraction"] <= 0.01 and z <= 3.0
               and coarse["means_ordered"] and fine["means_ordered"])
     return VerifyReport(
         quantity=f"comparison[{scenario.name}]",
         analytic=np.array([0.0]),
-        estimate=np.array([coarse["fraction"], fine["fraction"]]),
-        stderr=np.zeros(2),
-        z_score=0.0,
+        estimate=excess,
+        stderr=stderr,
+        z_score=z,
         bias_allowance=0.01,
         passed=bool(passed),
         runtime=time.perf_counter() - start,

@@ -9,7 +9,7 @@ import pytest
 from cbi.errors import BudgetExceeded, InvalidConfig, PreconditionViolated
 from cbi.measures import DiscreteAtoms
 from cbi.moments import mean
-from cbi import simulate
+from cbi import montecarlo, simulate
 from cbi.montecarlo import (
     BLOCK_SIZE, CoupledStats, _ordering, estimate_laplace_grid, estimate_mean,
     verify_comparison, verify_laplace, verify_mean,
@@ -284,11 +284,36 @@ class TestVerify:
         simulate.simulate_coupled_block(
             s.params, s.params.beta + comp["beta_shift"], x0, x0, cfg,
             simulate.block_generator(comp["seed"], 0), observe, coarse=True)
+        shares = []
         for level, states in (("coarse", full[::2, :2]), ("fine", full[:, 2:])):
             stats = CoupledStats(len(states), d)
             stats(0, states)
             assert rep.details[level] == _ordering([stats], n)
+            assert stats.path_violations.sum() == stats.violations
+            shares.append(stats.path_violations / (len(states) * d))
         assert 0.0 < rep.details["coarse"]["fraction"] != rep.details["fine"]["fraction"]
+        # the estimate is the paired excess of the fine share over the coarse
+        excess = shares[1] - shares[0]
+        assert rep.estimate == pytest.approx([excess.mean()], rel=1e-12)
+        assert rep.stderr == pytest.approx([excess.std(ddof=1) / math.sqrt(n)], rel=1e-12)
+        assert rep.estimate[0] == pytest.approx(
+            rep.details["fine"]["fraction"] - rep.details["coarse"]["fraction"], rel=1e-12)
+        assert rep.z_score == pytest.approx(max(excess.mean(), 0.0) / rep.stderr[0], rel=1e-12)
+
+    @pytest.mark.parametrize("excess, stderr, passed", [
+        (0.0, 0.0, True), (-1e-3, 1e-4, True), (2.9e-4, 1e-4, True),
+        (3.1e-4, 1e-4, False), (1e-3, 0.0, False)])
+    def test_comparison_rule_is_one_sided_on_the_paired_excess(
+            self, excess, stderr, passed, monkeypatch):
+        ordered = {"fraction": 1e-4, "worst": 0.1, "means_ordered": True,
+                   "min_mean_diff": 0.0}
+        monkeypatch.setattr(montecarlo, "_comparison_run", lambda *args: (
+            ordered, ordered, (np.array([excess]), np.array([stderr]))))
+        rep = verify_comparison(jumpy_scenario())
+        assert rep.passed is passed
+        assert rep.estimate == [excess] and rep.stderr == [stderr]
+        assert rep.z_score == (0.0 if excess <= 0 else excess / stderr if stderr
+                               else math.inf)
 
     def test_halving_ratio_runs(self):
         ratios = mean_error_halving_ratio(jumpy_scenario())

@@ -543,6 +543,7 @@ def reference_record(stats, step, diff):
     summed as one contiguous row of paths, as the observer sums them."""
     gap = np.minimum(diff, 0.0)
     stats.violations += int(np.count_nonzero(diff < -COMPARISON_SLACK))
+    stats.path_violations = stats.path_violations + (diff < -COMPARISON_SLACK).sum(axis=1)
     stats.triples += diff.size
     worst = float(-gap.min()) if gap.size else 0.0
     stats.worst = max(stats.worst, worst)
@@ -553,6 +554,8 @@ def reference_record(stats, step, diff):
 
 def assert_same_stats(a, b):
     assert (a.violations, a.triples, a.worst) == (b.violations, b.triples, b.worst)
+    # a block with no violation keeps the scalar 0 per path
+    assert np.all(a.path_violations == b.path_violations)
     assert np.array_equal(a.diff_sum, b.diff_sum)
     assert np.array_equal(a.diff_sq_sum, b.diff_sq_sum)
 
