@@ -474,7 +474,9 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                 if j is None:
                     scale = n
                 elif floats:
-                    scale = bounds[j]
+                    # a thinned block of one, which keeps every candidate
+                    thin, top = True, bounds[j]
+                    scale = top
                 else:
                     bound = bounds[j]
                     if k == 1:
@@ -495,30 +497,24 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                                         else "branching candidate rate overflowed")
                 total = 1 + int(rng.poisson(clock - gap))
                 gaps[b] = rng.exponential()
-                if j is None:
-                    # immigration keeps every candidate, each with a uniform owner
-                    owners = rng.integers(0, n, total) if n > 1 else np.zeros(total, np.intp)
-                    sizes = sample_parts(parts, total, rng)
-                    marks = None
-                elif thin:
-                    # uniform owners, each kept when its mark is below its
-                    # own bound; only the kept candidates draw sizes
+                # one draw order for every clock: owners, marks, sizes
+                if n == 1:
+                    owners = np.zeros(total, np.intp)
+                elif j is None or thin:
                     owners = rng.integers(0, n, total)
-                    marks = rng.random(total) * top
-                    kept_at = (marks < bound[owners]).nonzero()[0]
-                    if not kept_at.size:
-                        continue
-                    owners, marks = owners[kept_at], marks[kept_at]
-                    sizes = sample_parts(parts, kept_at.size, rng)
                 else:
-                    if n == 1:
-                        owners = np.zeros(total, np.intp)
-                        owner_bound = scale
-                    else:
-                        owners = _branching_owners(rng, cum, total)
-                        owner_bound = bound[owners]
-                    sizes = sample_parts(parts, total, rng)
-                    marks = rng.random(total) * owner_bound
+                    owners = _branching_owners(rng, cum, total)
+                marks = None
+                if j is not None:
+                    marks = rng.random(total) * (top if thin else bound[owners])
+                    if thin and n > 1:
+                        # a block keeps a candidate whose mark is below its
+                        # owner's bound; only the kept ones draw sizes
+                        kept_at = (marks < bound[owners]).nonzero()[0]
+                        if not kept_at.size:
+                            continue
+                        owners, marks = owners[kept_at], marks[kept_at]
+                sizes = sample_parts(parts, owners.size, rng)
                 if floats:
                     _add_floats(x, sizes)
                 elif k == 1:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cbi.errors import InvalidConfig, PreconditionViolated
-from cbi.measures import ALL, DiscreteAtoms, MeasureSum, TemperedPowerLawAxis, above
+from cbi.measures import (
+    ALL, DiscreteAtoms, MeasureSum, ProductExponential, TemperedPowerLawAxis, above,
+)
 from cbi.moments import mean
 from cbi.montecarlo import COMPARISON_SLACK, CoupledStats, _estimate
 from cbi.params import AdmissibleParams, derive
@@ -1063,6 +1065,46 @@ class TestThinning:
             # one path stay uncorrelated
             r = np.corrcoef(c[:-1], c[1:])[0, 1]
             assert abs(r) <= 4.0 / math.sqrt(steps)
+
+
+class TestDrawOrder:
+    """Every branching clock that fires draws, after its Poisson count and
+    its new gap: the owners (none for one path), then the marks, then the
+    sizes of the kept candidates."""
+
+    # exponential jumps draw their sizes by standard_exponential, and no
+    # immigration or diffusion draws in between
+    P = make(mu=(ProductExponential(40.0, [20.0]),))
+    # uniform owners for a thinned block, a prefix sum's uniforms otherwise
+    CASES = {
+        "path": (1, 1, None), "thinned": (1, 5, "integers"),
+        "fallback": (1, 40, "uniform"), "pair-of-one": (2, 1, None),
+        "pair": (2, 3, "uniform"), "coarse-stack": (4, 3, "uniform")}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_owners_then_marks_then_sizes(self, case):
+        k, n, owners = self.CASES[case]
+        # one positive path among 39 that stay at 0 keeps n max / sum at 40,
+        # above the thinning excess, at every step
+        x0 = np.zeros((n, 1))
+        x0[0 if case == "fallback" else slice(None)] = 1.0
+        cfg = SimConfig(T=1.0, dt=2.0 ** -6)
+        rng = RecordingGenerator(block_generator(23, 0))
+        if k == 1:
+            simulate_block(self.P, x0, cfg, rng)
+        else:
+            simulate_coupled_block(self.P, self.P.beta + 0.5, x0, x0, cfg, rng,
+                                   coarse=k == 4)
+        names = [name for name, _, _ in rng.calls]
+        starts = [i for i, name in enumerate(names) if name == "poisson"]
+        assert len(starts) >= 10
+        for a, b in zip(starts, starts[1:] + [len(names)]):
+            firing = names[a + 1:b]
+            head = ["exponential"] + ([owners] if owners else []) + ["random"]
+            assert firing[:len(head)] == head
+            sizes = firing[len(head):]
+            # a thinned block may keep no candidate, and then draws no size
+            assert set(sizes) == {"standard_exponential"} or (case == "thinned" and not sizes)
 
 
 class TestChunkedImmigration:
