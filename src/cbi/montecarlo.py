@@ -52,7 +52,10 @@ def _sweep(p, cfg, n_paths, seed, threads, budget, run_block):
     source = "threads"
     if threads is None:
         threads, source = os.environ.get(THREADS_ENV_VAR) or 1, f"${THREADS_ENV_VAR}"
-    threads = int(threads)
+    try:
+        threads = int(threads)
+    except ValueError:
+        raise InvalidConfig(f"{source} must be an integer, got {threads!r}") from None
     if threads < 1:
         raise InvalidConfig(f"{source} must be at least 1, got {threads}")
     if budget is not None and n_paths * cfg.n_steps > budget:

@@ -707,6 +707,7 @@ class TestExitCodeFuzz:
         ("-3", None, 2, "threads must be at least 1, got -3"),
         (None, "0", 2, "$CBI_NUM_THREADS must be at least 1, got 0"),
         (None, "-3", 2, "$CBI_NUM_THREADS must be at least 1, got -3"),
+        (None, "abc", 2, "$CBI_NUM_THREADS must be an integer, got 'abc'"),
         ("1", "0", 4, "numeric failure: BudgetExceeded"),
         (None, "2", 4, "numeric failure: BudgetExceeded"),
     ])
