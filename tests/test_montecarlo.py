@@ -114,14 +114,14 @@ def laplace_at(p, x0, lam, t, n_paths, seed):
 class TestChainMean:
     """The Monte Carlo mean against the Euler chain's own mean, with no bias
     allowance: the only error left is Monte Carlo, gated by its standard
-    error with a Bonferroni bound over the five coordinates of S3, S4 and
-    S5 (family-wise level 1e-3). With c > 0 (S3, S4) the chain's mean is
+    error with a Bonferroni bound over the eight coordinates of S1 to S5
+    (family-wise level 1e-3). With c > 0 (S1 to S4) the chain's mean is
     exact only while no state goes negative, so a failure there measures
     the raw mode's positivity remainder: it is reported, never absorbed.
     The chain's own error against the closed-form mean is A4's halving
     ratio without Monte Carlo noise."""
 
-    Z =NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 5))
+    Z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 8))
 
     def test_oracle_is_the_drift_only_recursion(self):
         # no noise: the estimate is the chain itself, path for path
@@ -132,7 +132,7 @@ class TestChainMean:
         assert value == pytest.approx(chain_mean(p, [1.0, 2.0], 1.0, CFG.dt, 1e-3),
                                       rel=1e-13)
 
-    @pytest.mark.parametrize("name", ["S3", "S4", "S5"])
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
     def test_scenario_mean_within_monte_carlo_error(self, name):
         s = load_scenario(name)
         chain = chain_mean(s.params, s.x0, s.t, s.dt, s.eps_trunc)
