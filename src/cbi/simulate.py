@@ -35,9 +35,10 @@ n times the block's largest bound, each with a uniform owner, and one is
 kept when its uniform mark on [0, that bound) lies below its owner's
 bound. A Poisson count at the largest bound, thinned by independent marks,
 is a Poisson count at each owner's bound (Lewis & Shedler, Naval Res.
-Logist. Q. 26, 1979). Where n max exceeds _THINNING_EXCESS times the sum of
-the bounds, and for a coupled stack, the candidates arrive at the sum of
-the bounds and a prefix sum places them.
+Logist. Q. 26, 1979); a single path is a thinned block of one, which keeps
+every candidate. Where n max exceeds _THINNING_EXCESS times the sum of the
+bounds, and for a coupled stack, the candidates arrive at the sum of the
+bounds and a prefix sum places them.
 Immigration and each branching type carry the exponential waiting time to
 their next candidate across steps, so a step draws nothing for a kind
 without a candidate.
@@ -55,16 +56,16 @@ gap per type with simulated branching mass, in type order, and last one for
 immigration when nu has simulated mass; then per chunk of m steps, m =
 max(1, min(n_steps, _CHUNK_VALUES // (n * d))), the diffusion normals of all
 m steps; then per step, immigration first and then each branching type, and
-only for one that fires, its Poisson count and its new gap, then for
-immigration the owners and the sizes, for a type in a thinned block the
-owners, the marks and the sizes of the accepted candidates, and otherwise
-the owners, the sizes and the marks. A one-path block draws no owners.
-Marks are drawn whether or not jumps are recorded, so recording leaves
-every path unchanged. A carried gap gives each step a Poisson count
-independent of the others, and uniform owners split an immigration count
-into independent Poisson counts per path, so neither changes the law. A
-fixed Generator state thus reproduces paths bit-for-bit; the spawned SFC64
-substreams of block-parallel runs come from :func:`block_generator`.
+only for one that fires, one draw order: its Poisson count and its new gap,
+the owners (none for a one-path stack), for a branching type the marks, and
+the sizes of the kept candidates. Marks are drawn whether or not jumps are
+recorded, so recording leaves every path unchanged. A carried gap gives
+each step a Poisson count independent of the others, and uniform owners
+split an immigration count into independent Poisson counts per path, so
+neither changes the law; nor does the order of a firing's draws, whose
+families are independent. A fixed Generator state thus reproduces paths
+bit-for-bit; the spawned SFC64 substreams of block-parallel runs come from
+:func:`block_generator`.
 
 A single path, as ``cbi simulate`` writes them, is held as d Python floats
 and advanced by a straight-line step generated once per dimension
@@ -270,12 +271,14 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
     sub-cutoff immigration jumps is added to it here. A block (k = 1) of
     n > 1 paths thins type j: its candidates arrive on the clock rate_j *
     dt * n * max_i X_ij^+, each takes a uniform owner i and a mark u uniform
-    on [0, max_i X_ij^+), and it is accepted when u < X_ij^+. A step whose
-    n max exceeds _THINNING_EXCESS times the sum of the bounds, a single
-    path and a stack (k > 1) run the clock on the sum of the bounds instead
-    (for a stack, of its states' largest bounds) and place the candidates
-    by its prefix sum; a block accepts each placed candidate, and state s
-    of a stack accepts one when its uniform mark lies below its own bound.
+    on [0, max_i X_ij^+), and it is accepted when u < X_ij^+; a single path
+    is such a block of one, which keeps every candidate. A step whose n max
+    exceeds _THINNING_EXCESS times the sum of the bounds and a stack (k > 1)
+    run the clock on the sum of the bounds instead (for a stack, of its
+    states' largest bounds), place the candidates by its prefix sum and
+    mark each on [0, its owner's bound); a block accepts each placed
+    candidate, and state s of a stack accepts one when its mark lies below
+    its own bound.
 
     State s has a refresh period q_s (periods, default 1 for every state).
     It takes its left-endpoint copy X_s^+ = max(X_s, 0) only at the steps
@@ -307,12 +310,12 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
     of the types with simulated branching mass, in type order, and then
     immigration's; per chunk of at most _CHUNK_VALUES normals the Gaussian
     increments; per step, immigration first and then each type, and only
-    for one that fires, its Poisson count and its new gap, then for
-    immigration the owners (n > 1) and the sizes, for a type in a thinned
-    block the owners, the marks and the sizes of the accepted candidates,
-    and otherwise the owners (n > 1), the sizes and the marks. The marks are
-    drawn whether or not jumps are recorded, and the log keeps each accepted
-    branching jump with its mark.
+    for one that fires, in one order for every clock: its Poisson count
+    and its new gap; the owners, none for n = 1, uniform for immigration
+    and a thinned block, and by the prefix sum otherwise; for a type, the
+    marks; and the sizes of the kept candidates, in one sample_parts call.
+    The marks are drawn whether or not jumps are recorded, and the log
+    keeps each accepted branching jump with its mark.
 
     The state has two representations; the draws, the jumps and the event
     log above are the same code for both. A single path (k * n = 1) is a
@@ -479,6 +482,10 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                     scale = top
                 else:
                     bound = bounds[j]
+                    # a coupled stack keeps the prefix sum: thinning S3's
+                    # 1 000-pair comparison stack won 5 of 10 alternating
+                    # runs, a tie within the host's noise, and re-rolls
+                    # every coupled stream; at 10 000 pairs it won 10 of 11
                     if k == 1:
                         top = float(bound.max())
                         thin = n * top <= _THINNING_EXCESS * float(bound.sum())
@@ -497,7 +504,9 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                                         else "branching candidate rate overflowed")
                 total = 1 + int(rng.poisson(clock - gap))
                 gaps[b] = rng.exponential()
-                # one draw order for every clock: owners, marks, sizes
+                # one draw order for every clock: owners, marks, sizes. One
+                # path draws no owners: integers(0, 1, total) would draw
+                # nothing, at 10-20 times the cost of np.zeros
                 if n == 1:
                     owners = np.zeros(total, np.intp)
                 elif j is None or thin:
