@@ -341,6 +341,7 @@ def _comparison_run(p, scenario, threads, budget):
 
         simulate_coupled_block(p, beta_prime, block, block, cfg, rng, observe,
                                coarse=True)
+        # path_violations stays the scalar 0 at a level with no violation
         excess = np.zeros((count, 1))
         excess[:, 0] += (fine.path_violations / (fine.triples // count)
                          - coarse.path_violations / (coarse.triples // count))
