@@ -29,16 +29,20 @@ observers still see (steps, k, n, d) arrays. Jump counts are superposed:
 the candidates of a measure over a whole block form one Poisson process
 whose points are split among the n paths in proportion to their
 intensities (uniformly for immigration, whose every path has bound 1),
-which has the law of independent per-path counts. A block of n > 1 paths
-splits a branching type's candidates by classical thinning: they arrive at
-n times the block's largest bound, each with a uniform owner, and one is
-kept when its uniform mark on [0, that bound) lies below its owner's
-bound. A Poisson count at the largest bound, thinned by independent marks,
-is a Poisson count at each owner's bound (Lewis & Shedler, Naval Res.
-Logist. Q. 26, 1979); a single path is a thinned block of one, which keeps
-every candidate. Where n max exceeds _THINNING_EXCESS times the sum of the
-bounds, and for a coupled stack, the candidates arrive at the sum of the
-bounds and a prefix sum places them.
+which has the law of independent per-path counts. Every branching clock
+splits its candidates by one rule, classical thinning: they arrive at n
+times top, the type's largest bound over every path and state of the
+stack, each with a uniform owner and a uniform mark on [0, top). A block
+keeps a candidate whose mark lies below its owner's bound, and state s of
+a stack one whose mark lies below its own bound. A Poisson count at top,
+thinned by independent marks, is a Poisson count at each owner's bound
+(Lewis & Shedler, Naval Res. Logist. Q. 26, 1979), and marks shared by a
+stack nest the accepted sets of ordered states. A single path is a
+thinned block of one, which keeps every candidate. The rule draws n top
+rate dt candidates per step for the sum of the bounds times rate dt kept,
+so it costs little while the bounds are even (n top over that sum reaches
+2.7 on S3, 15.2 on S4 and 7.4 on S5 at their own sizes and seeds) and most
+where one path carries a block (see :func:`_euler`).
 Immigration and each branching type carry the exponential waiting time to
 their next candidate across steps, so a step draws nothing for a kind
 without a candidate.
@@ -91,15 +95,10 @@ from .params import AdmissibleParams, check_state
 # pre-drawn Gaussian increments per chunk of steps: at most this many values
 # (256 KiB), no more than one Monte Carlo block's state
 _CHUNK_VALUES = 2 ** 15
-# Generator.poisson refuses a mean above int64 max - 10 sqrt(int64 max)
-_POISSON_MAX = 9.2e18
-# a block of n paths thins a type's candidates at its largest bound while n
-# times that bound is at most this many times the sum of the bounds, and
-# otherwise places them by a prefix sum of the bounds. At 10 000 paths an
-# excess candidate costs about 9 ns and the prefix sum about 35 us a step:
-# thinning stays the cheaper up to a ratio of about 16 at 0.05 candidates
-# per path and step, and of about 64 at 0.005
-_THINNING_EXCESS = 16.0
+# Generator.poisson refuses a mean above int64 max - 10 sqrt(int64 max), but
+# numpy describes no float64 array of 2**60 or more elements: a candidate
+# count at 2**59 still sizes its owners, marks and jump sizes
+_POISSON_MAX = 2.0 ** 59
 
 
 @dataclass(frozen=True)
@@ -198,16 +197,6 @@ def _log(events, time, kind, j, owners, sizes, marks):
             size_class="small" if np.linalg.norm(z) < 1 else "large"))
 
 
-def _branching_owners(rng, cum, total):
-    """Owners of total candidates, in proportion to the bounds whose
-    cumulative sums are cum; a path with zero bound never owns one."""
-    top = cum[-1]
-    owners = cum.searchsorted(rng.uniform(0.0, top, total), side="right")
-    # cum.searchsorted(top) is the last path with positive bound: a uniform
-    # equal to top goes there, never to a zero-bound path after it
-    return np.minimum(owners, cum.searchsorted(top), out=owners)
-
-
 def _add_rows(rows, owners, sizes):
     """Add sizes, one (count, d) row per jump, to the d rows of paths of a
     block at owners: coordinate by coordinate, each in draw order, so that
@@ -268,17 +257,20 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
 
     k is 1 (a block of paths), 2 (a coupled pair) or 4 (a coupled pair at
     two step sizes); beta has shape (k, 1, d), and the mean of the
-    sub-cutoff immigration jumps is added to it here. A block (k = 1) of
-    n > 1 paths thins type j: its candidates arrive on the clock rate_j *
-    dt * n * max_i X_ij^+, each takes a uniform owner i and a mark u uniform
-    on [0, max_i X_ij^+), and it is accepted when u < X_ij^+; a single path
-    is such a block of one, which keeps every candidate. A step whose n max
-    exceeds _THINNING_EXCESS times the sum of the bounds and a stack (k > 1)
-    run the clock on the sum of the bounds instead (for a stack, of its
-    states' largest bounds), place the candidates by its prefix sum and
-    mark each on [0, its owner's bound); a block accepts each placed
-    candidate, and state s of a stack accepts one when its mark lies below
-    its own bound.
+    sub-cutoff immigration jumps is added to it here. Every type j thins by
+    one rule: with top = max_{s,i} X_sij^+, the largest bound over the
+    states s and paths i, its candidates arrive on the clock rate_j * dt *
+    n * top, each takes a uniform owner i and a mark u uniform on [0, top),
+    and state s accepts it when u < X_sij^+. A block (k = 1) draws sizes for
+    its accepted candidates only, a stack for every candidate, each added to
+    the states that accept it; a single path is a block of one, which keeps
+    every candidate. The clock draws n * top * rate_j * dt candidates per
+    step against sum_i X_ij^+ * rate_j * dt accepted in a block, so a block
+    in which one path carries the bound pays n candidates per accepted one.
+    That is the rule's slow regime: one path at 450 on S4 (beta = 0, no nu)
+    among 16 383 at 0 keeps about 1.6 of 26 000 candidates a step, and took
+    0.15-0.25 s of CPU per block, against 0.09-0.13 s when a prefix sum of
+    the bounds placed only the kept ones. No scenario comes near it.
 
     State s has a refresh period q_s (periods, default 1 for every state).
     It takes its left-endpoint copy X_s^+ = max(X_s, 0) only at the steps
@@ -294,26 +286,26 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
     it (else InvalidConfig).
 
     The candidates of type j over the whole block form one unit-rate Poisson
-    process run on the clock above, rate_j * dt times n max or the sum of
-    the bounds per step. Immigration is one more such process, on the clock
-    n * rate_nu * dt per step: every path has bound 1, and every candidate
-    is kept, with a uniform owner, and added to every state of the stack.
+    process run on the clock above, rate_j * dt * n * top per step.
+    Immigration is one more such process, on the clock n * rate_nu * dt per
+    step: every path has bound 1, and every candidate is kept, with a
+    uniform owner, and added to every state of the stack.
     The kernel carries each clock's exponential gap g, the clock time left
     to its process's next point: a step whose clock increment l is at most
     g takes l off the gap and draws nothing; otherwise it has 1 +
     Poisson(l - g) candidates and g is redrawn. Given the past, g is Exp(1),
     so a step's count is Poisson(l), independent of every other step and
     variate (the modified next reaction method of Anderson, J. Chem. Phys.
-    127, 2007), whichever clock the step runs.
+    127, 2007), however the clock's rate moves.
 
     Randomness is consumed in this order: at the start of the call the gaps
     of the types with simulated branching mass, in type order, and then
     immigration's; per chunk of at most _CHUNK_VALUES normals the Gaussian
     increments; per step, immigration first and then each type, and only
     for one that fires, in one order for every clock: its Poisson count
-    and its new gap; the owners, none for n = 1, uniform for immigration
-    and a thinned block, and by the prefix sum otherwise; for a type, the
-    marks; and the sizes of the kept candidates, in one sample_parts call.
+    and its new gap; the owners, none for n = 1 and uniform otherwise; for
+    a type, the marks; and the sizes of the kept candidates, in one
+    sample_parts call.
     The marks are drawn whether or not jumps are recorded, and the log
     keeps each accepted branching jump with its mark.
 
@@ -404,7 +396,6 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
         buffers = [np.empty((chunk, k * d, n)) for _ in range(2)]
         Xp = np.empty_like(X)
         Xp3 = Xp.reshape(k, d, n)
-        bounds = Xp if k == 1 else np.empty((d, n))
         drift = np.empty_like(X)
         # dt D, against which a stack of (d, n) left endpoints is one matmul
         drift_rows = dt * der.drift_matrix
@@ -466,34 +457,21 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                     X_new += noise
                 # a stack takes its jumps in one np.add.at on its (k, n, d) view
                 stack = None if k == 1 else X_new.reshape(k, d, n).transpose(0, 2, 1)
-                if branching and k > 1:
-                    # the thinning bounds: the stack's largest left endpoints
-                    np.maximum.reduce(Xp3, out=bounds)
 
             # the gap test stays inline: a per-step helper call for it made
             # a single S3 path about a fifth slower
             for b, j, parts, rate_dt in clocks:
-                thin = False
+                # the clock increment is the expected candidates of the step:
+                # n * rate * dt for immigration, n * top * rate * dt for a type
                 if j is None:
                     scale = n
                 elif floats:
-                    # a thinned block of one, which keeps every candidate
-                    thin, top = True, bounds[j]
-                    scale = top
+                    # a block of one, which keeps every candidate
+                    top = scale = bounds[j]
                 else:
-                    bound = bounds[j]
-                    # a coupled stack keeps the prefix sum: thinning S3's
-                    # 1 000-pair comparison stack won 5 of 10 alternating
-                    # runs, a tie within the host's noise, and re-rolls
-                    # every coupled stream; at 10 000 pairs it won 10 of 11
-                    if k == 1:
-                        top = float(bound.max())
-                        thin = n * top <= _THINNING_EXCESS * float(bound.sum())
-                    if thin:
-                        scale = n * top
-                    else:
-                        cum = bound.cumsum()
-                        scale = float(cum[-1])
+                    # top: the type's largest bound over every path and state
+                    top = float(Xp3[:, j].max())
+                    scale = n * top
                 clock = scale * rate_dt
                 gap = gaps[b]
                 if gap >= clock:
@@ -507,19 +485,14 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
                 # one draw order for every clock: owners, marks, sizes. One
                 # path draws no owners: integers(0, 1, total) would draw
                 # nothing, at 10-20 times the cost of np.zeros
-                if n == 1:
-                    owners = np.zeros(total, np.intp)
-                elif j is None or thin:
-                    owners = rng.integers(0, n, total)
-                else:
-                    owners = _branching_owners(rng, cum, total)
+                owners = np.zeros(total, np.intp) if n == 1 else rng.integers(0, n, total)
                 marks = None
                 if j is not None:
-                    marks = rng.random(total) * (top if thin else bound[owners])
-                    if thin and n > 1:
+                    marks = rng.random(total) * top
+                    if k == 1 and n > 1:
                         # a block keeps a candidate whose mark is below its
                         # owner's bound; only the kept ones draw sizes
-                        kept_at = (marks < bound[owners]).nonzero()[0]
+                        kept_at = (marks < Xp[j][owners]).nonzero()[0]
                         if not kept_at.size:
                             continue
                         owners, marks = owners[kept_at], marks[kept_at]

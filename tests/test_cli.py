@@ -455,6 +455,22 @@ class TestNumericOverflow:
         assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
         assert "divergent" not in captured.out
 
+    @pytest.mark.parametrize("x0", ["1e20,0.5", "1e308,0.5"])
+    def test_huge_candidate_count_exit_four(self, x0, tmp_path, capsys):
+        # S3's type-1 clock at x0 = 1e20 has a mean of about 6e18, which
+        # Generator.poisson draws but no float64 array of that length exists
+        path = write_params(tmp_path, "S3.json",
+                            scenario_to_json(load_scenario("S3"))["params"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", path, f"--x0={x0}", "--T=0.25", "--dt=0.03125",
+                         "--seed=1", "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: OverflowError" in err
+        assert "branching candidate rate overflowed" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not list(tmp_path.glob("out/*.csv"))
+
     def test_verify_comparison_exit_four(self, tmp_path, capsys):
         # the coupled pairs run the array lane of the Euler kernel (n > 1)
         blob = scenario_to_json(load_scenario("S3"))

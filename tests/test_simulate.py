@@ -14,7 +14,6 @@ from cbi.moments import mean
 from cbi.montecarlo import COMPARISON_SLACK, CoupledStats, _estimate
 from cbi.params import AdmissibleParams, derive
 from cbi.scenarios import load_scenario
-from cbi import simulate
 from cbi.simulate import (
     _CHUNK_VALUES, SimConfig, _euler, _float_step, _recorder, block_generator,
     simulate_block, simulate_coupled, simulate_coupled_block, simulate_path,
@@ -323,18 +322,27 @@ class TestCoupling:
                 simulate_coupled(p, bad, [1.0, 0.5], [1.0, 0.5], cfg,
                                  block_generator(41, 0))
 
-    def test_zero_state_accepts_no_branching_jump(self):
-        # every gap and every mark exactly 0: a candidate fires each step at
-        # X' = 1, and X = 0, absorbing without drift or immigration, takes none
+    @pytest.mark.parametrize("x0, x0_prime", [
+        ([[0.0]], [[1.0]]),
+        ([[0.0], [1.0], [0.0]], [[1.0], [1.0], [1.0]]),
+    ])
+    def test_zero_state_accepts_no_branching_jump(self, x0, x0_prime):
+        # every gap and every mark exactly 0: candidates fire each step at
+        # the top bound 1, and a state at 0, absorbing without drift or
+        # immigration, takes none, also in a block whose other paths do
         class ZeroMarks(ZeroGaps):
             def random(self, size=None):
                 return np.zeros(size) if size is not None else 0.0
 
         p = make(mu=(DiscreteAtoms(1, [(np.array([0.7]), 0.6)]),))
         cfg = SimConfig(T=1.0, dt=0.125)
-        a, b = simulate_coupled_block(p, p.beta, [[0.0]], [[1.0]], cfg,
+        x0, x0_prime = np.array(x0), np.array(x0_prime)
+        a, b = simulate_coupled_block(p, p.beta, x0, x0_prime, cfg,
                                       ZeroMarks(block_generator(53, 0)))
-        assert a[0, 0] == 0.0 and b[0, 0] > 1.0
+        assert np.all(a[x0 == 0.0] == 0.0)
+        # a positive path takes each candidate it owns, in both states
+        assert np.array_equal(a[x0 > 0.0], b[x0 > 0.0])
+        assert np.all(b >= x0_prime) and b.sum() > x0_prime.sum()
 
     def test_pure_jump_coupling_has_no_violations(self):
         p = self.coupled_instance()
@@ -771,39 +779,6 @@ class TestSuperposedCounts:
         chi2 = float(((totals - expect) ** 2 / expect).sum())
         assert chi2 <= (n - 1) + 4.0 * math.sqrt(2.0 * (n - 1))
 
-    def test_uniform_on_the_total_goes_to_a_positive_path(self):
-        class TopUniform:
-            """Three candidates whose owner uniforms all land on the total."""
-
-            def __init__(self, rng):
-                self._rng = rng
-                self.uniform_calls = 0
-
-            def exponential(self, scale=1.0, size=None):
-                return np.zeros(size) if size is not None else 0.0
-
-            def poisson(self, lam):
-                return 2
-
-            def uniform(self, low, high, size=None):
-                self.uniform_calls += 1
-                return np.broadcast_to(np.asarray(high, dtype=float),
-                                       np.shape(high) if size is None else size).copy()
-
-            def __getattr__(self, item):
-                return getattr(self._rng, item)
-
-        # 40 paths, n max / sum = 80 / 3: above the thinning excess, so the
-        # owners come from the prefix sum of the bounds
-        states = [1.0, 0.0, 2.0, -0.5] + [0.0] * 36
-        assert len(states) * 2.0 > simulate._THINNING_EXCESS * 3.0
-        p = make(mu=(DiscreteAtoms(1, [(np.array([TINY]), 2.0)]),))
-        cfg = SimConfig(T=0.125, dt=0.125, record_jumps=True)
-        rng = TopUniform(block_generator(71, 0))
-        _, events = _run_stack(p, states, cfg, rng)
-        assert rng.uniform_calls == 1
-        assert [len(evs) for evs in events] == [0, 0, 3] + [0] * 37
-
 
 class CountingGenerator:
     """Generator proxy that logs every poisson and exponential call in order:
@@ -832,8 +807,8 @@ class TestPoissonCallGuard:
     immigration first and then each type, one scalar Poisson exactly when
     the clock increment passes the carried gap, followed by the new gap.
     Never an array-valued Poisson draw. Immigration's clock runs at n times
-    its rate; a type's at n times the largest bound in a block of n > 1
-    paths that thins, and at the sum of the bounds otherwise."""
+    its rate, a type's at n times the largest bound over the paths and the
+    states of the stack."""
 
     T, DT = 0.25, 2.0 ** -6   # 16 steps
 
@@ -854,14 +829,9 @@ class TestPoissonCallGuard:
         want = [("exponential", 0, 2)]
         want_means = []
         for states in stacks[:-1]:
-            bound = np.maximum(states[:, :, 0].max(axis=0), 0.0)
-            if len(states) == 1 and n > 1 and \
-                    n * bound.max() <= simulate._THINNING_EXCESS * bound.sum():
-                scale = n * float(bound.max())
-            else:
-                scale = float(np.cumsum(bound)[-1])
+            top = max(float(states[:, :, 0].max()), 0.0)
             clocks = (n * (der.immigration_rate * self.DT),
-                      scale * (der.branching_rates[0] * self.DT))
+                      n * top * (der.branching_rates[0] * self.DT))
             for c, clock in enumerate(clocks):
                 if gaps[c] >= clock:
                     gaps[c] -= clock
@@ -971,34 +941,22 @@ class TestCarriedGaps:
         [[1.0, 0.0]],
         [[1.0, 0.0], [0.0, 0.0], [-0.5, -1e-3], [2.0, 0.0], [0.0, 0.0]],
     ])
-    def test_zero_gap_never_fires_zero_bound(self, k, states, monkeypatch):
+    def test_zero_gap_never_fires_zero_bound(self, k, states):
         # type 2 has zero bound everywhere, paths 2, 3 and 5 on type 1 too:
         # a gap of exactly 0 must fire neither, and fires type 1 every step.
         # A block (k = 1) logs what it accepts; a coupled pair (k = 2) keeps
-        # no log, so the owners its prefix sum draws are watched
+        # no log, but a tiny jump accepted at a zero coordinate would leave
+        # it nonzero, so the unchanged final stack shows none was
         p = self.tiny_types(2.0)
         cfg = SimConfig(T=2.0, dt=0.125, record_jumps=True)
         X = np.tile(np.asarray(states, dtype=float), (k, 1, 1))
         rng = ZeroGaps(block_generator(107, k))
-        drawn = []
-        if k == 2:
-            pick = simulate._branching_owners
-
-            def spy(*args):
-                owners = pick(*args)
-                drawn.extend(owners.tolist())
-                return owners
-
-            monkeypatch.setattr(simulate, "_branching_owners", spy)
         final, events = _euler(p, X, np.zeros((k, 1, 2)), cfg, rng)
         assert np.array_equal(final, X)
         assert rng.poisson_calls == cfg.n_steps
         bounds = np.maximum(np.asarray(states)[:, 0], 0.0)
         assert (events is None) == (k == 2)
         if k == 2:
-            # a pair of single paths draws no owners
-            assert bool(drawn) == (len(states) > 1)
-            assert all(bounds[owner] > 0.0 for owner in drawn)
             return
         assert any(events)
         for owner, evs in enumerate(events):
@@ -1006,10 +964,9 @@ class TestCarriedGaps:
 
 
 class TestThinning:
-    """A block of n > 1 paths draws a type's candidates at n times its
-    largest bound, with uniform owners, and keeps a candidate when its mark
-    is below the owner's bound; a step whose n max exceeds the thinning
-    excess times the sum of the bounds places them by prefix sum instead."""
+    """A stack of n > 1 paths draws a type's candidates at n times its
+    largest bound, with uniform owners, and a state keeps a candidate when
+    its mark is below its own bound at the owner."""
 
     @pytest.mark.parametrize("n", [2, 300])
     def test_paths_do_not_depend_on_the_log(self, n):
@@ -1030,29 +987,20 @@ class TestThinning:
             assert 0.0 <= ev.u < max(full[step, owner, ev.type_index], 0.0)
 
     # zeros, negative states and one path 100 times the others: n max / sum
-    # is 12 * 100 / 107.05, about 11 (thinning); with 28 more zeros, 40 paths
-    # give about 37 (prefix sum)
+    # is 12 * 100 / 107.05, about 11; with 28 more zeros, 40 paths give
+    # about 37
     UNEVEN = [0.0, 1.0, -0.5, 100.0, 0.3, 1.0, 0.0, 2.0, -1e-3, 1.5, 0.05, 1.2]
+    # a dominating second state: zero offsets keep a path equal in both
+    OFFSETS = [0.5, 0.0, 1.0, 0.0, 2.0, 0.0, 0.25, 0.5, 0.01, 0.0, 0.3, 4.0]
 
-    @pytest.mark.parametrize("thinned", [True, False])
-    def test_counts_are_poisson_at_each_bound(self, thinned, monkeypatch):
-        states = np.array(self.UNEVEN + ([] if thinned else [0.0] * 28))
-        ratio = len(states) * states.max() / np.maximum(states, 0.0).sum()
-        assert (ratio <= simulate._THINNING_EXCESS) == thinned
-        placed = []
-        pick = simulate._branching_owners
-
-        def spy(*args):
-            placed.append(1)
-            return pick(*args)
-
-        monkeypatch.setattr(simulate, "_branching_owners", spy)
+    @pytest.mark.parametrize("zeros, seed", [(0, 1), (28, 0)], ids=["uneven", "mostly-zero"])
+    def test_counts_are_poisson_at_each_bound(self, zeros, seed):
+        states = np.array(self.UNEVEN + [0.0] * zeros)
         rate = 0.4
         p = make(mu=(DiscreteAtoms(1, [(np.array([TINY]), rate)]),))
         cfg = SimConfig(T=2500.0, dt=0.125, record_jumps=True)
-        final, events = _run_stack(p, states, cfg, block_generator(409, int(thinned)))
+        final, events = _run_stack(p, states, cfg, block_generator(409, seed))
         assert np.array_equal(final[0, :, 0], states)
-        assert bool(placed) != thinned
         steps = cfg.n_steps
         counts = _counts_per_step(events, "branching", steps, cfg.dt)
         lam = np.maximum(states, 0.0) * rate * cfg.dt
@@ -1066,6 +1014,40 @@ class TestThinning:
             r = np.corrcoef(c[:-1], c[1:])[0, 1]
             assert abs(r) <= 4.0 / math.sqrt(steps)
 
+    def test_coupled_counts_are_poisson_at_each_state_bound(self):
+        # a coupled pair shares candidates at its top bound and their marks:
+        # each state keeps a Poisson count at its own bound, and the larger
+        # state every jump the smaller one keeps. Jumps of 2**-30 make each
+        # increment a whole multiple of it; B, the atom's first moment,
+        # cancels the compensator, so no drift blurs the counts
+        atom, rate = 2.0 ** -30, 0.4
+        p = make(B=((rate * atom,),), mu=(DiscreteAtoms(1, [(np.array([atom]), rate)]),))
+        assert derive(p).drift_matrix[0, 0] == 0.0
+        states = np.array(self.UNEVEN)
+        prime = states + np.array(self.OFFSETS)
+        cfg = SimConfig(T=2500.0, dt=0.125)
+        chunks = []
+        _euler(p, np.stack([states, prime])[:, :, None], np.zeros((2, 1, 1)), cfg,
+               block_generator(421, 0), lambda first, s: chunks.append(s.copy()))
+        full = np.concatenate(chunks)
+        counts = np.diff(full[:, :, :, 0], axis=0) / atom
+        assert np.array_equal(counts, np.round(counts))
+        assert np.all(counts[:, 1] >= counts[:, 0])
+        steps = cfg.n_steps
+        for start, state_counts in zip((states, prime), counts.transpose(1, 0, 2)):
+            lam = np.maximum(start, 0.0) * rate * cfg.dt
+            assert np.all(state_counts[:, lam == 0.0] == 0)
+            for c, rate_i in zip(state_counts.T[lam > 0.0], lam[lam > 0.0]):
+                assert abs(c.mean() - rate_i) <= 4.0 * math.sqrt(rate_i / steps)
+                var_se = math.sqrt((rate_i + 2.0 * rate_i ** 2) / steps)
+                assert abs(c.var(ddof=1) - rate_i) <= 4.0 * var_se
+                # a sparse count's lag-1 correlation has a heavy tail: one
+                # pair of consecutive events among 50 moves it by about 3
+                # stderr, so it is gated at 0.01 expected events a step or more
+                if rate_i >= 0.01:
+                    r = np.corrcoef(c[:-1], c[1:])[0, 1]
+                    assert abs(r) <= 4.0 / math.sqrt(steps)
+
 
 class TestDrawOrder:
     """Every branching clock that fires draws, after its Poisson count and
@@ -1075,19 +1057,19 @@ class TestDrawOrder:
     # exponential jumps draw their sizes by standard_exponential, and no
     # immigration or diffusion draws in between
     P = make(mu=(ProductExponential(40.0, [20.0]),))
-    # uniform owners for a thinned block, a prefix sum's uniforms otherwise
+    # uniform owners for every stack of n > 1 paths
     CASES = {
         "path": (1, 1, None), "thinned": (1, 5, "integers"),
-        "fallback": (1, 40, "uniform"), "pair-of-one": (2, 1, None),
-        "pair": (2, 3, "uniform"), "coarse-stack": (4, 3, "uniform")}
+        "one-live": (1, 40, "integers"), "pair-of-one": (2, 1, None),
+        "pair": (2, 3, "integers"), "coarse-stack": (4, 3, "integers")}
 
     @pytest.mark.parametrize("case", CASES)
     def test_owners_then_marks_then_sizes(self, case):
         k, n, owners = self.CASES[case]
-        # one positive path among 39 that stay at 0 keeps n max / sum at 40,
-        # above the thinning excess, at every step
+        # one positive path among 39 that stay at 0: n max / sum is 40 at
+        # every step
         x0 = np.zeros((n, 1))
-        x0[0 if case == "fallback" else slice(None)] = 1.0
+        x0[0 if case == "one-live" else slice(None)] = 1.0
         cfg = SimConfig(T=1.0, dt=2.0 ** -6)
         rng = RecordingGenerator(block_generator(23, 0))
         if k == 1:
@@ -1103,8 +1085,9 @@ class TestDrawOrder:
             head = ["exponential"] + ([owners] if owners else []) + ["random"]
             assert firing[:len(head)] == head
             sizes = firing[len(head):]
-            # a thinned block may keep no candidate, and then draws no size
-            assert set(sizes) == {"standard_exponential"} or (case == "thinned" and not sizes)
+            # a block may keep no candidate, and then draws no size; a stack
+            # draws a size for every candidate
+            assert set(sizes) == {"standard_exponential"} or (k == 1 and not sizes)
 
 
 class TestChunkedImmigration:
