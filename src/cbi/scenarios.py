@@ -7,6 +7,12 @@ finite-activity jump instance (S3), a one-type jump instance with immigration
 file pins every knob of its verification runs (paths, step, seeds) together
 with the Delta-t bias constants calibrated by tools/calibrate_bias.py, so
 verification outcomes are reproducible bit for bit.
+
+The package only reads scenario files; the calibration tool writes its two
+constants into a file's own JSON object. Every field is checked on load:
+name and description are strings, t and dt positive, x0 a point of R_+^d
+(check_state of :mod:`cbi.params`), and the counts, seeds, constants,
+Laplace points and comparison block are numbers of their kind.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ import numpy as np
 
 from .config import (
     _COUNT, _INTEGER, _NON_NEGATIVE, _POSITIVE, _REAL, SchemaError, _number, _reals,
-    params_from_json, params_to_json,
+    params_from_json,
 )
 from .errors import CbiError
-from .params import DEFAULT_EPS_TRUNC, AdmissibleParams, DerivedParams, derive
+from .params import DEFAULT_EPS_TRUNC, AdmissibleParams, DerivedParams, check_state, derive
 from .simulate import SimConfig
 
 BUNDLED_NAMES = ("S1", "S2", "S3", "S4", "S5")
@@ -44,7 +50,6 @@ class Scenario:
     bias_constant_laplace: float
     laplace_points: list          # [(t, lam array), ...]
     comparison: dict | None = None
-    ratio_check: dict | None = None
 
     def sim_config(self) -> SimConfig:
         return SimConfig(T=self.t, dt=self.dt, eps_trunc=self.eps_trunc)
@@ -66,6 +71,12 @@ def _comparison_from_json(comp, d):
             "seed": int(_number(comp["seed"], "comparison.seed", _INTEGER))}
 
 
+def _text(value, name):
+    if not isinstance(value, str):
+        raise SchemaError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def scenario_from_json(obj) -> Scenario:
     """A scenario from its JSON object; malformed fields raise SchemaError."""
     try:
@@ -75,12 +86,12 @@ def scenario_from_json(obj) -> Scenario:
                    np.array(_reals(pt["lam"], "laplace_points lam")))
                   for pt in obj.get("laplace_points", [])]
         return Scenario(
-            name=obj["name"],
-            description=obj.get("description", ""),
+            name=_text(obj["name"], "name"),
+            description=_text(obj.get("description", ""), "description"),
             params=params,
-            x0=np.array(_reals(obj["x0"], "x0")),
-            t=float(_number(obj["t"], "t", _REAL)),
-            dt=float(_number(obj["dt"], "dt", _REAL)),
+            x0=check_state("x0", _reals(obj["x0"], "x0"), params.d),
+            t=float(_number(obj["t"], "t", _POSITIVE)),
+            dt=float(_number(obj["dt"], "dt", _POSITIVE)),
             n_paths=int(_number(obj["n_paths"], "n_paths", _COUNT)),
             seed=int(_number(obj["seed"], "seed", _INTEGER)),
             eps_trunc=float(_number(obj.get("eps_trunc", DEFAULT_EPS_TRUNC), "eps_trunc",
@@ -92,37 +103,14 @@ def scenario_from_json(obj) -> Scenario:
             laplace_points=points,
             comparison=(None if comparison is None
                         else _comparison_from_json(comparison, params.d)),
-            ratio_check=obj.get("ratio_check"),
         )
     except CbiError:
-        # a SchemaError, or the InvalidConfig of a parameter tuple, as raised
+        # a SchemaError, or the error of a parameter tuple or of x0, as raised
         raise
     except KeyError as exc:
         raise SchemaError(f"bad scenario file: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad scenario file: {exc}") from exc
-
-
-def scenario_to_json(s: Scenario) -> dict:
-    blob = {
-        "name": s.name,
-        "description": s.description,
-        "params": params_to_json(s.params),
-        "x0": list(s.x0),
-        "t": s.t,
-        "dt": s.dt,
-        "n_paths": s.n_paths,
-        "seed": s.seed,
-        "eps_trunc": s.eps_trunc,
-        "bias_constant_mean": s.bias_constant_mean,
-        "bias_constant_laplace": s.bias_constant_laplace,
-        "laplace_points": [{"t": t, "lam": list(lam)} for t, lam in s.laplace_points],
-    }
-    if s.comparison is not None:
-        blob["comparison"] = s.comparison
-    if s.ratio_check is not None:
-        blob["ratio_check"] = s.ratio_check
-    return blob
 
 
 def load_scenario(name_or_path: str) -> Scenario:

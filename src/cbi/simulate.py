@@ -406,8 +406,7 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
         if use_diffusion:
             noise = np.empty_like(X)
             # the stack's states share each step's normals
-            root_k, noise_k = (root, noise) if k == 1 else (
-                root.reshape(k, d, n), noise.reshape(k, d, n))
+            root_k, noise_k = root.reshape(k, d, n), noise.reshape(k, d, n)
         # per step modulo the first period, the rows from which the
         # left-endpoint copies are retaken: each period being a multiple of
         # the next, the states due are the last ones (all when every period
@@ -461,18 +460,12 @@ def _euler(p, X, beta, cfg, rng, observe=None, periods=None):
             # the gap test stays inline: a per-step helper call for it made
             # a single S3 path about a fifth slower
             for b, j, parts, rate_dt in clocks:
-                # the clock increment is the expected candidates of the step:
-                # n * rate * dt for immigration, n * top * rate * dt for a type
-                if j is None:
-                    scale = n
-                elif floats:
-                    # a block of one, which keeps every candidate
-                    top = scale = bounds[j]
-                else:
-                    # top: the type's largest bound over every path and state
-                    top = float(Xp3[:, j].max())
-                    scale = n * top
-                clock = scale * rate_dt
+                # the clock increment is the expected candidates of the step,
+                # n * top * rate * dt, top the largest bound over every path
+                # and state: 1 for immigration, and the float lane's one
+                # bound for a type
+                top = 1.0 if j is None else bounds[j] if floats else float(Xp3[:, j].max())
+                clock = n * top * rate_dt
                 gap = gaps[b]
                 if gap >= clock:
                     gaps[b] = gap - clock

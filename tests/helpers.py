@@ -382,22 +382,26 @@ def chain_mean(p, x0, t, dt, eps_trunc):
     return m
 
 
-def mean_error_halving_ratio(scenario, threads=None, budget=None):
+# A4's step-halving check on S3: per seed, 2e5 paths at dt = 2^-8 and at dt/2
+A4_HALVING = {"seeds": [8101, 8102, 8103, 8104, 8105], "n_paths": 200_000,
+              "dt": 2.0 ** -8}
+
+
+def mean_error_halving_ratio(scenario, seeds, n_paths, dt, threads=None, budget=None):
     """Per-seed ratios of the Monte Carlo mean's error at dt/2 to that at dt
     against the closed form: about 1/2 for a scheme of weak order one."""
     from cbi.moments import mean
     from cbi.montecarlo import estimate_mean
     from cbi.simulate import SimConfig
 
-    rc = scenario.ratio_check
     analytic = mean(scenario.params, scenario.x0, scenario.t)
     ratios = []
-    for seed in rc["seeds"]:
+    for seed in seeds:
         errs = []
-        for dt in (rc["dt"], rc["dt"] / 2.0):
-            cfg = SimConfig(T=scenario.t, dt=dt, eps_trunc=scenario.eps_trunc)
+        for h in (dt, dt / 2.0):
+            cfg = SimConfig(T=scenario.t, dt=h, eps_trunc=scenario.eps_trunc)
             value, _ = estimate_mean(scenario.params, scenario.x0, scenario.t,
-                                     rc["n_paths"], cfg, seed, threads=threads, budget=budget)
+                                     n_paths, cfg, seed, threads=threads, budget=budget)
             errs.append(float(np.linalg.norm(value - analytic)))
         ratios.append(errs[1] / errs[0])
     return np.array(ratios)

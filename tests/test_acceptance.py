@@ -18,7 +18,7 @@ from cbi.riccati import cir_closed_form_v, laplace_transform, solve_v
 from cbi.scenarios import load_scenario
 from cbi.simulate import SimConfig, block_generator, simulate_coupled_block, simulate_path
 
-from helpers import mean_error_halving_ratio, random_discrete_params
+from helpers import A4_HALVING, mean_error_halving_ratio, random_discrete_params
 
 
 def report(name, passed, elapsed, detail=""):
@@ -87,7 +87,7 @@ def test_a4_mean_verification():
         rep = verify_mean(load_scenario(name))
         ok &= rep.passed
         details.append(f"{name}:{'ok' if rep.passed else 'FAIL'}")
-    ratios = mean_error_halving_ratio(load_scenario("S3"))
+    ratios = mean_error_halving_ratio(load_scenario("S3"), **A4_HALVING)
     ratio_ok = float(ratios.mean()) <= 0.75
     ok &= ratio_ok
     elapsed = time.perf_counter() - start

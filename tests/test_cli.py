@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy import integrate
 import cbi
 from cbi.cli import _path_template, _write_jump_csv, _write_path_csv, main
 from cbi.config import dumps_canonical, format_float, params_to_json
-from cbi.scenarios import load_scenario, scenario_to_json
+from cbi.scenarios import load_scenario
 from cbi.simulate import JumpEvent, Path
 
 CIR = {
@@ -460,7 +461,7 @@ class TestNumericOverflow:
         # S3's type-1 clock at x0 = 1e20 has a mean of about 6e18, which
         # Generator.poisson draws but no float64 array of that length exists
         path = write_params(tmp_path, "S3.json",
-                            scenario_to_json(load_scenario("S3"))["params"])
+                            params_to_json(load_scenario("S3").params))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["simulate", path, f"--x0={x0}", "--T=0.25", "--dt=0.03125",
@@ -473,7 +474,8 @@ class TestNumericOverflow:
 
     def test_verify_comparison_exit_four(self, tmp_path, capsys):
         # the coupled pairs run the array lane of the Euler kernel (n > 1)
-        blob = scenario_to_json(load_scenario("S3"))
+        blob = json.loads(resources.files("cbi").joinpath("data/scenarios/S3.json")
+                          .read_text())
         blob["params"]["B"][0][0] = 1e308
         blob["comparison"]["n_paths"] = 50
         path = write_params(tmp_path, "S3-huge.json", blob)
@@ -890,10 +892,10 @@ class TestVerifyCommand:
         ("mean", {"x0": [True]}, "x0 must be a finite number, got True"),
         ("mean", {"x0": ["1.0"]}, "x0 must be a finite number, got '1.0'"),
         ("mean", {"x0": "1.0"}, "x0 must be a list of numbers, got '1.0'"),
-        ("mean", {"t": True}, "t must be a finite number, got True"),
-        ("mean", {"t": "0.25"}, "t must be a finite number, got '0.25'"),
-        ("mean", {"dt": True}, "dt must be a finite number, got True"),
-        ("mean", {"dt": "0.03125"}, "dt must be a finite number, got '0.03125'"),
+        ("mean", {"t": True}, "t must be a positive finite number, got True"),
+        ("mean", {"t": "0.25"}, "t must be a positive finite number, got '0.25'"),
+        ("mean", {"dt": True}, "dt must be a positive finite number, got True"),
+        ("mean", {"dt": "0.03125"}, "dt must be a positive finite number, got '0.03125'"),
         ("mean", {"eps_trunc": True}, "eps_trunc must be a finite number, got True"),
         ("mean", {"eps_trunc": "0.001"}, "eps_trunc must be a finite number, got '0.001'"),
         ("laplace", {"laplace_points": [{"t": True, "lam": [1.0]}]},
@@ -905,24 +907,38 @@ class TestVerifyCommand:
         ("laplace", {"laplace_points": [{"t": 0.25, "lam": ["0.3"]}]},
          "laplace_points lam must be a finite number, got '0.3'"),
         # JSON integers have no bound: one past the float range is no number
-        ("mean", {"dt": 10 ** 400}, f"dt must be a finite number, got {10 ** 400}"),
+        ("mean", {"dt": 10 ** 400}, f"dt must be a positive finite number, got {10 ** 400}"),
         ("mean", {"bias_constant_mean": 10 ** 400},
          f"bias_constant_mean must be a non-negative finite number, got {10 ** 400}"),
         ("comparison", {"comparison": dict(COMPARISON, T=10 ** 400)},
          f"comparison.T must be a positive finite number, got {10 ** 400}"),
+        ("mean", {"name": 5}, "name must be a string, got 5"),
+        ("mean", {"name": ["a"]}, "name must be a string, got ['a']"),
+        ("laplace", {"description": 3}, "description must be a string, got 3"),
+        ("mean", {"t": 0}, "t must be a positive finite number, got 0"),
+        ("mean", {"dt": -0.03125}, "dt must be a positive finite number, got -0.03125"),
+        # x0 passes the shared state check on load, before any check runs
+        ("mean", dict(PAIR_SCENARIO, x0=[1.0]), "InvalidConfig: x0 must have shape (2,)"),
+        ("laplace", dict(PAIR_SCENARIO, x0=[1.0]), "InvalidConfig: x0 must have shape (2,)"),
+        ("comparison", dict(PAIR_SCENARIO, x0=[1.0],
+                            comparison=dict(COMPARISON, beta_shift=[0.5, 0.5])),
+         "InvalidConfig: x0 must have shape (2,)"),
     ], ids=["comparison-without-seed", "string-n-paths", "string-dt",
             "zero-comparison-paths", "short-beta-shift", "zero-paths", "negative-paths",
             "nan-mean-bias", "negative-mean-bias", "inf-laplace-bias",
             "string-laplace-bias", "bool-x0", "string-x0", "scalar-x0", "bool-t", "string-t",
             "bool-dt", "string-dt-step", "bool-eps", "string-eps", "bool-point-t",
             "string-point-t", "bool-lam", "string-lam", "huge-dt", "huge-mean-bias",
-            "huge-comparison-horizon"])
+            "huge-comparison-horizon", "number-name", "list-name", "number-description",
+            "zero-t", "negative-dt", "short-x0-mean", "short-x0-laplace",
+            "short-x0-comparison"])
     def test_malformed_scenario_fields_exit_two(self, check, overrides, message,
                                                 tmp_path, cir_file, capsys):
         scen = tiny_scenario(tmp_path, cir_file, **overrides)
         assert main(["verify", check, "--scenario", scen]) == 2
         err = capsys.readouterr().err
-        assert f"schema error: SchemaError: {message}" in err
+        kind = "" if message.startswith("InvalidConfig: ") else "SchemaError: "
+        assert f"schema error: {kind}{message}" in err
         assert "Traceback" not in err
 
     def test_negative_budget_exit_two(self, capsys):

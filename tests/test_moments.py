@@ -56,6 +56,15 @@ class TestExpm:
                 want = scipy_expm(A)
                 assert np.abs(expm(A) - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_diagonal_stays_diagonal(self, d):
+        # products of diagonal matrices are diagonal, so the Taylor rule
+        # keeps every off-diagonal entry at 0 and the diagonal within ulps
+        diagonal = np.linspace(-2.0, 1.5, d)
+        got = expm(np.diag(diagonal))
+        assert np.array_equal(got, np.diag(np.diagonal(got)))
+        assert np.allclose(np.diagonal(got), np.exp(diagonal), rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
     def test_matches_scipy_on_scenario_blocks(self, name):
         # the augmented block [[B_tilde, I], [0, 0]] t that mean exponentiates
@@ -86,10 +95,8 @@ class TestExpm:
             assert np.abs(expm(t * block) - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_exact_on_zero_diagonal_and_nilpotent_blocks(self, d):
+    def test_exact_on_zero_and_nilpotent_blocks(self, d):
         assert np.array_equal(expm(np.zeros((d, d))), np.eye(d))
-        diagonal = np.linspace(-2.0, 1.5, d)
-        assert np.array_equal(expm(np.diag(diagonal)), np.diag(np.exp(diagonal)))
         nilpotent = np.zeros((2 * d, 2 * d))
         nilpotent[:d, d:] = np.eye(d)
         want = np.eye(2 * d)

@@ -19,7 +19,7 @@ from cbi.riccati import laplace_transform
 from cbi.scenarios import Scenario, load_scenario
 from cbi.simulate import SimConfig
 
-from helpers import chain_mean, mean_error_halving_ratio
+from helpers import A4_HALVING, chain_mean, mean_error_halving_ratio
 
 
 def cir():
@@ -41,7 +41,6 @@ def jumpy_scenario(**overrides):
         laplace_points=[(0.25, np.array([0.8])), (0.5, np.array([1.5]))],
         comparison={"beta_shift": [0.5], "n_paths": 2000, "dt": 2.0 ** -7,
                     "T": 0.5, "seed": 7},
-        ratio_check={"seeds": [11, 12], "n_paths": 4000, "dt": 2.0 ** -6},
     )
     settings.update(overrides)
     return Scenario(**settings)
@@ -149,7 +148,7 @@ class TestChainMean:
         # b / 4a reads 0.02-0.10 here, and a bound of dt leaves ten times
         # that. S3 runs at A4's dt, the others at their own.
         s = load_scenario(name)
-        dt = s.ratio_check["dt"] if name == "S3" else s.dt
+        dt = A4_HALVING["dt"] if name == "S3" else s.dt
         exact = mean(s.params, s.x0, s.t)
         err = [np.linalg.norm(exact - chain_mean(s.params, s.x0, s.t, h, s.eps_trunc))
                for h in (dt, dt / 2.0)]
@@ -316,7 +315,8 @@ class TestVerify:
                                else math.inf)
 
     def test_halving_ratio_runs(self):
-        ratios = mean_error_halving_ratio(jumpy_scenario())
+        ratios = mean_error_halving_ratio(jumpy_scenario(), seeds=[11, 12],
+                                          n_paths=4000, dt=2.0 ** -6)
         assert ratios.shape == (2,)
         assert np.all(ratios > 0)
 

@@ -734,6 +734,30 @@ def _run_stack(p, states, cfg, rng):
                   lambda first, states: None)
 
 
+def _assert_serially_independent(c, rate):
+    """Consecutive steps of one path's Poisson(rate) counts c are
+    uncorrelated. A sparse count's lag-1 correlation has a heavy tail: one
+    pair of consecutive events among 50 moves it by about 3 standard
+    errors, so below 0.01 expected events a step the gate counts the steps
+    with events at both t and t + 1 instead. Under independence that count
+    is about Poisson of mean (steps - 1) p^2, p = 1 - e^-rate, and it must
+    not exceed that law's one-sided 4-sigma quantile."""
+    steps = len(c)
+    if rate >= 0.01:
+        r = np.corrcoef(c[:-1], c[1:])[0, 1]
+        assert abs(r) <= 4.0 / math.sqrt(steps)
+        return
+    mean = (steps - 1) * math.expm1(-rate) ** 2
+    tail = 0.5 * math.erfc(4.0 / math.sqrt(2.0))
+    bound, pmf = 0, math.exp(-mean)
+    cdf = pmf
+    while 1.0 - cdf > tail:
+        bound += 1
+        pmf *= mean / bound
+        cdf += pmf
+    assert np.count_nonzero((c[:-1] > 0) & (c[1:] > 0)) <= bound
+
+
 def _counts_per_step(events, kind, n_steps, dt):
     counts = np.zeros((n_steps, len(events)), dtype=int)
     for owner, evs in enumerate(events):
@@ -1010,9 +1034,8 @@ class TestThinning:
             var_se = math.sqrt((rate_i + 2.0 * rate_i ** 2) / steps)
             assert abs(c.var(ddof=1) - rate_i) <= 4.0 * var_se
             # the carried gap runs on the clock n max: consecutive steps of
-            # one path stay uncorrelated
-            r = np.corrcoef(c[:-1], c[1:])[0, 1]
-            assert abs(r) <= 4.0 / math.sqrt(steps)
+            # one path stay independent
+            _assert_serially_independent(c, rate_i)
 
     def test_coupled_counts_are_poisson_at_each_state_bound(self):
         # a coupled pair shares candidates at its top bound and their marks:
@@ -1041,12 +1064,7 @@ class TestThinning:
                 assert abs(c.mean() - rate_i) <= 4.0 * math.sqrt(rate_i / steps)
                 var_se = math.sqrt((rate_i + 2.0 * rate_i ** 2) / steps)
                 assert abs(c.var(ddof=1) - rate_i) <= 4.0 * var_se
-                # a sparse count's lag-1 correlation has a heavy tail: one
-                # pair of consecutive events among 50 moves it by about 3
-                # stderr, so it is gated at 0.01 expected events a step or more
-                if rate_i >= 0.01:
-                    r = np.corrcoef(c[:-1], c[1:])[0, 1]
-                    assert abs(r) <= 4.0 / math.sqrt(steps)
+                _assert_serially_independent(c, rate_i)
 
 
 class TestDrawOrder:

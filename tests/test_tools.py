@@ -2,8 +2,13 @@
 and the source line counter."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
+
+import pytest
+
+from cbi.scenarios import BUNDLED_NAMES, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "src" / "cbi" / "data" / "scenarios"
@@ -23,6 +28,26 @@ def test_calibrate_returns_constants_and_writes_nothing(capsys):
     assert math.isfinite(c_laplace) and c_laplace >= 0.1
     assert {f.name: f.read_bytes() for f in SCENARIOS.glob("*.json")} == before
     assert "S4: laplace bias" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_write_constants_edits_only_the_two_constants(name, tmp_path, capsys):
+    tool = load_tool()
+    original = (SCENARIOS / f"{name}.json").read_bytes()
+    copy = tmp_path / f"{name}.json"
+    copy.write_bytes(original)
+    blob = json.loads(original)
+    # the file's own constants give its bytes back
+    tool.write_constants(copy, blob["bias_constant_mean"], blob["bias_constant_laplace"])
+    assert copy.read_bytes() == original
+    # new constants change those two values and nothing else
+    tool.write_constants(copy, 1.234, 0.567)
+    lines = zip(original.splitlines(), copy.read_bytes().splitlines(), strict=True)
+    assert [old for old, new in lines if old != new] == [
+        line for line in original.splitlines() if b'"bias_constant_' in line]
+    s = load_scenario(str(copy))
+    assert (s.bias_constant_mean, s.bias_constant_laplace) == (1.234, 0.567)
+    assert f"wrote {copy}" in capsys.readouterr().out
 
 
 SOURCE = '''"""Module docstring,

@@ -12,6 +12,7 @@ Usage: python3 tools/calibrate_bias.py [--n-paths 400000] [--threads 4]
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cbi.config import dumps_canonical
 from cbi.montecarlo import verify_laplace, verify_mean
-from cbi.scenarios import BUNDLED_NAMES, load_scenario, scenario_to_json
+from cbi.scenarios import BUNDLED_NAMES, load_scenario
 
 CAL_SEED = 990_001  # separate from verification seeds: calibration is out-of-sample
 
@@ -50,14 +51,15 @@ def calibrate(name, n_paths, threads):
     return round(c_mean, 3), round(c_laplace, 3)
 
 
-def write_constants(name, c_mean, c_laplace):
-    """Rewrite the bundled scenario file of name with the given constants."""
-    s = load_scenario(name)
-    s.bias_constant_mean = c_mean
-    s.bias_constant_laplace = c_laplace
-    out = Path(__file__).resolve().parents[1] / "src" / "cbi" / "data" / "scenarios" / f"{name}.json"
-    out.write_text(dumps_canonical(scenario_to_json(s)) + "\n")
-    print(f"{name}: wrote {out}")
+def write_constants(path, c_mean, c_laplace):
+    """Set the two bias constants in the scenario file at path, keeping every
+    other field of its JSON object as it is."""
+    path = Path(path)
+    blob = json.loads(path.read_text())
+    blob["bias_constant_mean"] = c_mean
+    blob["bias_constant_laplace"] = c_laplace
+    path.write_text(dumps_canonical(blob) + "\n")
+    print(f"wrote {path}")
 
 
 def main():
@@ -66,8 +68,9 @@ def main():
     ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--scenarios", nargs="*", default=list(BUNDLED_NAMES))
     args = ap.parse_args()
+    scenarios = Path(__file__).resolve().parents[1] / "src" / "cbi" / "data" / "scenarios"
     for name in args.scenarios:
-        write_constants(name, *calibrate(name, args.n_paths, args.threads))
+        write_constants(scenarios / f"{name}.json", *calibrate(name, args.n_paths, args.threads))
 
 
 if __name__ == "__main__":
